@@ -4,15 +4,8 @@ norm-composition defect and the pinned sedenion zero-divisor pair.
 
 from __future__ import annotations
 
-from .conic import (
-    ConicAlgebra,
-    ConicElement,
-    _add_vec,
-    _basis,
-    _scale_vec,
-    _sub_vec,
-    _vec_eq,
-)
+from .conic import ConicAlgebra, ConicElement
+from .linalg import add_vec, basis, scale_vec, sub_vec, vec_eq
 from .quadforms import QuadraticForm
 from .scalars import QQ, ZZ
 
@@ -42,17 +35,17 @@ def cayley_dickson(base, mu):
     table = []
     for a in range(n):
         row = []
-        ua = _basis(R, m, a) if a < m else [R.zero] * m
-        va = _basis(R, m, a - m) if a >= m else [R.zero] * m
+        ua = basis(R, m, a) if a < m else [R.zero] * m
+        va = basis(R, m, a - m) if a >= m else [R.zero] * m
         for b in range(n):
-            ub = _basis(R, m, b) if b < m else [R.zero] * m
-            vb = _basis(R, m, b - m) if b >= m else [R.zero] * m
-            first = _add_vec(
+            ub = basis(R, m, b) if b < m else [R.zero] * m
+            vb = basis(R, m, b - m) if b >= m else [R.zero] * m
+            first = add_vec(
                 R,
                 base.mul_vec(ua, ub),
-                _scale_vec(R, mu_p, base.mul_vec(base.conj_vec(vb), va)),
+                scale_vec(R, mu_p, base.mul_vec(base.conj_vec(vb), va)),
             )
-            second = _add_vec(R, base.mul_vec(vb, ua), base.mul_vec(va, base.conj_vec(ub)))
+            second = add_vec(R, base.mul_vec(vb, ua), base.mul_vec(va, base.conj_vec(ub)))
             row.append(pad(first, second))
         table.append(row)
 
@@ -113,7 +106,7 @@ def composition_defect_formula(x, y):
     R = alg.ring
     u1, v1 = x.coords[: base.dim], x.coords[base.dim :]
     u2, v2 = y.coords[: base.dim], y.coords[base.dim :]
-    assoc = _sub_vec(
+    assoc = sub_vec(
         R,
         base.mul_vec(base.mul_vec(v2, u1), u2),
         base.mul_vec(v2, base.mul_vec(u1, u2)),
@@ -132,9 +125,8 @@ def sedenion_zero_divisor_witness(ring=None):
         raise ValueError("witness is pinned over ZZ or QQ")
     base = cartan_schouten(ring)
     alg = cayley_dickson(base, -1)
-    zero8 = [ring.zero] * 8
-    a = alg.element(_basis(ring, 8, 1) + _basis(ring, 8, 3))
-    b = alg.element(_basis(ring, 8, 2) + [ring.neg(c) for c in _basis(ring, 8, 6)])
+    a = alg.element(basis(ring, 8, 1) + basis(ring, 8, 3))
+    b = alg.element(basis(ring, 8, 2) + [ring.neg(c) for c in basis(ring, 8, 6)])
     return alg, a, b
 
 
@@ -160,7 +152,7 @@ class AlgebraMap:
         """Unit, norm and multiplicativity on all basis pairs."""
         dom, cod = self.domain, self.codomain
         R = cod.ring
-        if not _vec_eq(R, self.apply(dom.one()).coords, cod.unit):
+        if not vec_eq(R, self.apply(dom.one()).coords, cod.unit):
             return False
         for i in range(dom.dim):
             ei = dom.basis_element(i)
@@ -173,7 +165,7 @@ class AlgebraMap:
                 ej = dom.basis_element(j)
                 lhs = self.apply(dom.mul(ei, ej))
                 rhs = cod.mul(self.apply(ei), self.apply(ej))
-                if not _vec_eq(R, lhs.coords, rhs.coords):
+                if not vec_eq(R, lhs.coords, rhs.coords):
                     return False
         # norm on basis pairs (bilinear part)
         for i in range(dom.dim):
@@ -217,9 +209,9 @@ def scale_isomorphism(base, mu, a, nucleus_check=True):
     columns = []
     for i in range(2 * m):
         if i < m:
-            col = _basis(R, m, i) + [R.zero] * m
+            col = basis(R, m, i) + [R.zero] * m
         else:
-            av = base.mul_vec(a.coords, _basis(R, m, i - m))
+            av = base.mul_vec(a.coords, basis(R, m, i - m))
             col = [R.zero] * m + av
         columns.append(col)
     fmap = AlgebraMap(dom, cod, columns)

@@ -191,17 +191,14 @@ def _run_count(args):
 def _run_table(args):
     t0 = time.monotonic()
     alg = parse_algebra(args.algebra)
+    if not (args.json or hasattr(alg, "table")):
+        raise ValueError(f"{args.algebra} has no multiplication table to print; use --json")
     report = {
         "command": "table",
         "params": {"algebra": args.algebra},
         "seed": args.seed,
+        "table": json.loads(alg.to_json()),
     }
-    from .cubic import CubicData
-
-    if isinstance(alg, CubicData):
-        report["table"] = json.loads(alg.to_json())
-    else:
-        report["table"] = json.loads(alg.to_json())
     report["millis"] = int((time.monotonic() - t0) * 1000)
     if args.json:
         _emit(report, True)
@@ -302,7 +299,10 @@ def _kirmse_names():
 def _parse_frac(text):
     from fractions import Fraction
 
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coordinate {text!r} has a zero denominator") from None
 
 
 def _emit(report, as_json):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .linalg import ModuleElement, add_vec, basis, scale_vec, sub_vec, vec_eq, vec_is_zero
 from .quadforms import QuadraticForm
 from .scalars import Scalar, RingMismatch
 
@@ -20,27 +21,16 @@ class ConicAlgebra:
         """table[a][b] is the coordinate vector (payloads) of e_a * e_b."""
         self.ring = ring
         self.dim = dim
-        self.table = [
-            [[ring.coerce(c) for c in table[a][b]] for b in range(dim)]
-            for a in range(dim)
-        ]
+        self.table, self._sparse = structure_table(ring, dim, table)
         self.unit = [ring.coerce(c) for c in unit]
         self.norm = norm
         self.name = name
-        # sparse view of the table: [(coordinate index, payload), ...]
-        self._sparse = [
-            [
-                [(k, c) for k, c in enumerate(self.table[a][b]) if not ring.is_zero(c)]
-                for b in range(dim)
-            ]
-            for a in range(dim)
-        ]
         # trace functional and conjugation matrix (columns = conj(e_i))
         self._tvec = [
-            norm.bilin_payload(self.unit, _basis(ring, dim, i)) for i in range(dim)
+            norm.bilin_payload(self.unit, basis(ring, dim, i)) for i in range(dim)
         ]
         self._conj = [
-            _sub_vec(ring, _scale_vec(ring, self._tvec[i], self.unit), _basis(ring, dim, i))
+            sub_vec(ring, scale_vec(ring, self._tvec[i], self.unit), basis(ring, dim, i))
             for i in range(dim)
         ]
         if validate:
@@ -53,10 +43,10 @@ class ConicAlgebra:
         if not R.eq(one, R.one):
             raise ValueError(f"{self.name}: norm(unit) != 1")
         for i in range(self.dim):
-            e = _basis(R, self.dim, i)
-            if not _vec_eq(R, self.mul_vec(self.unit, e), e):
+            e = basis(R, self.dim, i)
+            if not vec_eq(R, self.mul_vec(self.unit, e), e):
                 raise ValueError(f"{self.name}: unit fails on left of e_{i}")
-            if not _vec_eq(R, self.mul_vec(e, self.unit), e):
+            if not vec_eq(R, self.mul_vec(e, self.unit), e):
                 raise ValueError(f"{self.name}: unit fails on right of e_{i}")
         v = self.check_degree2()
         if not v.holds:
@@ -68,17 +58,17 @@ class ConicAlgebra:
 
         R = self.ring
         for i in range(self.dim):
-            ei = _basis(R, self.dim, i)
-            if not _vec_is_zero(R, self._deg2(ei)):
+            ei = basis(R, self.dim, i)
+            if not vec_is_zero(R, self._deg2(ei)):
                 return Verdict(False, witness=((i, i),), mode="strict")
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                ei = _basis(R, self.dim, i)
-                ej = _basis(R, self.dim, j)
-                s = self._deg2(_add_vec(R, ei, ej))
-                s = _sub_vec(R, s, self._deg2(ei))
-                s = _sub_vec(R, s, self._deg2(ej))
-                if not _vec_is_zero(R, s):
+                ei = basis(R, self.dim, i)
+                ej = basis(R, self.dim, j)
+                s = self._deg2(add_vec(R, ei, ej))
+                s = sub_vec(R, s, self._deg2(ei))
+                s = sub_vec(R, s, self._deg2(ej))
+                if not vec_is_zero(R, s):
                     return Verdict(False, witness=((i, j),), mode="strict")
         return Verdict(True, mode="strict")
 
@@ -87,8 +77,8 @@ class ConicAlgebra:
         sq = self.mul_vec(x, x)
         tx = self.trace_payload(x)
         nx = self.norm.eval_payload(x)
-        out = _sub_vec(R, sq, _scale_vec(R, tx, x))
-        return _add_vec(R, out, _scale_vec(R, nx, self.unit))
+        out = sub_vec(R, sq, scale_vec(R, tx, x))
+        return add_vec(R, out, scale_vec(R, nx, self.unit))
 
     # -- payload-level operations ---------------------------------------------
     def mul_vec(self, x, y, L=None):
@@ -144,7 +134,7 @@ class ConicAlgebra:
         return ConicElement(self, [self.ring.coerce(c) for c in coords])
 
     def basis_element(self, i):
-        return ConicElement(self, _basis(self.ring, self.dim, i))
+        return ConicElement(self, basis(self.ring, self.dim, i))
 
     def one(self):
         return ConicElement(self, list(self.unit))
@@ -173,7 +163,7 @@ class ConicAlgebra:
         ninv = R.inv(n)
         if ninv is None:
             return NOT_INVERTIBLE
-        return ConicElement(self, _scale_vec(R, ninv, self.conj_vec(x.coords)))
+        return ConicElement(self, scale_vec(R, ninv, self.conj_vec(x.coords)))
 
     def classify_idempotent(self, c):
         """Zero / Elementary / Invertible (= unit) / NotIdempotent.
@@ -185,11 +175,11 @@ class ConicAlgebra:
         if not R.is_connected:
             raise ValueError("classification requires a connected base ring")
         sq = self.mul_vec(c.coords, c.coords)
-        if not _vec_eq(R, sq, c.coords):
+        if not vec_eq(R, sq, c.coords):
             return "NotIdempotent"
-        if _vec_is_zero(R, c.coords):
+        if vec_is_zero(R, c.coords):
             return "Zero"
-        if _vec_eq(R, c.coords, self.unit):
+        if vec_eq(R, c.coords, self.unit):
             return "Invertible"
         n = self.norm.eval_payload(c.coords)
         t = self.trace_payload(c.coords)
@@ -226,8 +216,6 @@ class ConicAlgebra:
 
     @staticmethod
     def from_json(ring, text, name="conic"):
-        from .quadforms import QuadraticForm
-
         blob = json.loads(text)
         parse = ring.parse
         dim = blob["dim"]
@@ -250,49 +238,13 @@ class ConicAlgebra:
         return f"{self.name}(dim={self.dim}, ring={self.ring})"
 
 
-class ConicElement:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = list(coords)
-
-    def __add__(self, other):
-        self._same(other)
-        R = self.algebra.ring
-        return ConicElement(self.algebra, _add_vec(R, self.coords, other.coords))
-
-    def __sub__(self, other):
-        self._same(other)
-        R = self.algebra.ring
-        return ConicElement(self.algebra, _sub_vec(R, self.coords, other.coords))
-
-    def __neg__(self):
-        R = self.algebra.ring
-        return ConicElement(self.algebra, [R.neg(c) for c in self.coords])
+class ConicElement(ModuleElement):
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, ConicElement):
             return self.algebra.mul(self, other)
-        R = self.algebra.ring
-        c = R.coerce(other)
-        return ConicElement(self.algebra, _scale_vec(R, c, self.coords))
-
-    def __rmul__(self, other):
-        R = self.algebra.ring
-        c = R.coerce(other)
-        return ConicElement(self.algebra, _scale_vec(R, c, self.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, ConicElement) or other.algebra is not self.algebra:
-            return False
-        return _vec_eq(self.algebra.ring, self.coords, other.coords)
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(repr(c) for c in self.coords)))
-
-    def is_zero(self):
-        return _vec_is_zero(self.algebra.ring, self.coords)
+        return ModuleElement.__mul__(self, other)
 
     def norm(self):
         return self.algebra.norm_of(self)
@@ -306,42 +258,13 @@ class ConicElement:
     def scalars(self):
         return [Scalar(self.algebra.ring, c) for c in self.coords]
 
-    def _same(self, other):
-        if other.algebra is not self.algebra:
-            raise RingMismatch("element belongs to a different algebra")
 
-    def __repr__(self):
-        R = self.algebra.ring
-        return "(" + ", ".join(R.render(c) for c in self.coords) + ")"
-
-
-# -- vector helpers ------------------------------------------------------------
-
-
-def _basis(R, n, i):
-    v = [R.zero] * n
-    v[i] = R.one
-    return v
-
-
-def _add_vec(R, x, y):
-    return [R.add(a, b) for a, b in zip(x, y)]
-
-
-def _sub_vec(R, x, y):
-    return [R.sub(a, b) for a, b in zip(x, y)]
-
-
-def _scale_vec(R, c, x):
-    return [R.mul(c, a) for a in x]
-
-
-def _vec_eq(R, x, y):
-    return all(R.eq(a, b) for a, b in zip(x, y))
-
-
-def _vec_is_zero(R, x):
-    return all(R.is_zero(a) for a in x)
+def structure_table(ring, dim, table):
+    """Coerced structure constants table[a][b] (the coordinates of e_a e_b)
+    and their sparse view [(coordinate index, payload), ...] read by mul_vec."""
+    dense = [[[ring.coerce(c) for c in table[a][b]] for b in range(dim)] for a in range(dim)]
+    sparse = [[[(k, c) for k, c in enumerate(v) if not ring.is_zero(c)] for v in row] for row in dense]
+    return dense, sparse
 
 
 # -- constructors ----------------------------------------------------------------

@@ -27,7 +27,8 @@ from .identities import (
     sampled_identity_check,
     strict_identity_check,
 )
-from .scalars import QQ, ZZ, PrimeField, RingMismatch
+from .linalg import ModuleElement, add_vec, basis, mat_mul, scale_vec, sub_vec, vec_eq, vec_is_zero
+from .scalars import QQ, ZZ, PrimeField
 
 NOT_INVERTIBLE = "NotInvertible"
 
@@ -53,19 +54,19 @@ class CubicData:
             key: [(k, c) for k, c in enumerate(v) if not ring.is_zero(c)]
             for key, v in self.cross_pairs.items()
         }
-        self.tvec = [self.norm_dir_payload(self.basepoint, _basis(ring, dim, i)) for i in range(dim)]
+        self.tvec = [self.norm_dir_payload(self.basepoint, basis(ring, dim, i)) for i in range(dim)]
         self._consistency()
 
     def _consistency(self):
         R = self.ring
         if not R.eq(self.norm_payload(self.basepoint), R.one):
             raise ValueError(f"{self.name}: N(1) != 1")
-        if not _vec_eq(R, self.sharp_vec(self.basepoint), self.basepoint):
+        if not vec_eq(R, self.sharp_vec(self.basepoint), self.basepoint):
             raise ValueError(f"{self.name}: 1# != 1")
         for i in range(self.dim):
             for j in range(self.dim):
                 if i == j:
-                    ei = _basis(R, self.dim, i)
+                    ei = basis(R, self.dim, i)
                     lhs = self.norm_dir_payload(ei, ei)
                 else:
                     lhs = self.n_dir.get((i, j), R.zero)
@@ -104,8 +105,7 @@ class CubicData:
         """N(x; y): the eps-part of N(x + eps y), exact in every characteristic."""
         R = L if L is not None else self.ring
         D = DualExt(R)
-        vec = [(a, b) for a, b in zip(x, y)]
-        return self.norm_payload(vec, D)[1]
+        return self.norm_payload(list(zip(x, y)), D)[1]
 
     def trace_lin(self, x, L=None):
         R = L if L is not None else self.ring
@@ -119,7 +119,7 @@ class CubicData:
     def trace_bilin_basis(self, x, j):
         """T(x, e_j) over the plain ring (used for consistency checks)."""
         R = self.ring
-        ej = _basis(R, self.dim, j)
+        ej = basis(R, self.dim, j)
         return self.trace_bilin(x, ej)
 
     def trace_bilin(self, x, y, L=None):
@@ -130,9 +130,6 @@ class CubicData:
 
     def squad(self, x, L=None):
         return self.trace_lin(self.sharp_vec(x, L), L)
-
-    def squad_bilin(self, x, y, L=None):
-        return self.trace_lin(self.cross_vec(x, y, L), L)
 
     # -- vector-valued maps ---------------------------------------------------------
     def sharp_vec(self, x, L=None):
@@ -174,9 +171,8 @@ class CubicData:
     def u_op_vec(self, x, y, L=None):
         R = L if L is not None else self.ring
         t = self.trace_bilin(x, y, L)
-        out = [R.mul(t, c) for c in x]
         cx = self.cross_vec(self.sharp_vec(x, L), y, L)
-        return [R.sub(a, b) for a, b in zip(out, cx)]
+        return sub_vec(R, scale_vec(R, t, x), cx)
 
     def triple_vec(self, x, y, z, L=None):
         """{x y z} = U_{x,z} y = T(x,y) z + T(z,y) x - (x x z) x y."""
@@ -185,7 +181,7 @@ class CubicData:
         tzy = self.trace_bilin(z, y, L)
         out = [R.add(R.mul(txy, c), R.mul(tzy, d)) for c, d in zip(z, x)]
         cr = self.cross_vec(self.cross_vec(x, z, L), y, L)
-        return [R.sub(a, b) for a, b in zip(out, cr)]
+        return sub_vec(R, out, cr)
 
     # -- element API -------------------------------------------------------------
     def element(self, coords):
@@ -195,7 +191,7 @@ class CubicData:
         return CubicElement(self, [self.ring.coerce(c) for c in coords])
 
     def basis_element(self, i):
-        return CubicElement(self, _basis(self.ring, self.dim, i))
+        return CubicElement(self, basis(self.ring, self.dim, i))
 
     def one(self):
         return CubicElement(self, list(self.basepoint))
@@ -247,9 +243,9 @@ class CubicData:
         if not self.ring.is_field:
             raise ValueError("rank needs a field base ring")
         R = self.ring
-        if _vec_is_zero(R, x.coords):
+        if vec_is_zero(R, x.coords):
             return 0
-        if _vec_is_zero(R, self.sharp_vec(x.coords)):
+        if vec_is_zero(R, self.sharp_vec(x.coords)):
             return 1
         if R.is_zero(self.norm_payload(x.coords)):
             return 2
@@ -258,7 +254,7 @@ class CubicData:
     # -- idempotents --------------------------------------------------------------
     def is_idempotent(self, e):
         sq = self.u_op_vec(e.coords, self.basepoint)
-        return _vec_eq(self.ring, sq, e.coords)
+        return vec_eq(self.ring, sq, e.coords)
 
     def idem_class(self, e):
         R = self.ring
@@ -266,7 +262,7 @@ class CubicData:
             raise ValueError("classification requires a connected base ring")
         if not self.is_idempotent(e):
             return "NotIdempotent"
-        if _vec_is_zero(R, e.coords):
+        if vec_is_zero(R, e.coords):
             return "Zero"
         t = self.trace_lin(e.coords)
         s = self.squad(e.coords)
@@ -314,9 +310,9 @@ class CubicData:
         if not self.is_idempotent(e):
             raise ValueError("input is not an idempotent")
         n = self.dim
-        f = [R.sub(a, b) for a, b in zip(self.basepoint, e.coords)]
-        cols2 = [self.u_op_vec(e.coords, _basis(R, n, j)) for j in range(n)]
-        cols0 = [self.u_op_vec(f, _basis(R, n, j)) for j in range(n)]
+        f = sub_vec(R, self.basepoint, e.coords)
+        cols2 = [self.u_op_vec(e.coords, basis(R, n, j)) for j in range(n)]
+        cols0 = [self.u_op_vec(f, basis(R, n, j)) for j in range(n)]
         E2 = [[cols2[j][i] for j in range(n)] for i in range(n)]
         E0 = [[cols0[j][i] for j in range(n)] for i in range(n)]
         E1 = [
@@ -326,11 +322,9 @@ class CubicData:
             ]
             for i in range(n)
         ]
-        from . import linalg
-
         # verify idempotence, orthogonality and completeness
         def check(A, B, expect_eq):
-            prod = linalg.mat_mul(R, A, B)
+            prod = mat_mul(R, A, B)
             target = A if expect_eq else None
             for i in range(n):
                 for j in range(n):
@@ -406,44 +400,8 @@ class CubicData:
         return f"{self.name}(dim={self.dim}, ring={self.ring})"
 
 
-class CubicElement:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = list(coords)
-
-    def __add__(self, other):
-        self._same(other)
-        R = self.algebra.ring
-        return CubicElement(self.algebra, [R.add(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._same(other)
-        R = self.algebra.ring
-        return CubicElement(self.algebra, [R.sub(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        R = self.algebra.ring
-        return CubicElement(self.algebra, [R.neg(c) for c in self.coords])
-
-    def __rmul__(self, other):
-        R = self.algebra.ring
-        c = R.coerce(other)
-        return CubicElement(self.algebra, [R.mul(c, a) for a in self.coords])
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, CubicElement) or other.algebra is not self.algebra:
-            return False
-        return _vec_eq(self.algebra.ring, self.coords, other.coords)
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(repr(c) for c in self.coords)))
-
-    def is_zero(self):
-        return _vec_is_zero(self.algebra.ring, self.coords)
+class CubicElement(ModuleElement):
+    __slots__ = ()
 
     def sharp(self):
         return self.algebra.sharp(self)
@@ -453,28 +411,6 @@ class CubicElement:
 
     def trace(self):
         return self.algebra.trace(self)
-
-    def _same(self, other):
-        if other.algebra is not self.algebra:
-            raise RingMismatch("element belongs to a different algebra")
-
-    def __repr__(self):
-        R = self.algebra.ring
-        return "(" + ", ".join(R.render(c) for c in self.coords) + ")"
-
-
-def _basis(R, n, i):
-    v = [R.zero] * n
-    v[i] = R.one
-    return v
-
-
-def _vec_eq(R, x, y):
-    return all(R.eq(a, b) for a, b in zip(x, y))
-
-
-def _vec_is_zero(R, x):
-    return all(R.is_zero(a) for a in x)
 
 
 # -- generic construction from sharp/norm callables ----------------------------------
@@ -489,19 +425,14 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
     """
 
     def e(i):
-        return _basis(ring, dim, i)
-
-    def vsum(x, y):
-        return [ring.add(a, b) for a, b in zip(x, y)]
+        return basis(ring, dim, i)
 
     sharp_basis = [sharp_fn(ring, e(i)) for i in range(dim)]
     cross_pairs = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            s = sharp_fn(ring, vsum(e(i), e(j)))
-            s = [ring.sub(a, b) for a, b in zip(s, sharp_basis[i])]
-            s = [ring.sub(a, b) for a, b in zip(s, sharp_basis[j])]
-            cross_pairs[(i, j)] = s
+            s = sharp_fn(ring, add_vec(ring, e(i), e(j)))
+            cross_pairs[(i, j)] = sub_vec(ring, sub_vec(ring, s, sharp_basis[i]), sharp_basis[j])
 
     n_single = [norm_fn(ring, e(i)) for i in range(dim)]
     D = DualExt(ring)
@@ -510,25 +441,21 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
         for j in range(dim):
             if i == j:
                 continue
-            vec = [
-                (a, b)
-                for a, b in zip(e(i), e(j))
-            ]
-            c = norm_fn(D, vec)[1]
+            c = norm_fn(D, list(zip(e(i), e(j))))[1]
             if not ring.is_zero(c):
                 n_dir[(i, j)] = c
     pair_cache = {}
 
     def npair(i, j):
         if (i, j) not in pair_cache:
-            pair_cache[(i, j)] = norm_fn(ring, vsum(e(i), e(j)))
+            pair_cache[(i, j)] = norm_fn(ring, add_vec(ring, e(i), e(j)))
         return pair_cache[(i, j)]
 
     n_triple = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             for l in range(j + 1, dim):
-                v = norm_fn(ring, vsum(vsum(e(i), e(j)), e(l)))
+                v = norm_fn(ring, add_vec(ring, add_vec(ring, e(i), e(j)), e(l)))
                 v = ring.sub(v, npair(i, j))
                 v = ring.sub(v, npair(j, l))
                 v = ring.sub(v, npair(i, l))
@@ -655,14 +582,25 @@ class PointedQuadraticJordan:
         return [R.mul(qi, c) for c in self.conj_vec(x)]
 
 
+def verify_cubic_iso(src, dst, apply):
+    """Check that the linear map apply: src -> dst is an isomorphism of cubic
+    norm structures: it must preserve the base point and the adjoint on basis
+    vectors and on their pair sums.  Raises AssertionError otherwise."""
+    n = src.dim
+    if apply(src.one()).coords != dst.one().coords:
+        raise AssertionError("map does not preserve the base point")
+    basis_elems = [src.basis_element(i) for i in range(n)]
+    for i in range(n):
+        if apply(src.sharp(basis_elems[i])) != dst.sharp(apply(basis_elems[i])):
+            raise AssertionError("map does not preserve adjoints on basis")
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = basis_elems[i] + basis_elems[j]
+            if apply(src.sharp(s)) != dst.sharp(apply(s)):
+                raise AssertionError("map does not preserve adjoints on pair sums")
+
+
 # -- axiom validation ------------------------------------------------------------------
-
-
-def _cubic_evaluator(fn, scalar=False):
-    def evaluate(data, L, vectors):
-        return fn(data, L, vectors)
-
-    return evaluate
 
 
 def _adjoint_id(data, L, vs):
@@ -692,11 +630,11 @@ def _bilinear_adjoint_id(data, L, vs):
     sx = data.sharp_vec(x, L)
     sy = data.sharp_vec(y, L)
     lhs = data.sharp_vec(data.cross_vec(x, y, L), L)
-    lhs = [L.add(a, b) for a, b in zip(lhs, data.cross_vec(sx, sy, L))]
+    lhs = add_vec(L, lhs, data.cross_vec(sx, sy, L))
     t1 = data.trace_bilin(sx, y, L)
     t2 = data.trace_bilin(x, sy, L)
     rhs = [L.add(L.mul(t1, b), L.mul(t2, a)) for a, b in zip(x, y)]
-    return [L.sub(a, b) for a, b in zip(lhs, rhs)]
+    return sub_vec(L, lhs, rhs)
 
 
 def _sharp_cross_id(data, L, vs):
@@ -706,7 +644,7 @@ def _sharp_cross_id(data, L, vs):
     t = data.trace_bilin(sx, y, L)
     n = data.norm_payload(x, L)
     rhs = [L.add(L.mul(t, a), L.mul(n, b)) for a, b in zip(x, y)]
-    return [L.sub(a, b) for a, b in zip(lhs, rhs)]
+    return sub_vec(L, lhs, rhs)
 
 
 def _fundamental_id(data, L, vs):
@@ -714,16 +652,16 @@ def _fundamental_id(data, L, vs):
     w = data.u_op_vec(x, y, L)
     lhs = data.u_op_vec(w, z, L)
     rhs = data.u_op_vec(x, data.u_op_vec(y, data.u_op_vec(x, z, L), L), L)
-    return [L.sub(a, b) for a, b in zip(lhs, rhs)]
+    return sub_vec(L, lhs, rhs)
 
 
 CUBIC_IDENTITIES = {
-    "adjoint": IdentitySpec("adjoint", (4,), _cubic_evaluator(_adjoint_id)),
-    "unit-id": IdentitySpec("unit-id", (1,), _cubic_evaluator(_unit_id)),
-    "gradient": IdentitySpec("gradient", (2, 1), _cubic_evaluator(_gradient_id), scalar=True),
-    "bilinear-adjoint": IdentitySpec("bilinear-adjoint", (2, 2), _cubic_evaluator(_bilinear_adjoint_id)),
-    "sharp-cross": IdentitySpec("sharp-cross", (3, 1), _cubic_evaluator(_sharp_cross_id)),
-    "fundamental": IdentitySpec("fundamental", (4, 2, 1), _cubic_evaluator(_fundamental_id)),
+    "adjoint": IdentitySpec("adjoint", (4,), _adjoint_id),
+    "unit-id": IdentitySpec("unit-id", (1,), _unit_id),
+    "gradient": IdentitySpec("gradient", (2, 1), _gradient_id, scalar=True),
+    "bilinear-adjoint": IdentitySpec("bilinear-adjoint", (2, 2), _bilinear_adjoint_id),
+    "sharp-cross": IdentitySpec("sharp-cross", (3, 1), _sharp_cross_id),
+    "fundamental": IdentitySpec("fundamental", (4, 2, 1), _fundamental_id),
 }
 
 
@@ -813,7 +751,6 @@ def _try_fast_adjoint(data):
 
     lhs_rows, lhs_vals = [], []
     # diagonal terms: sharp(s_P) scaled by m_P^2
-    SH = np.zeros((len(pairs), n), dtype=S.dtype)
     sharp_mat = np.array(
         [[as_int(c) for c in v] for v in data.sharp_basis], dtype=S.dtype
     )
@@ -900,10 +837,10 @@ def _slow_fundamental(data, x, y):
     R = data.ring
     w = data.u_op_vec(x, y)
     for j in range(data.dim):
-        ej = _basis(R, data.dim, j)
+        ej = basis(R, data.dim, j)
         lhs = data.u_op_vec(w, ej)
         rhs = data.u_op_vec(x, data.u_op_vec(y, data.u_op_vec(x, ej)))
-        if not _vec_eq(R, lhs, rhs):
+        if not vec_eq(R, lhs, rhs):
             return False
     return True
 
@@ -934,8 +871,6 @@ def _fast_u_context(data):
                 X[b, a, k] = c
     tvec = np.array([int(c) for c in data.tvec], dtype=np.int64)
     TX = np.tensordot(X, tvec, axes=([2], [0]))
-    import numpy as np
-
     return {"np": np, "X": X, "XU": XU, "tvec": tvec, "TX": TX, "n": n}
 
 
@@ -987,7 +922,7 @@ def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     verdicts = []
 
     # base point identities are plain data checks
-    ok = R.eq(data.norm_payload(data.basepoint), R.one) and _vec_eq(
+    ok = R.eq(data.norm_payload(data.basepoint), R.one) and vec_eq(
         R, data.sharp_vec(data.basepoint), data.basepoint
     )
     verdicts.append(ok)

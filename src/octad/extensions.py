@@ -4,7 +4,8 @@ These are not first-class rings of the scalar tower: they implement just
 enough of the ring protocol (zero/one/add/neg/mul/is_zero/from_base) for
 the strict identity checker and the dual-number derivative trick to
 evaluate structure-constant formulas over R[eps] or a truncated
-polynomial extension R[t1..tm].
+polynomial extension R[t1..tm].  The first-class ring scalars.DualNumbers
+takes its arithmetic from DualExt.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cubic import build_cubic
+from .cubic import build_cubic, verify_cubic_iso
 from .scalars import GF
 
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -232,29 +232,8 @@ def diag_rescale(C, gamma, delta):
             out.extend(R.mul(dinv[i], c) for c in u)
         return dst.element(out)
 
-    _verify_cubic_iso(src, dst, apply)
+    verify_cubic_iso(src, dst, apply)
     return new_gamma, apply, src, dst
-
-
-def _verify_cubic_iso(src, dst, apply):
-    """A linear map preserving base point and adjoints is an isomorphism."""
-    R = src.ring
-    n = src.dim
-    if apply(src.one()).coords != dst.one().coords:
-        raise AssertionError("map does not preserve the base point")
-    basis = [src.basis_element(i) for i in range(n)]
-    for i in range(n):
-        lhs = apply(src.element(src.sharp_vec(basis[i].coords)))
-        rhs = dst.element(dst.sharp_vec(apply(basis[i]).coords))
-        if lhs != rhs:
-            raise AssertionError("map does not preserve adjoints on basis")
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = basis[i] + basis[j]
-            lhs = apply(src.element(src.sharp_vec(s.coords)))
-            rhs = dst.element(dst.sharp_vec(apply(s).coords))
-            if lhs != rhs:
-                raise AssertionError("map does not preserve adjoints on pair sums")
 
 
 def is_positive_definite(x):

@@ -17,6 +17,7 @@ import itertools
 import random
 
 from .extensions import PolyExt, lift_vec
+from .linalg import add_vec, scale_vec, sub_vec
 
 DEFAULT_SEED = 0xA1BE27
 
@@ -71,12 +72,6 @@ class IdentitySpec:
     @property
     def total_degree(self):
         return sum(self.multidegree)
-
-
-def _comb(n, k):
-    from math import comb
-
-    return comb(n, k)
 
 
 def multiset_count(dim, multidegree):
@@ -222,69 +217,61 @@ def _unit(alg, L):
     return lift_vec(L, alg.unit)
 
 
-def _vsub(L, x, y):
-    return [L.sub(a, b) for a, b in zip(x, y)]
-
-
-def _vscale(L, c, x):
-    return [L.mul(c, a) for a in x]
-
-
 def _degree2(alg, L, vs):
     (x,) = vs
     sq = _mul(alg, L, x, x)
     t = alg.trace_payload(x, L)
     nx = alg.norm_payload(x, L)
-    out = _vsub(L, sq, _vscale(L, t, x))
-    return [L.add(a, b) for a, b in zip(out, _vscale(L, nx, _unit(alg, L)))]
+    out = sub_vec(L, sq, scale_vec(L, t, x))
+    return add_vec(L, out, scale_vec(L, nx, _unit(alg, L)))
 
 
 def _flexible(alg, L, vs):
     x, y = vs
-    return _vsub(L, _mul(alg, L, _mul(alg, L, x, y), x), _mul(alg, L, x, _mul(alg, L, y, x)))
+    return sub_vec(L, _mul(alg, L, _mul(alg, L, x, y), x), _mul(alg, L, x, _mul(alg, L, y, x)))
 
 
 def _left_alt(alg, L, vs):
     x, y = vs
-    return _vsub(L, _mul(alg, L, x, _mul(alg, L, x, y)), _mul(alg, L, _mul(alg, L, x, x), y))
+    return sub_vec(L, _mul(alg, L, x, _mul(alg, L, x, y)), _mul(alg, L, _mul(alg, L, x, x), y))
 
 
 def _right_alt(alg, L, vs):
     x, y = vs
-    return _vsub(L, _mul(alg, L, _mul(alg, L, y, x), x), _mul(alg, L, y, _mul(alg, L, x, x)))
+    return sub_vec(L, _mul(alg, L, _mul(alg, L, y, x), x), _mul(alg, L, y, _mul(alg, L, x, x)))
 
 
 def _moufang_left(alg, L, vs):
     x, y, z = vs
     lhs = _mul(alg, L, x, _mul(alg, L, y, _mul(alg, L, x, z)))
     rhs = _mul(alg, L, _mul(alg, L, _mul(alg, L, x, y), x), z)
-    return _vsub(L, lhs, rhs)
+    return sub_vec(L, lhs, rhs)
 
 
 def _moufang_middle(alg, L, vs):
     x, y, z = vs
     lhs = _mul(alg, L, _mul(alg, L, x, y), _mul(alg, L, z, x))
     rhs = _mul(alg, L, _mul(alg, L, x, _mul(alg, L, y, z)), x)
-    return _vsub(L, lhs, rhs)
+    return sub_vec(L, lhs, rhs)
 
 
 def _moufang_right(alg, L, vs):
     x, y, z = vs
     lhs = _mul(alg, L, _mul(alg, L, _mul(alg, L, z, x), y), x)
     rhs = _mul(alg, L, z, _mul(alg, L, x, _mul(alg, L, y, x)))
-    return _vsub(L, lhs, rhs)
+    return sub_vec(L, lhs, rhs)
 
 
 def _kirmse_right(alg, L, vs):
     x, y = vs
     lhs = _mul(alg, L, _mul(alg, L, y, alg.conj_vec(x, L)), x)
-    return _vsub(L, lhs, _vscale(L, alg.norm_payload(x, L), y))
+    return sub_vec(L, lhs, scale_vec(L, alg.norm_payload(x, L), y))
 
 
 def _kirmse_left(alg, L, vs):
     x, y = vs
     lhs = _mul(alg, L, x, _mul(alg, L, alg.conj_vec(x, L), y))
-    return _vsub(L, lhs, _vscale(L, alg.norm_payload(x, L), y))
+    return sub_vec(L, lhs, scale_vec(L, alg.norm_payload(x, L), y))
 
 
 def _norm_comp(alg, L, vs):
@@ -304,19 +291,19 @@ def _norm_assoc(alg, L, vs):
 
 def _associative(alg, L, vs):
     x, y, z = vs
-    return _vsub(L, _mul(alg, L, _mul(alg, L, x, y), z), _mul(alg, L, x, _mul(alg, L, y, z)))
+    return sub_vec(L, _mul(alg, L, _mul(alg, L, x, y), z), _mul(alg, L, x, _mul(alg, L, y, z)))
 
 
 def _commutative(alg, L, vs):
     x, y = vs
-    return _vsub(L, _mul(alg, L, x, y), _mul(alg, L, y, x))
+    return sub_vec(L, _mul(alg, L, x, y), _mul(alg, L, y, x))
 
 
 def _conj_antihom(alg, L, vs):
     x, y = vs
     lhs = alg.conj_vec(_mul(alg, L, x, y), L)
     rhs = _mul(alg, L, alg.conj_vec(y, L), alg.conj_vec(x, L))
-    return _vsub(L, lhs, rhs)
+    return sub_vec(L, lhs, rhs)
 
 
 CONIC_IDENTITIES = {

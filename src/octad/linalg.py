@@ -1,16 +1,104 @@
 """Exact dense linear algebra over the scalar rings.
 
-Matrices are lists of payload rows.  Sizes in this library never exceed
-27, so the algorithms optimize for exactness, not asymptotics:
-fraction-free Bareiss over ZZ, ordinary elimination over fields,
-cofactor expansion for rings with zero divisors.
+Vectors are lists of payloads and matrices are lists of payload rows.
+Sizes in this library never exceed 27, so the algorithms optimize for
+exactness, not asymptotics.  Determinants use fraction-free Bareiss over
+ZZ, ordinary elimination over fields and the division-free Berkowitz
+algorithm over every other commutative ring (Berkowitz, IPL 18, 1984).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ZZ, QQ
+from .scalars import ZZ, RingMismatch
+
+
+# -- vectors -----------------------------------------------------------------------
+
+
+def basis(R, n, i):
+    v = [R.zero] * n
+    v[i] = R.one
+    return v
+
+
+def add_vec(R, x, y):
+    return [R.add(a, b) for a, b in zip(x, y)]
+
+
+def sub_vec(R, x, y):
+    return [R.sub(a, b) for a, b in zip(x, y)]
+
+
+def scale_vec(R, c, x):
+    return [R.mul(c, a) for a in x]
+
+
+def vec_eq(R, x, y):
+    return all(R.eq(a, b) for a, b in zip(x, y))
+
+
+def vec_is_zero(R, x):
+    return all(R.is_zero(a) for a in x)
+
+
+class ModuleElement:
+    """An element of an algebra that is free over its ring, stored as the
+    payload coordinates in the algebra's basis.
+
+    Addition, negation, scalar multiplication, equality and hashing are
+    coordinatewise; subclasses add the algebra's own operations.
+    """
+
+    __slots__ = ("algebra", "coords")
+
+    def __init__(self, algebra, coords):
+        self.algebra = algebra
+        self.coords = list(coords)
+
+    def _new(self, coords):
+        return type(self)(self.algebra, coords)
+
+    def __add__(self, other):
+        self._same(other)
+        return self._new(add_vec(self.algebra.ring, self.coords, other.coords))
+
+    def __sub__(self, other):
+        self._same(other)
+        return self._new(sub_vec(self.algebra.ring, self.coords, other.coords))
+
+    def __neg__(self):
+        R = self.algebra.ring
+        return self._new([R.neg(c) for c in self.coords])
+
+    def __rmul__(self, other):
+        R = self.algebra.ring
+        return self._new(scale_vec(R, R.coerce(other), self.coords))
+
+    __mul__ = __rmul__
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleElement) or other.algebra is not self.algebra:
+            return False
+        return vec_eq(self.algebra.ring, self.coords, other.coords)
+
+    def __hash__(self):
+        return hash((id(self.algebra), tuple(repr(c) for c in self.coords)))
+
+    def is_zero(self):
+        return vec_is_zero(self.algebra.ring, self.coords)
+
+    def _same(self, other):
+        if other.algebra is not self.algebra:
+            raise RingMismatch("element belongs to a different algebra")
+
+    def __repr__(self):
+        R = self.algebra.ring
+        return "(" + ", ".join(R.render(c) for c in self.coords) + ")"
+
+
+# -- matrices ----------------------------------------------------------------------
 
 
 def identity(R, n):
@@ -29,16 +117,6 @@ def mat_vec(R, A, x):
     return [R.dot(row, x) for row in A]
 
 
-def vec_mat(R, x, A):
-    n = len(A)
-    m = len(A[0])
-    return [R.sum(R.mul(x[i], A[i][j]) for i in range(n)) for j in range(m)]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def det(R, A):
     n = len(A)
     if n == 0:
@@ -47,9 +125,7 @@ def det(R, A):
         return _det_bareiss(A)
     if R.is_field:
         return _det_field(R, A)
-    if R == QQ:
-        return _det_field(R, A)
-    return _det_cofactor(R, A)
+    return _det_berkowitz(R, A)
 
 
 def _det_bareiss(A):
@@ -99,7 +175,31 @@ def _det_field(R, A):
     return d
 
 
+def _det_berkowitz(R, A):
+    """det A from the characteristic polynomials of the leading principal
+    submatrices, each obtained from the previous one by a Toeplitz
+    product; no division, O(n^4) ring operations."""
+    n = len(A)
+    poly = [R.one, R.neg(A[0][0])]  # det(t I - A_1), highest degree first
+    for r in range(1, n):
+        # Toeplitz column 1, -a_rr, -R_r S_r, -R_r M S_r, ..., -R_r M^(r-1) S_r,
+        # with M = A_r, S_r its next column and R_r its next row
+        col = [R.one, R.neg(A[r][r])]
+        v = [A[i][r] for i in range(r)]
+        for k in range(r):
+            if k:
+                v = [R.dot(A[i], v) for i in range(r)]
+            col.append(R.neg(R.dot(A[r], v)))
+        poly = [
+            R.sum(R.mul(col[i - j], poly[j]) for j in range(min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return poly[n] if n % 2 == 0 else R.neg(poly[n])
+
+
 def _det_cofactor(R, A):
+    """Laplace expansion along the first row: factorial cost, kept as an
+    independent check of det."""
     n = len(A)
     if n == 1:
         return A[0][0]

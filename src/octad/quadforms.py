@@ -126,18 +126,6 @@ def _payload_vec(ring, dim, x):
     return [ring.coerce(c) for c in x]
 
 
-def eval_form(q, x):
-    return q.eval(x)
-
-
-def bilinearize(q):
-    return q.bilinearize()
-
-
-def is_regular(q):
-    return q.is_regular()
-
-
 def block_det(r, s, T1, T2):
     """det [[r*I_p, T1], [T2, s*I_q]] as r^(p-q) * char_{T2*T1}(r*s).
 
@@ -171,7 +159,8 @@ def block_det(r, s, T1, T2):
 
 
 def block_det_oracle(r, s, T1, T2):
-    """Cofactor-expansion determinant of the assembled block matrix."""
+    """Cofactor-expansion determinant of the assembled block matrix,
+    independent of linalg.det."""
     ring = r.ring
     p = len(T1)
     q = len(T2)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .extensions import DualExt
+
 
 class RingMismatch(ValueError):
     pass
@@ -462,39 +464,22 @@ class ProductRing(Ring):
         return f"({self.left} x {self.right})"
 
 
-class DualNumbers(Ring):
-    """R[eps] with eps^2 = 0; payloads are pairs (a, b) for a + b*eps."""
+class DualNumbers(DualExt, Ring):
+    """R[eps] with eps^2 = 0 as a ring of the tower; payloads are pairs
+    (a, b) for a + b*eps.  The arithmetic is DualExt's."""
 
     def __init__(self, base):
-        self.base = base
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
+        super().__init__(base)
         self.is_connected = base.is_connected
         self.finite = base.finite
 
-    def from_int(self, n):
-        return (self.base.from_int(n), self.base.zero)
+    def from_base(self, a):
+        return a
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
             raise TypeError("dual payload must be a pair")
         return (self.base.validate(a[0]), self.base.validate(a[1]))
-
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
-        B = self.base
-        return (B.mul(a[0], b[0]), B.add(B.mul(a[0], b[1]), B.mul(a[1], b[0])))
-
-    def is_zero(self, a):
-        return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
-
-    def eq(self, a, b):
-        return self.base.eq(a[0], b[0]) and self.base.eq(a[1], b[1])
 
     def inv(self, a):
         # a + b*eps is a unit iff a is; inverse a^-1 - a^-2 b eps

@@ -14,7 +14,9 @@ multiplication trace.
 
 from __future__ import annotations
 
-from .cubic import build_cubic, k_cubic
+from .conic import ConicAlgebra, structure_table
+from .cubic import build_cubic, k_cubic, verify_cubic_iso
+from .linalg import basis, scale_vec, sub_vec, vec_eq
 
 
 class CubicAssocInput:
@@ -25,46 +27,20 @@ class CubicAssocInput:
         self.ring = data.ring
         self.dim = data.dim
         self.name = name
-        R = self.ring
-        self.table = [
-            [[R.coerce(c) for c in mul_table[a][b]] for b in range(self.dim)]
-            for a in range(self.dim)
-        ]
-        self._sparse = [
-            [
-                [(k, c) for k, c in enumerate(self.table[a][b]) if not R.is_zero(c)]
-                for b in range(self.dim)
-            ]
-            for a in range(self.dim)
-        ]
+        self.table, self._sparse = structure_table(self.ring, self.dim, mul_table)
         if validate:
             self._validate()
 
-    def mul_vec(self, x, y, L=None):
-        R = L if L is not None else self.ring
-        lift = R.from_base
-        out = [R.zero] * self.dim
-        for a in range(self.dim):
-            xa = x[a]
-            if R.is_zero(xa):
-                continue
-            row = self._sparse[a]
-            for b in range(self.dim):
-                yb = y[b]
-                if R.is_zero(yb):
-                    continue
-                c = R.mul(xa, yb)
-                for k, t in row[b]:
-                    out[k] = R.add(out[k], R.mul(c, lift(t)))
-        return out
+    # the same structure-constant product as a conic algebra's, on the same sparse table
+    mul_vec = ConicAlgebra.mul_vec
 
     def _validate(self):
         R = self.ring
         n = self.dim
-        e = lambda i: [R.one if k == i else R.zero for k in range(n)]
+        e = lambda i: basis(R, n, i)
         one = self.data.basepoint
         for i in range(n):
-            if not _veq(R, self.mul_vec(one, e(i)), e(i)) or not _veq(
+            if not vec_eq(R, self.mul_vec(one, e(i)), e(i)) or not vec_eq(
                 R, self.mul_vec(e(i), one), e(i)
             ):
                 raise ValueError(f"{self.name}: base point is not a multiplicative unit")
@@ -73,14 +49,14 @@ class CubicAssocInput:
                 for l in range(n):
                     lhs = self.mul_vec(self.mul_vec(e(i), e(j)), e(l))
                     rhs = self.mul_vec(e(i), self.mul_vec(e(j), e(l)))
-                    if not _veq(R, lhs, rhs):
+                    if not vec_eq(R, lhs, rhs):
                         raise ValueError(f"{self.name}: not associative at ({i},{j},{l})")
         # adjoint compatibility on basis vectors and pair sums
         for vec in _quadratic_probes(R, n):
             sx = self.data.sharp_vec(vec)
             nx = self.data.norm_payload(vec)
-            want = [R.mul(nx, c) for c in one]
-            if not _veq(R, self.mul_vec(sx, vec), want) or not _veq(
+            want = scale_vec(R, nx, one)
+            if not vec_eq(R, self.mul_vec(sx, vec), want) or not vec_eq(
                 R, self.mul_vec(vec, sx), want
             ):
                 raise ValueError(f"{self.name}: x# x != N(x) 1")
@@ -114,10 +90,6 @@ def _quadratic_probes(R, n):
                 v[j] = R.one
                 v[l] = R.one
                 yield v
-
-
-def _veq(R, x, y):
-    return all(R.eq(a, b) for a, b in zip(x, y))
 
 
 def k_assoc(ring):
@@ -207,7 +179,7 @@ def tits(A, mu):
         p20 = A.mul_vec(x2, x0, L)
         out0 = [L.sub(a, L.mul(lmu, b)) for a, b in zip(s0, p12)]
         out1 = [L.sub(L.mul(lmu, a), b) for a, b in zip(s2, p01)]
-        out2 = [L.sub(a, b) for a, b in zip(s1, p20)]
+        out2 = sub_vec(L, s1, p20)
         return out0 + out1 + out2
 
     def norm_fn(L, v):
@@ -283,25 +255,5 @@ def mu_rescale_map(A, mu, p):
         y2 = A.mul_vec(sharp_p, x2)
         return dst.element(list(x0) + y1 + y2)
 
-    _verify_tits_iso(src, dst, apply)
+    verify_cubic_iso(src, dst, apply)
     return src, dst, apply
-
-
-def _verify_tits_iso(src, dst, apply):
-    R = src.ring
-    n = src.dim
-    if apply(src.one()).coords != dst.one().coords:
-        raise AssertionError("map does not preserve the base point")
-    for i in range(n):
-        ei = src.basis_element(i)
-        if apply(src.element(src.sharp_vec(ei.coords))) != dst.element(
-            dst.sharp_vec(apply(ei).coords)
-        ):
-            raise AssertionError("map does not preserve adjoints on basis")
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = src.basis_element(i) + src.basis_element(j)
-            if apply(src.element(src.sharp_vec(s.coords))) != dst.element(
-                dst.sharp_vec(apply(s).coords)
-            ):
-                raise AssertionError("map does not preserve adjoints on pair sums")

@@ -33,6 +33,7 @@ class ZLattice:
             raise ValueError("basis rows must live in the ambient algebra")
         self.rank = n
         self._basis_T = [list(col) for col in zip(*self.basis)]
+        self._basis_T_inv = None  # computed by the first coords_of call
         if linalg.det(QQ, self._square_part()) == 0:
             raise ValueError("basis rows must be linearly independent")
         self.gram = [
@@ -58,16 +59,18 @@ class ZLattice:
 
     # -- membership -----------------------------------------------------------
     def coords_of(self, x):
-        """Rational solve basis^T c = x; None if x is outside the span."""
+        """The rational c with basis^T c = x (the basis has full rank)."""
         vec = x.coords if hasattr(x, "coords") else list(x)
-        return linalg.solve_rational(self._basis_T, [Fraction(c) for c in vec])
+        if len(vec) != self.ambient.dim:
+            raise ValueError(f"expected {self.ambient.dim} coordinates, got {len(vec)}")
+        if self._basis_T_inv is None:
+            self._basis_T_inv = linalg.inverse_rational(self._basis_T)
+        return linalg.mat_vec(QQ, self._basis_T_inv, [Fraction(c) for c in vec])
 
     def contains(self, x):
-        sol = self.coords_of(x)
-        return sol is not None and all(c.denominator == 1 for c in sol)
+        return all(c.denominator == 1 for c in self.coords_of(x))
 
     def element(self, int_coords):
-        R = QQ
         out = [Fraction(0)] * self.ambient.dim
         for c, row in zip(int_coords, self.basis):
             for k in range(self.ambient.dim):
@@ -112,7 +115,8 @@ class ZLattice:
         coords = _fincke_pohst(diag, low, Fraction(2))
         elems = [self.element(c) for c in sorted(coords)]
         for e in elems:
-            assert self.ambient.norm.eval_payload(e.coords) == 1
+            if self.ambient.norm.eval_payload(e.coords) != 1:
+                raise AssertionError(f"enumerated a lattice point of norm != 1: {e!r}")
         return elems
 
     def units_brute_force(self):

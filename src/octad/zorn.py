@@ -180,21 +180,6 @@ def zorn_algebra(ring):
     return alg
 
 
-def from_conic_coords(ring, coords):
-    basis = _zorn_basis(ring)
-    acc = None
-    for c, b in zip(coords, basis):
-        cb = ZornElement(
-            ring,
-            ring.mul(c, b.a1),
-            [ring.mul(c, t) for t in b.u2],
-            [ring.mul(c, t) for t in b.u1],
-            ring.mul(c, b.a2),
-        )
-        acc = cb if acc is None else acc + cb
-    return acc
-
-
 def presentation_suite(algebra, e, x1, x2):
     """Check the split-octonion presentation relations exactly.
 
@@ -223,55 +208,42 @@ def presentation_suite(algebra, e, x1, x2):
     return Verdict(True, mode="strict")
 
 
+# which elements a census counts, by trace t and norm n
+_CENSUS = {
+    "invertibles": lambda t, n: n != 0,
+    "norm_one": lambda t, n: n == 1,
+    # n = 0 and t = 1 forces c^2 = c via the degree-2 identity
+    "elementary_idempotents": lambda t, n: n == 0 and t == 1,
+}
+
+
 def count_field(p, what):
-    """Exhaustive censuses over Zorn(F_p), single pass over the coordinates.
+    """Exact censuses over Zorn(F_p) by trace a1 + a2 and norm a1 a2 + <u2, u1>.
 
     what: invertibles | norm_one | elementary_idempotents.
-    Cost guard: p <= 7 (p^8 elements).
+    Cost guard: p <= 7.
     """
     if p > 7:
         raise ValueError("cost guard: p must be <= 7")
-    field = GF(p)
-    # tally the dot product <u2, u1> over all p^6 off-diagonal pairs
-    tally = [0] * p
-    rng3 = range(p)
-    for a in rng3:
-        for b in rng3:
-            for c in rng3:
-                for d in rng3:
-                    for e in rng3:
-                        base = (a * d + b * e) % p
-                        for f in rng3:
-                            tally[(base + c * f) % p] += 1
-    if what == "invertibles":
-        count = 0
-        for a1 in range(p):
-            for a2 in range(p):
-                prod = (a1 * a2) % p
-                for dot in range(p):
-                    if (prod + dot) % p != 0:
-                        count += tally[dot]
-        return count
-    if what == "norm_one":
-        count = 0
-        for a1 in range(p):
-            for a2 in range(p):
-                prod = (a1 * a2) % p
-                for dot in range(p):
-                    if (prod + dot) % p == 1:
-                        count += tally[dot]
-        return count
-    if what == "elementary_idempotents":
-        # n = 0 and t = 1 forces c^2 = c via the degree-2 identity
-        count = 0
-        for a1 in range(p):
-            a2 = (1 - a1) % p
-            prod = (a1 * a2) % p
+    GF(p)  # rejects a composite p
+    if what not in _CENSUS:
+        raise ValueError(f"unknown census {what!r}")
+    keep = _CENSUS[what]
+    # tally of a*d over F_p^2, convolved to the tally of <u2, u1> over F_p^6
+    prod = [0] * p
+    for a in range(p):
+        for d in range(p):
+            prod[a * d % p] += 1
+    tally = prod
+    for _ in range(2):
+        tally = [sum(tally[s] * prod[(v - s) % p] for s in range(p)) for v in range(p)]
+    count = 0
+    for a1 in range(p):
+        for a2 in range(p):
             for dot in range(p):
-                if (prod + dot) % p == 0:
+                if keep((a1 + a2) % p, (a1 * a2 + dot) % p):
                     count += tally[dot]
-        return count
-    raise ValueError(f"unknown census {what!r}")
+    return count
 
 
 def invertibles_closed_form(p):

@@ -143,3 +143,20 @@ def test_lattice_file_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert blob2["disc"] == "4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "her3(f2)"),
+        ("lattice", "member", "hurwitz", "1/0", "0", "0", "0", "--json"),
+    ],
+)
+def test_bad_input_gives_one_error_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err

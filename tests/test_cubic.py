@@ -18,6 +18,7 @@ from octad.cubic import (
     kk_cubic,
     split_cubic_etale,
     validate_axioms,
+    verify_cubic_iso,
 )
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
@@ -343,3 +344,24 @@ def test_peirce_multiplication_rules_sampled():
             sq = J.u_op(x1, J.one())
             middle = linalg.mat_vec(R, E1, sq.coords)
             assert all(R.is_zero(c) for c in middle)
+
+
+def test_verify_cubic_iso_rejects_broken_maps():
+    from octad.cayley import ground_algebra
+    from octad.her3 import her3
+
+    J = her3(ground_algebra(ZZ))
+
+    def on_slots(c):
+        # fix the diagonal and multiply each u_i by c
+        return lambda x: J.element(x.coords[:3] + [c * u for u in x.coords[3:]])
+
+    verify_cubic_iso(J, J, on_slots(1))
+    with pytest.raises(AssertionError, match="base point"):
+        verify_cubic_iso(J, J, lambda x: -x)
+    with pytest.raises(AssertionError, match="adjoints on basis"):
+        verify_cubic_iso(J, J, on_slots(2))
+    # u_i -> -u_i keeps every u_i# = -n(u_i) e_i but flips the slot term
+    # conj(u_j u_l) of (u_j + u_l)#
+    with pytest.raises(AssertionError, match="adjoints on pair sums"):
+        verify_cubic_iso(J, J, on_slots(-1))

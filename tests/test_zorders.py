@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from octad import linalg, zorders
 from octad.cayley import cayley_dickson, ground_algebra
 from octad.scalars import QQ
 from octad.zorders import (
+    NAMED_LATTICES,
     ZLattice,
     alternative_dico,
     ambient_to_eps,
@@ -207,3 +209,23 @@ def test_lattice_json_read_back():
     bad = text.replace('"disc": "4"', '"disc": "5"')
     with pytest.raises(ValueError):
         ZLattice.from_json(H.ambient, bad)
+
+
+def test_coords_of_agrees_with_a_fresh_solve():
+    import random
+
+    rng = random.Random(11)
+    for make in NAMED_LATTICES.values():
+        lat = make()
+        for _ in range(20):
+            x = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(lat.ambient.dim)]
+            assert lat.coords_of(x) == linalg.solve_rational(lat._basis_T, x)
+    with pytest.raises(ValueError):
+        lat.coords_of([Fraction(1)])
+
+
+def test_enumerate_units_checks_every_norm(monkeypatch):
+    # the check must raise even under python -O, which strips asserts
+    monkeypatch.setattr(zorders, "_fincke_pohst", lambda diag, low, target: [(1, 1, 0, 0)])
+    with pytest.raises(AssertionError, match="norm != 1"):
+        hurwitz().enumerate_units()

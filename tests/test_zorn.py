@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from octad.identities import run_suite, strict_identity_check
 from octad.scalars import GF, ZZ
 from octad.zorn import (
+    ZornElement,
     _to_coords,
     count_field,
     gen_X,
@@ -146,6 +148,22 @@ def test_elementary_idempotent_count_oracle_f2():
             if alg.classify_idempotent(c) == "Elementary":
                 count += 1
     assert count == count_field(2, "elementary_idempotents")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_censuses_against_brute_force(p):
+    # every one of the p^8 elements; an elementary idempotent is a
+    # nontrivial idempotent (over a field)
+    R = GF(p)
+    one, zero = zorn_unit(R), ZornElement(R, 0, [0] * 3, [0] * 3, 0)
+    counts = {"invertibles": 0, "norm_one": 0, "elementary_idempotents": 0}
+    for a1, a2, *u in itertools.product(range(p), repeat=8):
+        x = ZornElement(R, a1, u[:3], u[3:], a2)
+        n = x.norm()
+        counts["invertibles"] += not n.is_zero()
+        counts["norm_one"] += n == 1
+        counts["elementary_idempotents"] += zorn_mul(x, x) == x and x != zero and x != one
+    assert counts == {what: count_field(p, what) for what in counts}
 
 
 def test_cost_guard():
