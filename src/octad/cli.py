@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -355,6 +356,9 @@ def build_parser():
     p_lat.add_argument("coords", nargs="*", help="coordinates for the member action")
     p_lat.add_argument("--file", help="read the lattice from an exported JSON file")
     p_lat.set_defaults(func=_run_lattice)
+    # argparse reads an argument as a positional only if it looks like a
+    # negative number; widen that test to negative fractions such as -1/2
+    p_lat._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     return parser
 
@@ -370,7 +374,7 @@ def main(argv=None):
     except CostGuardError as exc:
         print(f"cost guard: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,17 @@ from __future__ import annotations
 
 import json
 
-from .linalg import ModuleElement, add_vec, basis, scale_vec, sub_vec, vec_eq, vec_is_zero
+from .linalg import (
+    ModuleElement,
+    add_term,
+    add_vec,
+    basis,
+    scale_vec,
+    signed_sparse,
+    sub_vec,
+    vec_eq,
+    vec_is_zero,
+)
 from .quadforms import QuadraticForm
 from .scalars import Scalar, RingMismatch
 
@@ -25,13 +35,13 @@ class ConicAlgebra:
         self.unit = [ring.coerce(c) for c in unit]
         self.norm = norm
         self.name = name
-        # trace functional and conjugation matrix (columns = conj(e_i))
+        # trace functional and the sparse columns conj(e_i) = t(e_i) 1 - e_i
         self._tvec = [
             norm.bilin_payload(self.unit, basis(ring, dim, i)) for i in range(dim)
         ]
         self._conj = [
-            sub_vec(ring, scale_vec(ring, self._tvec[i], self.unit), basis(ring, dim, i))
-            for i in range(dim)
+            signed_sparse(ring, sub_vec(ring, scale_vec(ring, t, self.unit), basis(ring, dim, i)))
+            for i, t in enumerate(self._tvec)
         ]
         if validate:
             self._validate()
@@ -84,7 +94,6 @@ class ConicAlgebra:
     def mul_vec(self, x, y, L=None):
         """Bilinear product on payload vectors, optionally over ring-like L."""
         R = L if L is not None else self.ring
-        lift = R.from_base
         out = [R.zero] * self.dim
         for a in range(self.dim):
             xa = x[a]
@@ -96,8 +105,8 @@ class ConicAlgebra:
                 if R.is_zero(yb):
                     continue
                 c = R.mul(xa, yb)
-                for k, t in row[b]:
-                    out[k] = R.add(out[k], R.mul(c, lift(t)))
+                for k, t, sign in row[b]:
+                    out[k] = add_term(R, out[k], c, t, sign)
         return out
 
     def trace_payload(self, x, L=None):
@@ -111,13 +120,12 @@ class ConicAlgebra:
 
     def conj_vec(self, x, L=None):
         R = L if L is not None else self.ring
-        lift = R.from_base
         out = [R.zero] * self.dim
         for i in range(self.dim):
             if R.is_zero(x[i]):
                 continue
-            for k, c in enumerate(self._conj[i]):
-                out[k] = R.add(out[k], R.mul(x[i], lift(c)))
+            for k, c, sign in self._conj[i]:
+                out[k] = add_term(R, out[k], x[i], c, sign)
         return out
 
     def norm_payload(self, x, L=None):
@@ -261,9 +269,12 @@ class ConicElement(ModuleElement):
 
 def structure_table(ring, dim, table):
     """Coerced structure constants table[a][b] (the coordinates of e_a e_b)
-    and their sparse view [(coordinate index, payload), ...] read by mul_vec."""
+    and their sparse view [(coordinate index, payload, sign), ...] read by
+    mul_vec.  sign is 1 or -1 when the constant is one or minus one, so
+    that mul_vec adds or subtracts the product instead of multiplying by
+    the lifted constant, and 0 for every other constant."""
     dense = [[[ring.coerce(c) for c in table[a][b]] for b in range(dim)] for a in range(dim)]
-    sparse = [[[(k, c) for k, c in enumerate(v) if not ring.is_zero(c)] for v in row] for row in dense]
+    sparse = [[signed_sparse(ring, v) for v in row] for row in dense]
     return dense, sparse
 
 

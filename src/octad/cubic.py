@@ -27,7 +27,18 @@ from .identities import (
     sampled_identity_check,
     strict_identity_check,
 )
-from .linalg import ModuleElement, add_vec, basis, mat_mul, scale_vec, sub_vec, vec_eq, vec_is_zero
+from .linalg import (
+    ModuleElement,
+    add_term,
+    add_vec,
+    basis,
+    mat_mul,
+    scale_vec,
+    signed_sparse,
+    sub_vec,
+    vec_eq,
+    vec_is_zero,
+)
 from .scalars import QQ, ZZ, PrimeField
 
 NOT_INVERTIBLE = "NotInvertible"
@@ -46,14 +57,13 @@ class CubicData:
         self.n_dir = dict(n_dir)
         self.n_triple = dict(n_triple)
         self.name = name
-        self._sharp_sparse = [
-            [(k, c) for k, c in enumerate(v) if not ring.is_zero(c)]
-            for v in self.sharp_basis
-        ]
-        self._cross_sparse = {
-            key: [(k, c) for k, c in enumerate(v) if not ring.is_zero(c)]
-            for key, v in self.cross_pairs.items()
-        }
+        self._sharp_sparse = [signed_sparse(ring, v) for v in self.sharp_basis]
+        # only the pairs whose cross product e_i x e_j is nonzero
+        self._cross_sparse = {}
+        for key, v in self.cross_pairs.items():
+            entries = signed_sparse(ring, v)
+            if entries:
+                self._cross_sparse[key] = entries
         self.tvec = [self.norm_dir_payload(self.basepoint, basis(ring, dim, i)) for i in range(dim)]
         self._consistency()
 
@@ -134,38 +144,42 @@ class CubicData:
     # -- vector-valued maps ---------------------------------------------------------
     def sharp_vec(self, x, L=None):
         R = L if L is not None else self.ring
-        lift = R.from_base
         out = [R.zero] * self.dim
         nz = [i for i in range(self.dim) if not R.is_zero(x[i])]
         for i in nz:
             c = R.mul(x[i], x[i])
-            for k, t in self._sharp_sparse[i]:
-                out[k] = R.add(out[k], R.mul(c, lift(t)))
+            for k, t, sign in self._sharp_sparse[i]:
+                out[k] = add_term(R, out[k], c, t, sign)
         for a in range(len(nz)):
             for b in range(a + 1, len(nz)):
                 i, j = nz[a], nz[b]
-                c = R.mul(x[i], x[j])
-                for k, t in self._cross_sparse[(i, j)]:
-                    out[k] = R.add(out[k], R.mul(c, lift(t)))
+                entries = self._cross_sparse.get((i, j))
+                if entries:
+                    c = R.mul(x[i], x[j])
+                    for k, t, sign in entries:
+                        out[k] = add_term(R, out[k], c, t, sign)
         return out
 
     def cross_vec(self, x, y, L=None):
         R = L if L is not None else self.ring
-        lift = R.from_base
         out = [R.zero] * self.dim
+        zx = [R.is_zero(c) for c in x]
+        zy = [R.is_zero(c) for c in y]
         for i in range(self.dim):
-            xi, yi = x[i], y[i]
-            if not (R.is_zero(xi) or R.is_zero(yi)):
-                c = R.mul(xi, yi)
+            if not (zx[i] or zy[i]):
+                c = R.mul(x[i], y[i])
                 c = R.add(c, c)
-                for k, t in self._sharp_sparse[i]:
-                    out[k] = R.add(out[k], R.mul(c, lift(t)))
-        for (i, j), vec in self._cross_sparse.items():
+                for k, t, sign in self._sharp_sparse[i]:
+                    out[k] = add_term(R, out[k], c, t, sign)
+        for (i, j), entries in self._cross_sparse.items():
+            # x_i y_j + x_j y_i vanishes when both products have a zero factor
+            if (zx[i] or zy[j]) and (zx[j] or zy[i]):
+                continue
             c = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
             if R.is_zero(c):
                 continue
-            for k, t in vec:
-                out[k] = R.add(out[k], R.mul(c, lift(t)))
+            for k, t, sign in entries:
+                out[k] = add_term(R, out[k], c, t, sign)
         return out
 
     def u_op_vec(self, x, y, L=None):
@@ -682,14 +696,9 @@ def adjoint_identity_strict(data):
     return strict_identity_check(data, CUBIC_IDENTITIES["adjoint"])
 
 
-def _int_payload(R, c):
-    if isinstance(c, int):
-        return c
-    from fractions import Fraction
-
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return None
+def _int_payload(c):
+    # ZZ and GF(p) payloads are ints, and so is every integral QQ payload
+    return c if isinstance(c, int) else None
 
 
 def _try_fast_adjoint(data):
@@ -703,29 +712,26 @@ def _try_fast_adjoint(data):
         return None
     n = data.dim
 
-    def as_int(c):
-        return _int_payload(R, c)
-
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     pidx = {p: t for t, p in enumerate(pairs)}
     S = np.zeros((len(pairs), n), dtype=object)
     for t, (a, b) in enumerate(pairs):
         vec = data.sharp_basis[a] if a == b else data.cross_pairs[(a, b)]
         for k, c in enumerate(vec):
-            v = as_int(c)
+            v = _int_payload(c)
             if v is None:
                 return None
             S[t, k] = v
     X = np.zeros((n, n, n), dtype=object)
     for a in range(n):
         for k, c in enumerate(data.sharp_basis[a]):
-            v = as_int(c)
+            v = _int_payload(c)
             if v is None:
                 return None
             X[a, a, k] = 2 * v
         for b in range(a + 1, n):
             for k, c in enumerate(data.cross_pairs[(a, b)]):
-                v = as_int(c)
+                v = _int_payload(c)
                 if v is None:
                     return None
                 X[a, b, k] = v
@@ -752,12 +758,12 @@ def _try_fast_adjoint(data):
     lhs_rows, lhs_vals = [], []
     # diagonal terms: sharp(s_P) scaled by m_P^2
     sharp_mat = np.array(
-        [[as_int(c) for c in v] for v in data.sharp_basis], dtype=S.dtype
+        [[_int_payload(c) for c in v] for v in data.sharp_basis], dtype=S.dtype
     )
     cross_list = sorted(data.cross_pairs)
     if cross_list:
         cross_mat = np.array(
-            [[as_int(c) for c in data.cross_pairs[p]] for p in cross_list], dtype=S.dtype
+            [[_int_payload(c) for c in data.cross_pairs[p]] for p in cross_list], dtype=S.dtype
         )
         PP = np.array(
             [[int(S[t, a]) * int(S[t, b]) for (a, b) in cross_list] for t in range(len(pairs))],
@@ -782,12 +788,12 @@ def _try_fast_adjoint(data):
     rhs = np.zeros((nmons_expected, n), dtype=S.dtype)
     cubics = []
     for i in range(n):
-        cubics.append(((i, i, i), as_int(data.n_single[i])))
+        cubics.append(((i, i, i), _int_payload(data.n_single[i])))
     for (i, j), c in data.n_dir.items():
         key = tuple(sorted((i, i, j)))
-        cubics.append((key, as_int(c)))
+        cubics.append((key, _int_payload(c)))
     for (i, j, l), c in data.n_triple.items():
-        cubics.append(((i, j, l), as_int(c)))
+        cubics.append(((i, j, l), _int_payload(c)))
     for key, val in cubics:
         if val is None:
             return None

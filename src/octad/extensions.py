@@ -58,36 +58,49 @@ class DualExt:
 class PolyExt:
     """Truncated polynomial extension R[t_0..t_{m-1}] of a ring-like R.
 
-    Payloads are dicts {exponent_tuple: base_payload} with zero
-    coefficients omitted; monomials of total degree > cap are dropped,
+    Payloads are dicts {key: base_payload} that never store a zero
+    coefficient, so the zero polynomial is the empty dict.  A key packs
+    one monomial into one int: exponent e_i sits in bits [w*i, w*i + w)
+    and the total degree sits above all of them, at bit w*m, where the
+    field width w is the bit length of 2*cap.  Exponents of a product of
+    two kept monomials are at most 2*cap < 2^w, so adding two keys
+    multiplies the monomials without a carry between fields, and the
+    product's degree exceeds cap exactly when its key reaches
+    (cap + 1) << w*m.  Monomials of total degree > cap are dropped,
     which is sound because the checker only reads coefficients up to the
-    identity's total degree.
+    identity's total degree.  exponents(key) decodes a key.
     """
 
     def __init__(self, base, nvars, cap):
         self.base = base
         self.nvars = nvars
         self.cap = cap
+        self._width = (2 * cap).bit_length()
+        self._degree_shift = self._width * nvars
+        self._bound = (cap + 1) << self._degree_shift
         self.zero = {}
-        self._zeroexp = (0,) * nvars
-        self.one = {self._zeroexp: base.one}
+        self.one = {0: base.one}
 
     def from_base(self, a):
         a = self.base.from_base(a)
         if self.base.is_zero(a):
             return {}
-        return {self._zeroexp: a}
+        return {0: a}
 
     def from_int(self, n):
         a = self.base.from_int(n)
         if self.base.is_zero(a):
             return {}
-        return {self._zeroexp: a}
+        return {0: a}
 
     def var(self, i):
-        e = [0] * self.nvars
-        e[i] = 1
-        return {tuple(e): self.base.one}
+        return {(1 << self._degree_shift) + (1 << (self._width * i)): self.base.one}
+
+    def exponents(self, key):
+        """The exponent tuple (e_0, ..., e_{m-1}) of a packed monomial key."""
+        w = self._width
+        mask = (1 << w) - 1
+        return tuple((key >> (w * i)) & mask for i in range(self.nvars))
 
     def add(self, a, b):
         if not a:
@@ -112,33 +125,46 @@ class PolyExt:
         return {e: B.neg(c) for e, c in a.items()}
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if not b:
+            return dict(a)
+        B = self.base
+        out = dict(a)
+        for e, c in b.items():
+            if e in out:
+                s = B.sub(out[e], c)
+                if B.is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = B.neg(c)
+        return out
 
     def mul(self, a, b):
         if not a or not b:
             return {}
         B = self.base
-        cap = self.cap
+        bmul, badd, bzero = B.mul, B.add, B.is_zero
+        bound = self._bound
         out = {}
         for e1, c1 in a.items():
-            d1 = sum(e1)
             for e2, c2 in b.items():
-                if d1 + sum(e2) > cap:
+                e = e1 + e2
+                if e >= bound:
                     continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = B.mul(c1, c2)
+                c = bmul(c1, c2)
                 if e in out:
-                    s = B.add(out[e], c)
-                    if B.is_zero(s):
+                    s = badd(out[e], c)
+                    if bzero(s):
                         del out[e]
                     else:
                         out[e] = s
-                elif not B.is_zero(c):
+                elif not bzero(c):
                     out[e] = c
         return out
 
     def is_zero(self, a):
-        return all(self.base.is_zero(c) for c in a.values())
+        return not a
 
     def eq(self, a, b):
         return self.is_zero(self.sub(a, b))

@@ -152,10 +152,8 @@ def _nonzero_monomials(L, rows, total_vars):
         return []
     bad = set()
     for poly in rows:
-        for exps, coeff in poly.items():
-            if not L.base.is_zero(coeff):
-                bad.add(exps)
-    return sorted(bad)
+        bad.update(poly)
+    return sorted(L.exponents(key) for key in bad)
 
 
 def _witness_from(combo, degs, exps, nvars_per_slot):

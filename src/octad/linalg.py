@@ -43,6 +43,33 @@ def vec_is_zero(R, x):
     return all(R.is_zero(a) for a in x)
 
 
+def unit_sign(R, c):
+    """1 if the payload c is one in R, -1 if it is minus one, else 0.
+
+    Stored with a constant, it lets add_term add or subtract a product
+    instead of multiplying it by the lifted constant."""
+    if R.eq(c, R.one):
+        return 1
+    if R.eq(c, R.neg(R.one)):
+        return -1
+    return 0
+
+
+def signed_sparse(R, vec):
+    """[(index, payload, unit_sign), ...] over the nonzero entries of vec."""
+    return [(k, c, unit_sign(R, c)) for k, c in enumerate(vec) if not R.is_zero(c)]
+
+
+def add_term(L, acc, x, c, sign):
+    """acc + c*x over the ring-like L, for a base-ring constant c with
+    sign = unit_sign(base ring, c)."""
+    if sign == 1:
+        return L.add(acc, x)
+    if sign == -1:
+        return L.sub(acc, x)
+    return L.add(acc, L.mul(x, L.from_base(c)))
+
+
 class ModuleElement:
     """An element of an algebra that is free over its ring, stored as the
     payload coordinates in the algebra's basis.

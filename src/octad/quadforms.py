@@ -25,20 +25,20 @@ class QuadraticForm:
         for (i, j), c in items:
             if i > j:
                 raise ValueError("coefficients must be upper triangular")
-            c = ring.coerce(c) if not _is_payload(ring, c) else c
+            c = ring.coerce(c)
             if not ring.is_zero(c):
                 self.coeffs[(i, j)] = c
+        self._terms = [(i, j, c, linalg.unit_sign(ring, c)) for (i, j), c in self.coeffs.items()]
 
     def eval_payload(self, x, L=None):
         """Evaluate on a payload vector, optionally over a ring-like L."""
         R = L if L is not None else self.ring
-        lift = R.from_base
         acc = R.zero
-        for (i, j), c in self.coeffs.items():
+        for i, j, c, sign in self._terms:
             xi, xj = x[i], x[j]
             if R.is_zero(xi) or R.is_zero(xj):
                 continue
-            acc = R.add(acc, R.mul(lift(c), R.mul(xi, xj)))
+            acc = linalg.add_term(R, acc, R.mul(xi, xj), c, sign)
         return acc
 
     def eval(self, x):
@@ -48,12 +48,11 @@ class QuadraticForm:
     def bilin_payload(self, x, y, L=None):
         """Dq(x, y) = q(x+y) - q(x) - q(y), expanded coefficient-wise."""
         R = L if L is not None else self.ring
-        lift = R.from_base
         acc = R.zero
-        for (i, j), c in self.coeffs.items():
+        for i, j, c, sign in self._terms:
             t = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
             if not R.is_zero(t):
-                acc = R.add(acc, R.mul(lift(c), t))
+                acc = linalg.add_term(R, acc, t, c, sign)
         return acc
 
     def bilinearize(self):
@@ -110,14 +109,6 @@ class BilinearForm:
         return R.sum(
             R.mul(x[i], R.dot(self.gram[i], y)) for i in range(self.dim)
         )
-
-
-def _is_payload(ring, c):
-    try:
-        ring.validate(c)
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def _payload_vec(ring, dim, x):

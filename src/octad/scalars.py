@@ -4,6 +4,10 @@ All arithmetic is exact; there is no floating point anywhere in the
 library.  Rings operate on plain "payload" values (ints, Fractions,
 tuples) so that hot loops stay unboxed; the Scalar class wraps a payload
 together with its ring for user-facing work.
+
+Payloads are canonical, so equal values have equal payloads: ZZ uses
+ints, GF(p) and Z/n reduced ints, and QQ an int for every integral
+value and a reduced Fraction for every other one (never a float).
 """
 
 from __future__ import annotations
@@ -193,53 +197,75 @@ class IntegerRing(Ring):
 
 
 class RationalField(Ring):
+    """QQ.  A payload is an int when the value is integral and a reduced
+    Fraction otherwise; every operation returns this canonical form, so
+    integral data never pays for Fraction arithmetic."""
+
     is_field = True
     is_ordered = True
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def validate(self, a):
         if isinstance(a, int):
-            return Fraction(a)
+            return a
         if not isinstance(a, Fraction):
-            raise TypeError(f"QQ payload must be Fraction, got {a!r}")
-        return a
+            raise TypeError(f"QQ payload must be int or Fraction, got {a!r}")
+        return a.numerator if a.denominator == 1 else a
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        if c.__class__ is int or c.denominator != 1:
+            return c
+        return c.numerator
+
+    def sub(self, a, b):
+        c = a - b
+        if c.__class__ is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def neg(self, a):
-        return -a
+        c = -a
+        if c.__class__ is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        if c.__class__ is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def eq(self, a, b):
         return a == b
 
     def inv(self, a):
-        return None if a == 0 else 1 / a
+        if not a:
+            return None
+        c = Fraction(1) / a
+        return c.numerator if c.denominator == 1 else c
 
     def is_nilpotent(self, a):
-        return a == 0
+        return not a
 
     def sign(self, a):
         return (a > 0) - (a < 0)
 
     def rand(self, rng):
-        return Fraction(rng.randint(-9, 9))
+        return rng.randint(-9, 9)
 
     def render(self, a):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def parse(self, text):
-        return Fraction(text)
+        return self.validate(Fraction(text))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

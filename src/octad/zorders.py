@@ -27,7 +27,7 @@ class ZLattice:
             raise ValueError("ambient algebra must be over QQ")
         self.ambient = ambient
         self.name = name
-        self.basis = [[Fraction(c) for c in row] for row in basis]
+        self.basis = [[QQ.validate(Fraction(c)) for c in row] for row in basis]
         n = len(self.basis)
         if any(len(row) != ambient.dim for row in self.basis):
             raise ValueError("basis rows must live in the ambient algebra")
@@ -71,6 +71,9 @@ class ZLattice:
         return all(c.denominator == 1 for c in self.coords_of(x))
 
     def element(self, int_coords):
+        int_coords = list(int_coords)
+        if len(int_coords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates, got {len(int_coords)}")
         out = [Fraction(0)] * self.ambient.dim
         for c, row in zip(int_coords, self.basis):
             for k in range(self.ambient.dim):

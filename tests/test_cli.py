@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,7 @@ def test_lattice_file_round_trip(tmp_path, capsys):
     [
         ("table", "her3(f2)"),
         ("lattice", "member", "hurwitz", "1/0", "0", "0", "0", "--json"),
+        ("lattice", "disc", "hurwitz", "--file", "no-such-dir/hurwitz.json"),
     ],
 )
 def test_bad_input_gives_one_error_line(capsys, argv):
@@ -160,3 +162,31 @@ def test_bad_input_gives_one_error_line(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_lattice_member_negative_fraction(capsys):
+    code, blob = run_json(
+        capsys, "lattice", "member", "hurwitz", "-1/2", "1/2", "1/2", "1/2", "--json"
+    )
+    assert code == 0
+    assert blob["member"] is True
+    code, out = run(capsys, "lattice", "member", "hurwitz", "-1/2", "-1/2", "1/2", "-3/2")
+    assert code == 0
+    assert "member: True" in out.splitlines()
+    code, blob = run_json(capsys, "lattice", "member", "hurwitz", "-1/3", "0", "0", "0", "--json")
+    assert code == 0
+    assert blob["member"] is False
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_report_bytes_unchanged(capsys, case):
+    """Reports, less their millis, are byte-identical to ones recorded when
+    QQ payloads were all Fractions and PolyExt keyed monomials by tuples."""
+    code = main(case["argv"] + ["--json"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("millis")
+    assert code == case["exit"]
+    assert json.dumps(report, sort_keys=True) == case["report"]

@@ -3,14 +3,18 @@ import random
 
 import pytest
 
+from octad.cayley import iterated_cayley_dickson
 from octad.conic import (
     NOT_INVERTIBLE,
     cartan_schouten,
     quadratic,
     split_etale,
 )
+from octad.extensions import PolyExt
 from octad.identities import run_suite, strict_identity_check
+from octad.linalg import vec_eq
 from octad.scalars import GF, QQ, ZZ, Zmod
+from octad.zorn import zorn_algebra
 
 
 def test_split_etale_mul():
@@ -166,3 +170,39 @@ def test_conic_json_round_trip_bit_exact():
         text = A.to_json()
         again = ConicAlgebra.from_json(A.ring, text)
         assert again.to_json() == text
+
+
+def naive_mul_vec(alg, L, x, y):
+    """Dense product with every structure constant lifted and multiplied."""
+    out = [L.zero] * alg.dim
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            xy = L.mul(x[a], y[b])
+            for k, t in enumerate(alg.table[a][b]):
+                out[k] = L.add(out[k], L.mul(xy, L.from_base(t)))
+    return out
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, GF(2), GF(3), Zmod(6)], ids=repr)
+def test_products_with_unit_constants_match_naive_formulas(R):
+    rng = random.Random(11)
+    algebras = [
+        iterated_cayley_dickson(R, [-1, -1, -1]),
+        iterated_cayley_dickson(R, [1, -1]),
+        zorn_algebra(R),
+        quadratic(R, 2, 3),
+    ]
+    L = PolyExt(R, 2, 3)
+    for alg in algebras:
+        signs = {s for row in alg._sparse for entries in row for _, _, s in entries}
+        assert 1 in signs
+        for _ in range(20):
+            x = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(alg.dim)]
+            y = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(alg.dim)]
+            assert vec_eq(R, alg.mul_vec(x, y), naive_mul_vec(alg, R, x, y))
+            t = alg.trace_payload(x)
+            assert vec_eq(R, alg.conj_vec(x), [R.sub(R.mul(t, u), a) for u, a in zip(alg.unit, x)])
+            # the same over a polynomial ring-like, with variables in x
+            px = [L.add(L.from_base(c), L.var(i % 2)) for i, c in enumerate(x)]
+            py = [L.from_base(c) for c in y]
+            assert vec_eq(L, alg.mul_vec(px, py, L), naive_mul_vec(alg, L, px, py))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from octad.cayley import ground_algebra
 from octad.conic import quadratic
 from octad.cubic import (
     NOT_INVERTIBLE,
@@ -20,8 +21,11 @@ from octad.cubic import (
     validate_axioms,
     verify_cubic_iso,
 )
+from octad.her3 import her3
+from octad.linalg import add_vec, sub_vec, vec_eq
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
+from octad.tits import mat3, tits
 
 
 def test_k_cubic():
@@ -365,3 +369,24 @@ def test_verify_cubic_iso_rejects_broken_maps():
     # conj(u_j u_l) of (u_j + u_l)#
     with pytest.raises(AssertionError, match="adjoints on pair sums"):
         verify_cubic_iso(J, J, on_slots(-1))
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, GF(2), Zmod(6)], ids=repr)
+def test_cross_is_the_polarization_of_sharp(R):
+    """x x y = (x + y)# - x# - y#, an independent check of cross_vec's
+    sparse pair loop and its +-1 constants."""
+    rng = random.Random(8)
+    structures = [
+        her3(ground_algebra(R)),
+        tits(mat3(R), -1),
+        hat_of_conic(quadratic(R, 2, 3)),
+        split_cubic_etale(R),
+    ]
+    for J in structures:
+        for density in (0.1, 0.5, 1.0):
+            for _ in range(8):
+                x = [R.rand(rng) if rng.random() < density else R.zero for _ in range(J.dim)]
+                y = [R.rand(rng) if rng.random() < density else R.zero for _ in range(J.dim)]
+                polar = sub_vec(R, J.sharp_vec(add_vec(R, x, y)), J.sharp_vec(x))
+                polar = sub_vec(R, polar, J.sharp_vec(y))
+                assert vec_eq(R, J.cross_vec(x, y), polar)

@@ -108,3 +108,19 @@ def test_positive_definite_minors():
         x = [rng.randint(-9, 9) for _ in range(3)]
         if any(x):
             assert q.eval(x).payload > 0
+
+
+def test_eval_and_bilin_with_unit_coefficients_match_naive_sums():
+    rng = random.Random(17)
+    for R in (ZZ, QQ, GF(2), GF(5)):
+        q = QuadraticForm(R, 4, {(0, 0): 1, (0, 1): -1, (1, 3): 2, (2, 2): -1, (3, 3): 3})
+        for _ in range(30):
+            x = [R.rand(rng) for _ in range(4)]
+            y = [R.rand(rng) for _ in range(4)]
+            naive = R.zero
+            for (i, j), c in q.coeffs.items():
+                naive = R.add(naive, R.mul(c, R.mul(x[i], x[j])))
+            assert R.eq(q.eval_payload(x), naive)
+            xy = [R.add(a, b) for a, b in zip(x, y)]
+            polar = R.sub(R.sub(q.eval_payload(xy), q.eval_payload(x)), q.eval_payload(y))
+            assert R.eq(q.bilin_payload(x, y), polar)

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from octad.cayley import quaternions
 from octad.scalars import (
     GF,
     NOT_A_UNIT,
@@ -138,3 +140,65 @@ def test_scalar_immutability():
     s = ZZ.scalar(3)
     with pytest.raises(AttributeError):
         s.payload = 4
+
+
+RATIONALS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**6),
+    st.integers(-50, 50).map(Fraction),
+)
+
+
+def assert_canonical(payload, value):
+    """payload is QQ's form of value: an int iff value is integral, else a Fraction."""
+    assert payload == value
+    if Fraction(value).denominator == 1:
+        assert type(payload) is int
+    else:
+        assert type(payload) is Fraction
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_qq_ops_agree_with_fraction_and_stay_canonical(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    pa, pb = QQ.validate(a), QQ.validate(b)
+    assert_canonical(pa, fa)
+    assert_canonical(pb, fb)
+    # canonical inputs, and raw int/Fraction inputs such as Fraction(2, 1)
+    for x, y in ((pa, pb), (a, b)):
+        assert_canonical(QQ.add(x, y), fa + fb)
+        assert_canonical(QQ.sub(x, y), fa - fb)
+        assert_canonical(QQ.mul(x, y), fa * fb)
+        assert_canonical(QQ.neg(x), -fa)
+        if fa:
+            assert_canonical(QQ.inv(x), 1 / fa)
+        else:
+            assert QQ.inv(x) is None
+        assert QQ.is_zero(x) == (fa == 0)
+        assert QQ.eq(x, y) == (fa == fb)
+    assert_canonical(QQ.parse(QQ.render(pa)), fa)
+    if isinstance(a, int):
+        assert_canonical(QQ.from_int(a), fa)
+
+
+def test_qq_constants_and_samples_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    rng = random.Random(5)
+    assert all(type(QQ.rand(rng)) is int for _ in range(50))
+    assert_canonical(QQ.inv(-1), -1)
+    assert_canonical(QQ.inv(Fraction(1, 3)), 3)
+    assert_canonical(QQ.inv(4), Fraction(1, 4))
+    with pytest.raises(TypeError):
+        QQ.validate(0.5)
+
+
+def test_integral_fraction_and_int_are_equal_and_hash_equal():
+    a, b = QQ.scalar(Fraction(4, 2)), QQ.scalar(2)
+    assert a == b and hash(a) == hash(b)
+    assert type(a.payload) is int
+    H = quaternions(QQ)
+    x = H.element([Fraction(4, 2), Fraction(1, 2), 0, Fraction(-6, 3)])
+    y = H.element([2, Fraction(2, 4), Fraction(0), -2])
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1

@@ -229,3 +229,11 @@ def test_enumerate_units_checks_every_norm(monkeypatch):
     monkeypatch.setattr(zorders, "_fincke_pohst", lambda diag, low, target: [(1, 1, 0, 0)])
     with pytest.raises(AssertionError, match="norm != 1"):
         hurwitz().enumerate_units()
+
+
+def test_element_rejects_wrong_coordinate_count():
+    H = hurwitz()
+    assert H.element([1, 0, 0, 0]).coords == [1, 0, 0, 0]
+    for coords in ([1], [1, 0, 0, 0, 5]):
+        with pytest.raises(ValueError):
+            H.element(coords)
