@@ -35,13 +35,13 @@ class ConicAlgebra:
         self.unit = [ring.coerce(c) for c in unit]
         self.norm = norm
         self.name = name
-        # trace functional and the sparse columns conj(e_i) = t(e_i) 1 - e_i
-        self._tvec = [
-            norm.bilin_payload(self.unit, basis(ring, dim, i)) for i in range(dim)
-        ]
+        # the trace functional's nonzero values t(e_i) and the sparse columns
+        # conj(e_i) = t(e_i) 1 - e_i
+        tvec = [norm.bilin_payload(self.unit, basis(ring, dim, i)) for i in range(dim)]
+        self._trace = signed_sparse(ring, tvec)
         self._conj = [
             signed_sparse(ring, sub_vec(ring, scale_vec(ring, t, self.unit), basis(ring, dim, i)))
-            for i, t in enumerate(self._tvec)
+            for i, t in enumerate(tvec)
         ]
         if validate:
             self._validate()
@@ -111,11 +111,10 @@ class ConicAlgebra:
 
     def trace_payload(self, x, L=None):
         R = L if L is not None else self.ring
-        lift = R.from_base
         acc = R.zero
-        for i, t in enumerate(self._tvec):
+        for i, t, sign in self._trace:
             if not R.is_zero(x[i]):
-                acc = R.add(acc, R.mul(x[i], lift(t)))
+                acc = add_term(R, acc, x[i], t, sign)
         return acc
 
     def conj_vec(self, x, L=None):

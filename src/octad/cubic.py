@@ -10,6 +10,23 @@ norm on basis multisets:
 Traces are always derived, never stored: T(y) = N(1; y), S(x) = T(x#),
 T(x, y) = T(x)T(y) - T(x x y), U_x y = T(x, y) x - x# x y.  Directional
 norm coefficients come from the dual-number trick.
+
+Every map runs over the nonzero constants only, each kept with its
+linalg.unit_sign so that 1 and -1 are applied by add and sub:
+
+- the norm as signed term lists indexed by first coordinate (cubes and
+  x_i^2 x_j terms in one list, x_i x_j x_l terms grouped by (i, j));
+  a term is summed only when all its factors are nonzero;
+- the adjoint and its bilinearization from the nonzero e_i# and the
+  nonzero e_i x e_j (j > i) listed per i, with zero masks on the inputs;
+- the trace from the nonzero T(e_i), and the trace form from the sparse
+  Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j), built once from
+  the stored adjoints;
+- u_matrix(x), the columns U_x e_j = T(x, e_j) x - x# x e_j, with x# and
+  the row T(x, e_.) computed once.  The sampled fundamental formula
+  compares U_{U_x y} with U_x U_y U_x column by column through it, or in
+  int64 over ZZ where a bound from the constants and the sample's range
+  rules out overflow.
 """
 
 from __future__ import annotations
@@ -32,10 +49,12 @@ from .linalg import (
     add_term,
     add_vec,
     basis,
+    cols_vec,
     mat_mul,
     scale_vec,
     signed_sparse,
     sub_vec,
+    unit_sign,
     vec_eq,
     vec_is_zero,
 )
@@ -58,14 +77,50 @@ class CubicData:
         self.n_triple = dict(n_triple)
         self.name = name
         self._sharp_sparse = [signed_sparse(ring, v) for v in self.sharp_basis]
-        # only the pairs whose cross product e_i x e_j is nonzero
-        self._cross_sparse = {}
-        for key, v in self.cross_pairs.items():
+        # _cross_after[i]: (j, sparse e_i x e_j) for the j > i with e_i x e_j != 0
+        self._cross_after = [[] for _ in range(dim)]
+        for (i, j), v in sorted(self.cross_pairs.items()):
             entries = signed_sparse(ring, v)
             if entries:
-                self._cross_sparse[key] = entries
+                self._cross_after[i].append((j, entries))
+        self._index_norm()
         self.tvec = [self.norm_dir_payload(self.basepoint, basis(ring, dim, i)) for i in range(dim)]
+        self._trace = signed_sparse(ring, self.tvec)
+        self._gram = self._trace_gram()
         self._consistency()
+
+    def _index_norm(self):
+        """The nonzero norm coefficients as signed terms, indexed by first
+        coordinate: _norm_sq[i] holds (j, c, sign) for c x_i^2 x_j (j = i is
+        the cube term) and _norm_tri[i] holds (j, [(l, c, sign), ...]) for
+        c x_i x_j x_l."""
+        R = self.ring
+        self._norm_sq = [[] for _ in range(self.dim)]
+        self._norm_tri = [[] for _ in range(self.dim)]
+        squares = [*(((i, i), c) for i, c in enumerate(self.n_single)), *self.n_dir.items()]
+        for (i, j), c in squares:
+            if not R.is_zero(c):
+                self._norm_sq[i].append((j, c, unit_sign(R, c)))
+        tails = {}
+        for (i, j, l), c in self.n_triple.items():
+            if not R.is_zero(c):
+                tails.setdefault((i, j), []).append((l, c, unit_sign(R, c)))
+        for (i, j), tail in tails.items():
+            self._norm_tri[i].append((j, tail))
+
+    def _trace_gram(self):
+        """Sparse rows of the Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j),
+        read from the stored adjoints (e_i x e_i = 2 e_i#)."""
+        R, n, t = self.ring, self.dim, self.tvec
+        gram = [[R.mul(a, b) for b in t] for a in t]
+        for i, v in enumerate(self.sharp_basis):
+            d = self.trace_lin(v)
+            gram[i][i] = R.sub(gram[i][i], R.add(d, d))
+        for (i, j), v in self.cross_pairs.items():
+            d = self.trace_lin(v)
+            gram[i][j] = R.sub(gram[i][j], d)
+            gram[j][i] = R.sub(gram[j][i], d)
+        return [signed_sparse(R, row) for row in gram]
 
     def _consistency(self):
         R = self.ring
@@ -74,41 +129,38 @@ class CubicData:
         if not vec_eq(R, self.sharp_vec(self.basepoint), self.basepoint):
             raise ValueError(f"{self.name}: 1# != 1")
         for i in range(self.dim):
+            rhs = self.trace_row(self.sharp_basis[i])
             for j in range(self.dim):
                 if i == j:
                     ei = basis(R, self.dim, i)
                     lhs = self.norm_dir_payload(ei, ei)
                 else:
                     lhs = self.n_dir.get((i, j), R.zero)
-                rhs = self.trace_bilin_basis(self.sharp_basis[i], j)
-                if not R.eq(lhs, rhs):
+                if not R.eq(lhs, rhs[j]):
                     raise ValueError(
                         f"{self.name}: stored N(e_{i}; e_{j}) disagrees with T(e_{i}#, e_{j})"
                     )
 
     # -- scalar-valued maps -----------------------------------------------------
     def norm_payload(self, x, L=None):
+        """N(x), summing the stored terms whose factors are all nonzero."""
         R = L if L is not None else self.ring
-        lift = R.from_base
+        z = [R.is_zero(c) for c in x]
         acc = R.zero
-        nz = [i for i in range(self.dim) if not R.is_zero(x[i])]
-        for i in nz:
-            xi = x[i]
+        for i, xi in enumerate(x):
+            if z[i]:
+                continue
             sq = R.mul(xi, xi)
-            acc = R.add(acc, R.mul(R.mul(sq, xi), lift(self.n_single[i])))
-            for j in nz:
-                if j == i:
+            for j, c, sign in self._norm_sq[i]:
+                if not z[j]:
+                    acc = add_term(R, acc, R.mul(sq, x[j]), c, sign)
+            for j, tail in self._norm_tri[i]:
+                if z[j]:
                     continue
-                c = self.n_dir.get((i, j))
-                if c is not None:
-                    acc = R.add(acc, R.mul(R.mul(sq, x[j]), lift(c)))
-        for a in range(len(nz)):
-            for b in range(a + 1, len(nz)):
-                for c_ in range(b + 1, len(nz)):
-                    i, j, l = nz[a], nz[b], nz[c_]
-                    t = self.n_triple.get((i, j, l))
-                    if t is not None:
-                        acc = R.add(acc, R.mul(R.mul(R.mul(x[i], x[j]), x[l]), lift(t)))
+                xij = R.mul(xi, x[j])
+                for l, c, sign in tail:
+                    if not z[l]:
+                        acc = add_term(R, acc, R.mul(xij, x[l]), c, sign)
         return acc
 
     def norm_dir_payload(self, x, y, L=None):
@@ -119,24 +171,41 @@ class CubicData:
 
     def trace_lin(self, x, L=None):
         R = L if L is not None else self.ring
-        lift = R.from_base
         acc = R.zero
-        for i in range(self.dim):
+        for i, t, sign in self._trace:
             if not R.is_zero(x[i]):
-                acc = R.add(acc, R.mul(x[i], lift(self.tvec[i])))
+                acc = add_term(R, acc, x[i], t, sign)
         return acc
 
-    def trace_bilin_basis(self, x, j):
-        """T(x, e_j) over the plain ring (used for consistency checks)."""
-        R = self.ring
-        ej = basis(R, self.dim, j)
-        return self.trace_bilin(x, ej)
+    def trace_row(self, x, L=None):
+        """[T(x, e_0), ..., T(x, e_{dim-1})] from the sparse Gram matrix."""
+        R = L if L is not None else self.ring
+        z = [R.is_zero(c) for c in x]
+        row = []
+        for entries in self._gram:
+            acc = R.zero
+            for i, t, sign in entries:
+                if not z[i]:
+                    acc = add_term(R, acc, x[i], t, sign)
+            row.append(acc)
+        return row
 
     def trace_bilin(self, x, y, L=None):
+        """T(x, y) = T(x)T(y) - T(x x y) = sum_j y_j T(x, e_j), reading
+        only the Gram rows where y_j != 0."""
         R = L if L is not None else self.ring
-        tx = self.trace_lin(x, L)
-        ty = self.trace_lin(y, L)
-        return R.sub(R.mul(tx, ty), self.trace_lin(self.cross_vec(x, y, L), L))
+        z = [R.is_zero(c) for c in x]
+        acc = R.zero
+        for yj, entries in zip(y, self._gram):
+            if R.is_zero(yj):
+                continue
+            t = R.zero
+            for i, c, sign in entries:
+                if not z[i]:
+                    t = add_term(R, t, x[i], c, sign)
+            if not R.is_zero(t):
+                acc = R.add(acc, R.mul(t, yj))
+        return acc
 
     def squad(self, x, L=None):
         return self.trace_lin(self.sharp_vec(x, L), L)
@@ -145,19 +214,19 @@ class CubicData:
     def sharp_vec(self, x, L=None):
         R = L if L is not None else self.ring
         out = [R.zero] * self.dim
-        nz = [i for i in range(self.dim) if not R.is_zero(x[i])]
-        for i in nz:
-            c = R.mul(x[i], x[i])
+        z = [R.is_zero(c) for c in x]
+        for i, xi in enumerate(x):
+            if z[i]:
+                continue
+            c = R.mul(xi, xi)
             for k, t, sign in self._sharp_sparse[i]:
                 out[k] = add_term(R, out[k], c, t, sign)
-        for a in range(len(nz)):
-            for b in range(a + 1, len(nz)):
-                i, j = nz[a], nz[b]
-                entries = self._cross_sparse.get((i, j))
-                if entries:
-                    c = R.mul(x[i], x[j])
-                    for k, t, sign in entries:
-                        out[k] = add_term(R, out[k], c, t, sign)
+            for j, entries in self._cross_after[i]:
+                if z[j]:
+                    continue
+                c = R.mul(xi, x[j])
+                for k, t, sign in entries:
+                    out[k] = add_term(R, out[k], c, t, sign)
         return out
 
     def cross_vec(self, x, y, L=None):
@@ -166,20 +235,22 @@ class CubicData:
         zx = [R.is_zero(c) for c in x]
         zy = [R.is_zero(c) for c in y]
         for i in range(self.dim):
+            if zx[i] and zy[i]:
+                continue
             if not (zx[i] or zy[i]):
                 c = R.mul(x[i], y[i])
                 c = R.add(c, c)
                 for k, t, sign in self._sharp_sparse[i]:
                     out[k] = add_term(R, out[k], c, t, sign)
-        for (i, j), entries in self._cross_sparse.items():
-            # x_i y_j + x_j y_i vanishes when both products have a zero factor
-            if (zx[i] or zy[j]) and (zx[j] or zy[i]):
-                continue
-            c = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
-            if R.is_zero(c):
-                continue
-            for k, t, sign in entries:
-                out[k] = add_term(R, out[k], c, t, sign)
+            for j, entries in self._cross_after[i]:
+                # x_i y_j + x_j y_i vanishes when both products have a zero factor
+                if (zx[i] or zy[j]) and (zx[j] or zy[i]):
+                    continue
+                c = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
+                if R.is_zero(c):
+                    continue
+                for k, t, sign in entries:
+                    out[k] = add_term(R, out[k], c, t, sign)
         return out
 
     def u_op_vec(self, x, y, L=None):
@@ -187,6 +258,29 @@ class CubicData:
         t = self.trace_bilin(x, y, L)
         cx = self.cross_vec(self.sharp_vec(x, L), y, L)
         return sub_vec(R, scale_vec(R, t, x), cx)
+
+    def u_matrix(self, x, L=None):
+        """U_x by columns: U_x e_j = T(x, e_j) x - x# x e_j, with x# and the
+        trace row computed once for all j."""
+        R = L if L is not None else self.ring
+        n = self.dim
+        cols = [[R.zero] * n if R.is_zero(t) else scale_vec(R, t, x) for t in self.trace_row(x, L)]
+        neg = [None if R.is_zero(c) else R.neg(c) for c in self.sharp_vec(x, L)]
+
+        def sub_cross(col, c, entries):
+            for k, t, sign in entries:
+                col[k] = add_term(R, col[k], c, t, sign)
+
+        # x# x e_j = 2 x#_j e_j# + sum_{i != j} x#_i (e_i x e_j)
+        for i, c in enumerate(neg):
+            if c is not None:
+                sub_cross(cols[i], R.add(c, c), self._sharp_sparse[i])
+            for j, entries in self._cross_after[i]:
+                if c is not None:
+                    sub_cross(cols[j], c, entries)
+                if neg[j] is not None:
+                    sub_cross(cols[i], neg[j], entries)
+        return cols
 
     def triple_vec(self, x, y, z, L=None):
         """{x y z} = U_{x,z} y = T(x,y) z + T(z,y) x - (x x z) x y."""
@@ -325,8 +419,8 @@ class CubicData:
             raise ValueError("input is not an idempotent")
         n = self.dim
         f = sub_vec(R, self.basepoint, e.coords)
-        cols2 = [self.u_op_vec(e.coords, basis(R, n, j)) for j in range(n)]
-        cols0 = [self.u_op_vec(f, basis(R, n, j)) for j in range(n)]
+        cols2 = self.u_matrix(e.coords)
+        cols0 = self.u_matrix(f)
         E2 = [[cols2[j][i] for j in range(n)] for i in range(n)]
         E0 = [[cols0[j][i] for j in range(n)] for i in range(n)]
         E1 = [
@@ -825,9 +919,8 @@ def fundamental_formula_samples(data, samples=1000, seed=DEFAULT_SEED):
     for trial in range(samples):
         x = [R.rand(rng) for _ in range(n)]
         y = [R.rand(rng) for _ in range(n)]
-        if fast is not None:
-            ok = _fast_fundamental(fast, x, y)
-        else:
+        ok = _fast_fundamental(fast, x, y) if fast is not None else None
+        if ok is None:
             ok = _slow_fundamental(data, x, y)
         if not ok:
             return Verdict(
@@ -840,18 +933,30 @@ def fundamental_formula_samples(data, samples=1000, seed=DEFAULT_SEED):
 
 
 def _slow_fundamental(data, x, y):
+    """U_{U_x y} = U_x U_y U_x over the exact ring, compared column by column."""
     R = data.ring
-    w = data.u_op_vec(x, y)
-    for j in range(data.dim):
-        ej = basis(R, data.dim, j)
-        lhs = data.u_op_vec(w, ej)
-        rhs = data.u_op_vec(x, data.u_op_vec(y, data.u_op_vec(x, ej)))
-        if not vec_eq(R, lhs, rhs):
+    Ux = data.u_matrix(x)
+    Uy = data.u_matrix(y)
+    Uw = data.u_matrix(cols_vec(R, Ux, y))
+    for j, col in enumerate(Ux):
+        if not vec_eq(R, Uw[j], cols_vec(R, Ux, cols_vec(R, Uy, col))):
             return False
     return True
 
 
+_INT64_LIMIT = 2**62
+
+
 def _fast_u_context(data):
+    """The int64 tensors of the fundamental formula over ZZ, or None.
+
+    Besides the tensors it records a bound k: on samples with |x_i|,
+    |y_i| <= B (B >= 1), every intermediate of _fast_fundamental is at
+    most B^6 k in absolute value.  k sums the absolute values of the
+    constants along the same contractions: U_x is quadratic in x, U_x y
+    is cubic, and U_{U_x y} and U_x U_y U_x have degree 6.  None when k
+    itself reaches 2^62.
+    """
     try:
         import numpy as np
     except ImportError:  # pragma: no cover
@@ -860,24 +965,39 @@ def _fast_u_context(data):
     if R != ZZ:
         return None
     n = data.dim
-    XU = np.zeros((n, n, n), dtype=np.int64)
-    X = np.zeros((n, n, n), dtype=np.int64)
+    XU = np.zeros((n, n, n), dtype=object)
+    X = np.zeros((n, n, n), dtype=object)
     for a in range(n):
         for k, c in enumerate(data.sharp_basis[a]):
-            if not isinstance(c, int):
-                return None
             XU[a, a, k] = c
             X[a, a, k] = 2 * c
         for b in range(a + 1, n):
             for k, c in enumerate(data.cross_pairs[(a, b)]):
-                if not isinstance(c, int):
-                    return None
                 XU[a, b, k] = c
                 X[a, b, k] = c
                 X[b, a, k] = c
-    tvec = np.array([int(c) for c in data.tvec], dtype=np.int64)
+    tvec = np.array(data.tvec, dtype=object)
     TX = np.tensordot(X, tvec, axes=([2], [0]))
-    return {"np": np, "X": X, "XU": XU, "tvec": tvec, "TX": TX, "n": n}
+    bound = _fundamental_bound(np, XU, X, tvec)
+    if bound >= _INT64_LIMIT:
+        return None
+    arrays = {"XU": XU, "X": X, "tvec": tvec, "TX": TX}  # entries at most 2k
+    return {"np": np, "bound": bound, **{key: A.astype(np.int64) for key, A in arrays.items()}}
+
+
+def _fundamental_bound(np, XU, X, tvec):
+    """k of _fast_u_context, from object arrays of exact ints."""
+    AXU, AX, at = abs(XU), abs(X), abs(tvec)
+    sharp = AXU.sum(axis=(0, 1))  # |x#_k| / B^2
+    atx = np.tensordot(AX, at, axes=([2], [0]))  # |TX[a, j]|
+    w = at.sum() * at + atx.sum(axis=0)  # |T(x) T(e_j) - (x TX)_j| / B
+    cross = np.tensordot(sharp, AX, axes=([0], [0]))  # |(x# x e_j)_k| / B^2, as [j, k]
+    M = w[None, :] + cross.T  # |U_x[i, j]| / B^2
+    # |intermediates of one U_x| / B^2 (B >= 1 covers the degree-1 ones)
+    level = max(sharp.max(), M.max(), atx.max(), at.sum())
+    rho = M.sum(axis=1).max()  # |(U_x y)_i| / B^3
+    M2 = M.dot(M)
+    return int(max(level * rho * rho, rho, M2.max(), M2.dot(M).max(), level))
 
 
 def _fast_u_matrix(ctx, x):
@@ -889,6 +1009,11 @@ def _fast_u_matrix(ctx, x):
 
 
 def _fast_fundamental(ctx, x, y):
+    """The fundamental formula on one sample in int64, or None when the
+    sample's range puts the proven bound of _fast_u_context above 2^62."""
+    B = max(1, *(abs(c) for c in x), *(abs(c) for c in y))
+    if B**6 * ctx["bound"] >= _INT64_LIMIT:
+        return None
     np = ctx["np"]
     x = np.array(x, dtype=np.int64)
     y = np.array(y, dtype=np.int64)

@@ -144,6 +144,15 @@ def mat_vec(R, A, x):
     return [R.dot(row, x) for row in A]
 
 
+def cols_vec(R, cols, x):
+    """A x for the matrix A given by its list of columns: sum_i x_i cols[i]."""
+    out = [R.zero] * len(cols[0])
+    for c, col in zip(x, cols):
+        if not R.is_zero(c):
+            out = [R.add(a, R.mul(c, b)) for a, b in zip(out, col)]
+    return out
+
+
 def det(R, A):
     n = len(A)
     if n == 0:

@@ -206,3 +206,19 @@ def test_products_with_unit_constants_match_naive_formulas(R):
             px = [L.add(L.from_base(c), L.var(i % 2)) for i, c in enumerate(x)]
             py = [L.from_base(c) for c in y]
             assert vec_eq(L, alg.mul_vec(px, py, L), naive_mul_vec(alg, L, px, py))
+
+
+@pytest.mark.parametrize("R", [ZZ, GF(2), Zmod(6), QQ], ids=repr)
+def test_sparse_trace_matches_naive_trace(R):
+    """trace_payload reads only the nonzero t(e_i); the reference lifts
+    and multiplies every t(e_i) = Dn(1, e_i), zeros included."""
+    rng = random.Random(12)
+    L = PolyExt(R, 2, 3)
+    for alg in (zorn_algebra(R), iterated_cayley_dickson(R, [-1, -1, -1]), quadratic(R, 2, 3), split_etale(R)):
+        tvals = [alg.norm.bilin_payload(alg.unit, alg.basis_element(i).coords) for i in range(alg.dim)]
+        for _ in range(20):
+            x = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(alg.dim)]
+            assert R.eq(alg.trace_payload(x), R.sum(R.mul(a, t) for a, t in zip(x, tvals)))
+            px = [L.add(L.from_base(c), L.var(i % 2)) for i, c in enumerate(x)]
+            naive = L.sum(L.mul(a, L.from_base(t)) for a, t in zip(px, tvals))
+            assert L.eq(alg.trace_payload(px, L), naive)

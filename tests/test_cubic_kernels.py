@@ -1,0 +1,393 @@
+"""The sparse cubic kernels against their definitions.
+
+Each reference below is the dense formula a kernel of CubicData replaced:
+every index combination visited, every stored constant lifted and
+multiplied, zeros included.
+"""
+
+import functools
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from octad.cayley import ground_algebra
+from octad.conic import quadratic
+from octad.cubic import (
+    CUBIC_IDENTITIES,
+    CubicData,
+    _fast_fundamental,
+    _fast_u_context,
+    _slow_fundamental,
+    _try_fast_adjoint,
+    fundamental_formula_samples,
+    hat_of_conic,
+    hat_pointed,
+    k_cubic,
+    kk_cubic,
+    split_cubic_etale,
+)
+from octad.extensions import DualExt, PolyExt
+from octad.her3 import her3
+from octad.identities import strict_identity_check
+from octad.linalg import basis, vec_eq
+from octad.quadforms import QuadraticForm
+from octad.scalars import GF, QQ, ZZ, Zmod
+from octad.tits import split_albert
+from octad.zorn import zorn_algebra
+
+BUILDERS = {
+    "her3(zorn(Z))": lambda: her3(zorn_algebra(ZZ)),
+    "her3(zorn(F5))": lambda: her3(zorn_algebra(GF(5))),
+    "her3(zorn(Z/6))": lambda: her3(zorn_algebra(Zmod(6))),
+    "her3(zorn(Q))": lambda: her3(zorn_algebra(QQ)),
+    "split_albert(F2)": lambda: split_albert(GF(2)),
+    "hat(zorn(Z/6))": lambda: hat_of_conic(zorn_algebra(Zmod(6))),
+    "hat(quadratic(Q))": lambda: hat_of_conic(quadratic(QQ, 2, 3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def structure(name):
+    return BUILDERS[name]()
+
+
+class Unchecked(CubicData):
+    """CubicData without the construction-time consistency check, so that
+    corrupted data reaches the checkers."""
+
+    def _consistency(self):
+        pass
+
+
+def corrupted(J, pair, k, delta):
+    """J with delta added to coordinate k of the stored e_i x e_j."""
+    R = J.ring
+    cross = {key: list(v) for key, v in J.cross_pairs.items()}
+    cross[pair][k] = R.add(cross[pair][k], R.from_int(delta))
+    return Unchecked(R, J.dim, J.basepoint, J.sharp_basis, cross, J.n_single, J.n_dir, J.n_triple)
+
+
+# -- dense references ------------------------------------------------------------
+
+
+def ref_norm(J, L, x):
+    """The all-triples loop over every stored coefficient."""
+    R, n, lift = J.ring, J.dim, L.from_base
+    acc = L.zero
+    for i in range(n):
+        sq = L.mul(x[i], x[i])
+        acc = L.add(acc, L.mul(L.mul(sq, x[i]), lift(J.n_single[i])))
+        for j in range(n):
+            if j != i:
+                acc = L.add(acc, L.mul(L.mul(sq, x[j]), lift(J.n_dir.get((i, j), R.zero))))
+    for i, j, l in itertools.combinations(range(n), 3):
+        c = J.n_triple.get((i, j, l), R.zero)
+        acc = L.add(acc, L.mul(L.mul(L.mul(x[i], x[j]), x[l]), lift(c)))
+    return acc
+
+
+def ref_trace(J, L, x):
+    return L.sum(L.mul(a, L.from_base(t)) for a, t in zip(x, J.tvec))
+
+
+def ref_sharp(J, L, x):
+    """sum_i x_i^2 e_i# + sum_{i<j} x_i x_j (e_i x e_j), all pairs."""
+    n = J.dim
+    out = [L.zero] * n
+    for i in range(n):
+        for j in range(i, n):
+            c = L.mul(x[i], x[j])
+            vec = J.sharp_basis[i] if i == j else J.cross_pairs[(i, j)]
+            out = [L.add(o, L.mul(c, L.from_base(t))) for o, t in zip(out, vec)]
+    return out
+
+
+def ref_cross(J, L, x, y):
+    """sum_i 2 x_i y_i e_i# + sum_{i<j} (x_i y_j + x_j y_i)(e_i x e_j)."""
+    n = J.dim
+    out = [L.zero] * n
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                c = L.mul(x[i], y[i])
+                c, vec = L.add(c, c), J.sharp_basis[i]
+            else:
+                c, vec = L.add(L.mul(x[i], y[j]), L.mul(x[j], y[i])), J.cross_pairs[(i, j)]
+            out = [L.add(o, L.mul(c, L.from_base(t))) for o, t in zip(out, vec)]
+    return out
+
+
+def ref_trace_bilin(J, L, x, y):
+    """T(x, y) = T(x)T(y) - T(x x y)."""
+    return L.sub(L.mul(ref_trace(J, L, x), ref_trace(J, L, y)), ref_trace(J, L, ref_cross(J, L, x, y)))
+
+
+def ref_fundamental(J, x, y):
+    """The per-basis-vector definition: U_w e_j = U_x U_y U_x e_j, w = U_x y."""
+    R = J.ring
+    w = J.u_op_vec(x, y)
+    for j in range(J.dim):
+        ej = basis(R, J.dim, j)
+        if not vec_eq(R, J.u_op_vec(w, ej), J.u_op_vec(x, J.u_op_vec(y, J.u_op_vec(x, ej)))):
+            return False
+    return True
+
+
+# -- sample vectors ----------------------------------------------------------------
+
+
+def plain_vectors(J, rng, count=6):
+    R = J.ring
+    for t in range(count):
+        density = (0.1, 0.5, 1.0)[t % 3]
+        yield [R.rand(rng) if rng.random() < density else R.zero for _ in range(J.dim)]
+
+
+def dual_vectors(J, rng, count=3):
+    D = DualExt(J.ring)
+    for x, y in zip(plain_vectors(J, rng, count), plain_vectors(J, rng, count)):
+        yield D, list(zip(x, y))
+
+
+def poly_vectors(J, rng, count=3):
+    """Vectors like the strict checker's: formal variables on a small support,
+    base constants on a few other coordinates."""
+    R = J.ring
+    L = PolyExt(R, 3, 4)
+    for _ in range(count):
+        x = [L.zero] * J.dim
+        for i in rng.sample(range(J.dim), min(5, J.dim)):
+            x[i] = L.from_base(R.rand(rng))
+        for t, i in enumerate(rng.sample(range(J.dim), min(3, J.dim))):
+            x[i] = L.add(x[i], L.var(t))
+        yield L, x
+
+
+ALL = sorted(BUILDERS)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_norm_matches_all_triples(name):
+    J = structure(name)
+    R = J.ring
+    rng = random.Random(21)
+    for x in plain_vectors(J, rng):
+        assert R.eq(J.norm_payload(x), ref_norm(J, R, x))
+    for D, x in dual_vectors(J, rng):
+        assert D.eq(J.norm_payload(x, D), ref_norm(J, D, x))
+    for L, x in poly_vectors(J, rng):
+        assert L.eq(J.norm_payload(x, L), ref_norm(J, L, x))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_trace_and_trace_form_match_definitions(name):
+    J = structure(name)
+    R = J.ring
+    rng = random.Random(22)
+    xs = list(plain_vectors(J, rng))
+    for x, y in zip(xs, reversed(xs)):
+        assert R.eq(J.trace_lin(x), ref_trace(J, R, x))
+        assert R.eq(J.trace_bilin(x, y), ref_trace_bilin(J, R, x, y))
+        row = J.trace_row(x)
+        assert all(R.eq(row[j], ref_trace_bilin(J, R, x, basis(R, J.dim, j))) for j in range(J.dim))
+    for (L, x), (_, y) in zip(poly_vectors(J, rng), poly_vectors(J, rng)):
+        assert L.eq(J.trace_lin(x, L), ref_trace(J, L, x))
+        assert L.eq(J.trace_bilin(x, y, L), ref_trace_bilin(J, L, x, y))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_sharp_and_cross_match_all_pairs(name):
+    J = structure(name)
+    R = J.ring
+    rng = random.Random(23)
+    xs = list(plain_vectors(J, rng))
+    for x, y in zip(xs, reversed(xs)):
+        assert vec_eq(R, J.sharp_vec(x), ref_sharp(J, R, x))
+        assert vec_eq(R, J.cross_vec(x, y), ref_cross(J, R, x, y))
+    for (L, x), (_, y) in zip(poly_vectors(J, rng), poly_vectors(J, rng)):
+        assert vec_eq(L, J.sharp_vec(x, L), ref_sharp(J, L, x))
+        assert vec_eq(L, J.cross_vec(x, y, L), ref_cross(J, L, x, y))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_u_matrix_columns_are_u_op_on_basis(name):
+    J = structure(name)
+    R = J.ring
+    rng = random.Random(24)
+    for x in plain_vectors(J, rng, 3):
+        cols = J.u_matrix(x)
+        for j in range(J.dim):
+            ej = basis(R, J.dim, j)
+            assert vec_eq(R, cols[j], J.u_op_vec(x, ej))
+            # and U_x e_j by its definition T(x, e_j) x - x# x e_j
+            t = ref_trace_bilin(J, R, x, ej)
+            want = [R.sub(R.mul(t, a), b) for a, b in zip(x, ref_cross(J, R, ref_sharp(J, R, x), ej))]
+            assert vec_eq(R, cols[j], want)
+    for L, x in poly_vectors(J, rng, 1):
+        cols = J.u_matrix(x, L)
+        for j in range(J.dim):
+            assert vec_eq(L, cols[j], J.u_op_vec(x, [L.from_base(c) for c in basis(R, J.dim, j)], L))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_operator_fundamental_matches_definition(name):
+    J = structure(name)
+    R = J.ring
+    rng = random.Random(25)
+    for _ in range(2):
+        x = [R.rand(rng) for _ in range(J.dim)]
+        y = [R.rand(rng) for _ in range(J.dim)]
+        assert _slow_fundamental(J, x, y) is True
+        assert ref_fundamental(J, x, y) is True
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_corrupted_structure_fails_fundamental_both_ways(name):
+    J = structure(name)
+    R = J.ring
+    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(not R.is_zero(c) for c in v))
+    bad = corrupted(J, pair, 0, 1)
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(3):
+        x = [R.rand(rng) for _ in range(J.dim)]
+        y = [R.rand(rng) for _ in range(J.dim)]
+        verdicts.append(_slow_fundamental(bad, x, y))
+        assert verdicts[-1] == ref_fundamental(bad, x, y)
+    assert not all(verdicts)
+
+
+# -- the int64 fundamental-formula path and its overflow bound ------------------------
+
+ZZ_STRUCTURES = {
+    "her3(zorn(Z))": lambda: structure("her3(zorn(Z))"),
+    "split_albert(Z)": lambda: split_albert(ZZ),
+    "hat(diag(1, 1000, -7))": lambda: hat_pointed(QuadraticForm.diagonal(ZZ, [1, 1000, -7]), [1, 0, 0]),
+}
+
+
+def exact_intermediates(J, x, y):
+    """The matrices and vectors _fast_fundamental forms, in exact ints."""
+
+    def u(v):
+        return np.array(J.u_matrix(list(v)), dtype=object).T
+
+    Ux, Uy = u(x), u(y)
+    w = Ux.dot(np.array(y, dtype=object))
+    UxUy = Ux.dot(Uy)
+    return [Ux, Uy, w, u(w), UxUy, UxUy.dot(Ux)]
+
+
+@pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES))
+def test_int64_fundamental_is_bounded_and_agrees_with_exact_path(name):
+    J = ZZ_STRUCTURES[name]()
+    ctx = _fast_u_context(J)
+    assert ctx is not None
+    rng = random.Random(27)
+    for t in range(4):
+        x = [ZZ.rand(rng) for _ in range(J.dim)]
+        y = [ZZ.rand(rng) if t else 9 for _ in range(J.dim)]
+        B = max(1, *map(abs, x), *map(abs, y))
+        largest = max(int(abs(A).max()) for A in exact_intermediates(J, x, y))
+        assert largest <= B**6 * ctx["bound"] < 2**62
+        assert _fast_fundamental(ctx, x, y) is _slow_fundamental(J, x, y) is True
+    # a sample beyond the proven range is left to the exact path
+    big = [10**6] * J.dim
+    assert _fast_fundamental(ctx, big, big) is None
+    assert _slow_fundamental(J, big, big) is True
+
+
+def test_large_constants_take_the_exact_path():
+    """N((r, u)) = r q(u) with q = x0^2 + 2^40 (x1^2 + x2^2): the bound is
+    above 2^62 already for |x_i| <= 1, so no sample runs in int64."""
+    J = hat_pointed(QuadraticForm.diagonal(ZZ, [1, 2**40, 2**40]), [1, 0, 0])
+    assert _fast_u_context(J) is None
+    assert fundamental_formula_samples(J, samples=20).holds
+    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
+    bad = corrupted(J, pair, 0, 1)
+    assert _fast_u_context(bad) is None
+    v = fundamental_formula_samples(bad, samples=20)
+    assert not v.holds
+    x = [int(c) for c in v.witness[0]]
+    y = [int(c) for c in v.witness[1]]
+    assert ref_fundamental(bad, x, y) is False
+
+
+def test_corrupted_zz_structure_fails_on_both_fundamental_paths():
+    J = structure("her3(zorn(Z))")
+    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
+    bad = corrupted(J, pair, 0, 1)
+    ctx = _fast_u_context(bad)
+    rng = random.Random(28)
+    for _ in range(3):
+        x = [ZZ.rand(rng) for _ in range(J.dim)]
+        y = [ZZ.rand(rng) for _ in range(J.dim)]
+        assert _fast_fundamental(ctx, x, y) is _slow_fundamental(bad, x, y) is False
+
+
+# -- the tensor adjoint against the generic strict checker ----------------------------
+
+SMALL = {
+    "k_cubic": k_cubic,
+    "kk_cubic": kk_cubic,
+    "split_cubic_etale": split_cubic_etale,
+    "her3(ground)": lambda R: her3(ground_algebra(R)),
+    "hat(quadratic)": lambda R: hat_of_conic(quadratic(R, 1, -1)),
+}
+TENSOR_RINGS = {"ZZ": ZZ, "QQ": QQ, "GF(2)": GF(2), "GF(3)": GF(3)}
+
+
+@functools.lru_cache(maxsize=None)
+def small_structure(name, ring):
+    return SMALL[name](TENSOR_RINGS[ring])
+
+
+@st.composite
+def corrupted_small(draw):
+    J = small_structure(draw(st.sampled_from(sorted(SMALL))), draw(st.sampled_from(sorted(TENSOR_RINGS))))
+    R, n = J.ring, J.dim
+    sharp = [list(v) for v in J.sharp_basis]
+    cross = {key: list(v) for key, v in J.cross_pairs.items()}
+    n_single, n_dir, n_triple = list(J.n_single), dict(J.n_dir), dict(J.n_triple)
+    for _ in range(draw(st.integers(1, 2))):
+        delta = R.from_int(draw(st.sampled_from([1, -1, 2])))
+        kinds = ["sharp", "single"] + (["cross", "dir"] if n >= 2 else []) + (["triple"] if n >= 3 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "sharp":
+            vec = sharp[draw(st.integers(0, n - 1))]
+        elif kind == "cross":
+            vec = cross[draw(st.sampled_from(sorted(cross)))]
+        if kind in ("sharp", "cross"):
+            k = draw(st.integers(0, n - 1))
+            vec[k] = R.add(vec[k], delta)
+        elif kind == "single":
+            i = draw(st.integers(0, n - 1))
+            n_single[i] = R.add(n_single[i], delta)
+        elif kind == "dir":
+            key = draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
+            n_dir[key] = R.add(n_dir.get(key, R.zero), delta)
+        else:
+            key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
+            n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
+    return Unchecked(R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(corrupted_small())
+def test_tensor_adjoint_agrees_with_generic_strict_check(bad):
+    fast = _try_fast_adjoint(bad)
+    slow = strict_identity_check(bad, CUBIC_IDENTITIES["adjoint"])
+    assert fast is not None and fast.details["path"] == "tensor"
+    assert (fast.holds, fast.witness) == (slow.holds, slow.witness)
+
+
+def test_tensor_adjoint_fails_branch_names_the_smallest_witness():
+    J = small_structure("her3(ground)", "ZZ")
+    bad = corrupted(J, (3, 4), 0, 1)
+    fast = _try_fast_adjoint(bad)
+    slow = strict_identity_check(bad, CUBIC_IDENTITIES["adjoint"])
+    assert not fast.holds and fast.details["path"] == "tensor"
+    assert fast.witness == slow.witness
