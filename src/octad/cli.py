@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import time
+from fractions import Fraction
 
 from .scalars import GF, QQ, ZZ, Zmod
 from . import conic, identities, zorn, zorders
@@ -44,7 +45,7 @@ def parse_algebra(spec):
         inner = spec[4:-1]
         ring_s, _, mus_s = inner.partition(";")
         ring = _parse_ring(ring_s)
-        mus = [int(m) for m in mus_s.split(",") if m.strip()]
+        mus = [_parse_param(ring, m) for m in mus_s.split(",") if m.strip()]
         if not mus:
             raise ValueError("cay() needs at least one parameter")
         return iterated_cayley_dickson(ring, mus)
@@ -68,9 +69,9 @@ def parse_algebra(spec):
         coeff = _parse_coeff(parts[0])
         gamma = None
         if len(parts) == 2:
-            gamma = Gamma(coeff.ring, [int(parts[1])] * 3)
+            gamma = Gamma(coeff.ring, [_parse_param(coeff.ring, parts[1])] * 3)
         elif len(parts) == 4:
-            gamma = Gamma(coeff.ring, [int(p) for p in parts[1:4]])
+            gamma = Gamma(coeff.ring, [_parse_param(coeff.ring, p) for p in parts[1:4]])
         elif len(parts) != 1:
             raise ValueError("her3() takes a coefficient algebra and 1 or 3 gammas")
         return her3(coeff, gamma)
@@ -82,9 +83,21 @@ def parse_algebra(spec):
             raise ValueError("tits() expects mat3(ring) input")
         close = inner.index(")")
         ring = _parse_ring(inner[5:close])
-        mu = int(inner[close + 1 :].lstrip(",").strip() or "1")
+        mu = _parse_param(ring, inner[close + 1 :].lstrip(",").strip() or "1")
         return tits(mat3(ring), mu)
     raise ValueError(f"cannot parse algebra spec {spec!r}")
+
+
+def _parse_param(ring, text):
+    """A parameter literal n or p/q as an element of ring: an int when
+    integral, else p times the inverse of q, which the ring must have."""
+    value = _parse_frac(text.strip(), "parameter")
+    if value.denominator == 1:
+        return value.numerator
+    inv = ring.inv(ring.from_int(value.denominator))
+    if inv is None:
+        raise ValueError(f"parameter {text.strip()!r} is not an element of {ring}")
+    return ring.scalar(ring.mul(ring.from_int(value.numerator), inv))
 
 
 def _parse_coeff(text):
@@ -281,7 +294,7 @@ def _run_lattice(args):
         report["count"] = len(units)
         report["units"] = [repr(u) for u in units]
     elif args.action == "member":
-        coords = [_parse_frac(c) for c in args.coords]
+        coords = [_parse_frac(c, "coordinate") for c in args.coords]
         elem = lat.ambient.element(coords)
         report["member"] = lat.contains(elem)
     elif args.action == "export":
@@ -297,13 +310,11 @@ def _kirmse_names():
     return ["1", "u1", "u2", "u3", "v1", "v2", "v3", "v4"]
 
 
-def _parse_frac(text):
-    from fractions import Fraction
-
+def _parse_frac(text, what):
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"coordinate {text!r} has a zero denominator") from None
+        raise ValueError(f"{what} {text!r} has a zero denominator") from None
 
 
 def _emit(report, as_json):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 
-from .extensions import DualExt, lift_vec
+from .extensions import DualExt, PolyExt, lift_vec
 from .identities import (
     CostGuardError,
     DEFAULT_SEED,
@@ -42,6 +42,7 @@ from .identities import (
     Verdict,
     multiset_count,
     sampled_identity_check,
+    smallest_failure,
     strict_identity_check,
 )
 from .linalg import (
@@ -528,54 +529,49 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
     """Extract stored data from ring-generic sharp and norm callables.
 
     sharp_fn(L, vec) and norm_fn(L, vec) must evaluate over any ring-like
-    L; the directional coefficients come from dual numbers, the trilinear
-    ones from inclusion-exclusion.
+    L.  Each is evaluated once, at the generic element (t_0, ..., t_{dim-1})
+    over a truncated polynomial ring, and every stored constant is one
+    coefficient: t_i^2 and t_i t_j of the adjoint give e_i# and e_i x e_j,
+    t_i^3, t_i^2 t_j and t_i t_j t_l of the norm give N(e_i), N(e_i; e_j)
+    and N(e_i, e_j, e_l).  A term of another degree raises ValueError: one
+    of a lower degree, or one degree higher, the highest the truncation
+    keeps.
     """
+    sharp_basis = [[ring.zero] * dim for _ in range(dim)]
+    cross_pairs = {(i, j): [ring.zero] * dim for i in range(dim) for j in range(i + 1, dim)}
+    L = PolyExt(ring, dim, 3)
+    for k, poly in enumerate(sharp_fn(L, [L.var(i) for i in range(dim)])):
+        for (i, j), c in _terms(L, poly, 2, f"{name}: sharp_fn"):
+            (sharp_basis[i] if i == j else cross_pairs[(i, j)])[k] = c
 
-    def e(i):
-        return basis(ring, dim, i)
-
-    sharp_basis = [sharp_fn(ring, e(i)) for i in range(dim)]
-    cross_pairs = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            s = sharp_fn(ring, add_vec(ring, e(i), e(j)))
-            cross_pairs[(i, j)] = sub_vec(ring, sub_vec(ring, s, sharp_basis[i]), sharp_basis[j])
-
-    n_single = [norm_fn(ring, e(i)) for i in range(dim)]
-    D = DualExt(ring)
+    n_single = [ring.zero] * dim
     n_dir = {}
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            c = norm_fn(D, list(zip(e(i), e(j))))[1]
-            if not ring.is_zero(c):
-                n_dir[(i, j)] = c
-    pair_cache = {}
-
-    def npair(i, j):
-        if (i, j) not in pair_cache:
-            pair_cache[(i, j)] = norm_fn(ring, add_vec(ring, e(i), e(j)))
-        return pair_cache[(i, j)]
-
     n_triple = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for l in range(j + 1, dim):
-                v = norm_fn(ring, add_vec(ring, add_vec(ring, e(i), e(j)), e(l)))
-                v = ring.sub(v, npair(i, j))
-                v = ring.sub(v, npair(j, l))
-                v = ring.sub(v, npair(i, l))
-                v = ring.add(v, n_single[i])
-                v = ring.add(v, n_single[j])
-                v = ring.add(v, n_single[l])
-                if not ring.is_zero(v):
-                    n_triple[(i, j, l)] = v
+    L = PolyExt(ring, dim, 4)
+    norm = norm_fn(L, [L.var(i) for i in range(dim)])
+    for (i, j, l), c in _terms(L, norm, 3, f"{name}: norm_fn"):
+        if i == l:
+            n_single[i] = c
+        elif i == j:
+            n_dir[(i, l)] = c
+        elif j == l:
+            n_dir[(l, i)] = c
+        else:
+            n_triple[(i, j, l)] = c
 
     return CubicData(
         ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name=name
     )
+
+
+def _terms(L, poly, degree, label):
+    """(sorted variable indices, coefficient) for each term of poly; every
+    term must have the given degree."""
+    for key, c in poly.items():
+        idx = tuple(i for i, e in enumerate(L.exponents(key)) for _ in range(e))
+        if len(idx) != degree:
+            raise ValueError(f"{label} has a term of degree {len(idx)}, expected {degree}")
+        yield idx, c
 
 
 # -- constructors ------------------------------------------------------------------
@@ -776,9 +772,11 @@ CUBIC_IDENTITIES = {
 def adjoint_identity_strict(data):
     """Strict x## = N(x)x by complete degree-4 expansion.
 
-    Uses the integer tensor path when the structure data is integral
-    (ZZ, GF(p), or QQ with denominator-free data), else falls back to
-    the generic truncated-polynomial expansion.
+    The identity is read from one evaluation at the generic element
+    (identities.smallest_failure).  Over ZZ, GF(p), and QQ with
+    denominator-free data this also runs above the generic guard
+    (_GENERIC_STRICT_GUARD multisets) and reports path "tensor"; other
+    structures are refused there.
     """
     fast = _try_fast_adjoint(data)
     if fast is not None:
@@ -790,123 +788,30 @@ def adjoint_identity_strict(data):
     return strict_identity_check(data, CUBIC_IDENTITIES["adjoint"])
 
 
-def _int_payload(c):
-    # ZZ and GF(p) payloads are ints, and so is every integral QQ payload
-    return c if isinstance(c, int) else None
-
-
 def _try_fast_adjoint(data):
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover
-        return None
+    """The adjoint verdict, with the coordinate of a failure, when the ring
+    is ZZ, QQ or GF(p) and every stored constant is an int; else None."""
     R = data.ring
-    mod = R.p if isinstance(R, PrimeField) else None
-    if not (R in (ZZ, QQ) or mod):
+    if not (R in (ZZ, QQ) or isinstance(R, PrimeField)):
         return None
-    n = data.dim
-
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    pidx = {p: t for t, p in enumerate(pairs)}
-    S = np.zeros((len(pairs), n), dtype=object)
-    for t, (a, b) in enumerate(pairs):
-        vec = data.sharp_basis[a] if a == b else data.cross_pairs[(a, b)]
-        for k, c in enumerate(vec):
-            v = _int_payload(c)
-            if v is None:
-                return None
-            S[t, k] = v
-    X = np.zeros((n, n, n), dtype=object)
-    for a in range(n):
-        for k, c in enumerate(data.sharp_basis[a]):
-            v = _int_payload(c)
-            if v is None:
-                return None
-            X[a, a, k] = 2 * v
-        for b in range(a + 1, n):
-            for k, c in enumerate(data.cross_pairs[(a, b)]):
-                v = _int_payload(c)
-                if v is None:
-                    return None
-                X[a, b, k] = v
-                X[b, a, k] = v
-
-    # choose dtype by a coarse bound
-    bS = int(abs(S).max()) if S.size else 0
-    bX = max(int(abs(X).max()), 1)
-    bound = n * n * max(bS, 1) ** 2 * bX * 8
-    use_i64 = bound < 2**62
-    cast = (lambda A: A.astype(np.int64)) if use_i64 else (lambda A: A)
-    S = cast(S)
-    X = cast(X)
-
-    # monomial index over degree-4 multisets
-    mons = {}
-
-    def midx(t4):
-        key = tuple(sorted(t4))
-        if key not in mons:
-            mons[key] = len(mons)
-        return mons[key]
-
-    lhs_rows, lhs_vals = [], []
-    # diagonal terms: sharp(s_P) scaled by m_P^2
-    sharp_mat = np.array(
-        [[_int_payload(c) for c in v] for v in data.sharp_basis], dtype=S.dtype
-    )
-    cross_list = sorted(data.cross_pairs)
-    if cross_list:
-        cross_mat = np.array(
-            [[_int_payload(c) for c in data.cross_pairs[p]] for p in cross_list], dtype=S.dtype
-        )
-        PP = np.array(
-            [[int(S[t, a]) * int(S[t, b]) for (a, b) in cross_list] for t in range(len(pairs))],
-            dtype=S.dtype,
-        )
-        SH = (S * S) @ sharp_mat + PP @ cross_mat
-    else:
-        SH = (S * S) @ sharp_mat
-
-    B = np.stack([S @ X[:, :, k] @ S.T for k in range(n)], axis=2)
-
-    nmons_expected = multiset_count(n, (4,))
-    lhs = np.zeros((nmons_expected, n), dtype=S.dtype)
-    for t, (a, b) in enumerate(pairs):
-        lhs[midx((a, b, a, b))] += SH[t]
-    for t1 in range(len(pairs)):
-        a, b = pairs[t1]
-        for t2 in range(t1 + 1, len(pairs)):
-            c, d = pairs[t2]
-            lhs[midx((a, b, c, d))] += B[t1, t2]
-
-    rhs = np.zeros((nmons_expected, n), dtype=S.dtype)
-    cubics = []
-    for i in range(n):
-        cubics.append(((i, i, i), _int_payload(data.n_single[i])))
-    for (i, j), c in data.n_dir.items():
-        key = tuple(sorted((i, i, j)))
-        cubics.append((key, _int_payload(c)))
-    for (i, j, l), c in data.n_triple.items():
-        cubics.append(((i, j, l), _int_payload(c)))
-    for key, val in cubics:
-        if val is None:
-            return None
-        for i in range(n):
-            rhs[midx(tuple(sorted(key + (i,)))), i] += val
-
-    diff = lhs - rhs
-    if mod:
-        diff = diff % mod
-    bad = np.argwhere(diff != 0)
-    if len(bad) == 0:
+    constants = [
+        *data.n_single,
+        *data.n_dir.values(),
+        *data.n_triple.values(),
+        *(c for v in (*data.sharp_basis, *data.cross_pairs.values()) for c in v),
+    ]
+    # ZZ and GF(p) payloads are ints, and so is every integral QQ payload
+    if not all(isinstance(c, int) for c in constants):
+        return None
+    failure = smallest_failure(data, CUBIC_IDENTITIES["adjoint"])
+    if failure is None:
         return Verdict(True, mode="strict", details={"identity": "adjoint", "path": "tensor"})
-    inv_mons = {v: k for k, v in mons.items()}
-    worst = min((inv_mons[int(r)], int(c)) for r, c in bad)
+    witness, coordinate = failure
     return Verdict(
         False,
-        witness=(worst[0],),
+        witness=witness,
         mode="strict",
-        details={"identity": "adjoint", "coordinate": worst[1], "path": "tensor"},
+        details={"identity": "adjoint", "coordinate": coordinate, "path": "tensor"},
     )
 
 
@@ -1044,9 +949,10 @@ def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     """Run the cubic-norm-structure axiom suite.
 
     strict mode expands identities over basis multisets wherever the cost
-    guard allows (the adjoint identity has a dedicated integer tensor
-    path); above the guard individual identities are checked on seeded
-    samples and the per-identity mode is recorded in the details.
+    guard allows (the adjoint identity also above it, on integral data; see
+    adjoint_identity_strict); above the guard individual identities are
+    checked on seeded samples and the per-identity mode is recorded in the
+    details.
     """
     R = data.ring
     results = {}

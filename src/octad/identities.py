@@ -2,13 +2,15 @@
 
 A multihomogeneous vector identity vanishes for all module elements over
 every scalar extension of the base ring iff all of its multihomogeneous
-components vanish on basis vectors.  The checker extracts those
-components exactly by evaluating the identity with truncated-polynomial
-coordinates on the relevant basis subsets; this is complete in every
-characteristic (point sampling alone is not, e.g. over GF(2)).
+components vanish on basis vectors.  The checker reads every component
+from one evaluation at the generic element: each variable of degree >= 2
+becomes sum_i t_i e_i over a truncated polynomial ring with its own n
+variables t_i, and each coefficient of the value is one component.  This
+is complete in every characteristic (point sampling alone is not, e.g.
+over GF(2)).
 
-Variables of degree 1 are specialized to plain basis vectors; only
-higher-degree slots receive formal variables.
+Variables of degree 1 are specialized to plain basis vectors, one
+evaluation per choice, which bounds the number of formal variables.
 """
 
 from __future__ import annotations
@@ -90,6 +92,25 @@ def strict_identity_check(algebra, ident, cost_guard=10**6):
     a tuple of basis-index multisets, one per variable.
     """
     ident = _resolve(algebra, ident)
+    failure = smallest_failure(algebra, ident, cost_guard)
+    details = {"identity": ident.name}
+    if failure is None:
+        return Verdict(True, mode="strict", details=details)
+    return Verdict(False, witness=failure[0], mode="strict", details=details)
+
+
+def smallest_failure(algebra, ident, cost_guard=10**6):
+    """The smallest (witness, coordinate) at which the identity's value has
+    a nonzero coefficient, or None when it vanishes as a polynomial law.
+
+    Each slot of degree >= 2 holds the generic element sum_i t_i e_i in its
+    own n variables; each slot of degree 1 runs over the basis vectors.  A
+    nonzero monomial of the value names a witness: per slot, the index
+    multiset of its variables in that slot, or the basis index of a degree-1
+    slot.  coordinate is the smallest row of the value (0 for a scalar
+    identity) where that monomial is nonzero.
+    """
+    ident = _resolve(algebra, ident)
     n = algebra.dim
     if ident.total_degree > 4 and n > 12:
         raise CostGuardError(
@@ -102,75 +123,47 @@ def strict_identity_check(algebra, ident, cost_guard=10**6):
         )
     R = algebra.ring
     degs = ident.multidegree
-    # variable slots that need formal variables (degree >= 2)
-    poly_slots = [v for v, d in enumerate(degs) if d >= 2]
-    nvars_per_slot = {v: min(degs[v], n) for v in poly_slots}
-    total_vars = sum(nvars_per_slot.values())
-    cap = sum(degs)
-    L = PolyExt(R, total_vars, cap) if total_vars else R
-
-    subset_iters = []
+    # a slot v of degree >= 2 owns the variables t_{offsets[v] + i}, i < n
+    offsets = {}
     for v, d in enumerate(degs):
         if d >= 2:
-            subset_iters.append(list(itertools.combinations(range(n), nvars_per_slot[v])))
-        else:
-            subset_iters.append([(i,) for i in range(n)])
+            offsets[v] = n * len(offsets)
+    linear = [v for v, d in enumerate(degs) if d < 2]
+    L = PolyExt(R, n * len(offsets), ident.total_degree) if offsets else R
 
-    failures = []
-    for combo in itertools.product(*subset_iters):
-        var_offset = 0
+    best = None
+    for picks in itertools.product(range(n), repeat=len(linear)):
+        picked = dict(zip(linear, picks))
         vectors = []
-        for v, d in enumerate(degs):
-            support = combo[v]
-            if d >= 2:
-                vec = [L.zero] * n
-                for t, idx in enumerate(support):
-                    vec[idx] = L.var(var_offset + t)
-                var_offset += len(support)
-                vectors.append(vec)
+        for v in range(len(degs)):
+            if v in offsets:
+                vectors.append([L.var(offsets[v] + i) for i in range(n)])
             else:
                 vec = [L.zero] * n
-                vec[support[0]] = L.one
+                vec[picked[v]] = L.one
                 vectors.append(vec)
         value = ident.evaluate(algebra, L, vectors)
         rows = [value] if ident.scalar else value
-        bad = _nonzero_monomials(L, rows, total_vars)
-        for exps in bad:
-            failures.append(_witness_from(combo, degs, exps, nvars_per_slot))
-    if not failures:
-        return Verdict(True, mode="strict", details={"identity": ident.name})
-    witness = min(failures)
-    return Verdict(False, witness=witness, mode="strict", details={"identity": ident.name})
+        for k, c in enumerate(rows):
+            if L.is_zero(c):
+                continue
+            monomials = [L.exponents(key) for key in c] if offsets else [()]
+            for exps in monomials:
+                found = (_witness(degs, offsets, picked, exps, n), k)
+                if best is None or found < best:
+                    best = found
+    return best
 
 
-def _nonzero_monomials(L, rows, total_vars):
-    if total_vars == 0:
-        # plain ring evaluation: any nonzero coordinate is a failure
-        for c in rows:
-            if not L.is_zero(c):
-                return [()]
-        return []
-    bad = set()
-    for poly in rows:
-        bad.update(poly)
-    return sorted(L.exponents(key) for key in bad)
-
-
-def _witness_from(combo, degs, exps, nvars_per_slot):
-    """Map a monomial exponent tuple back to per-variable index multisets."""
+def _witness(degs, offsets, picked, exps, n):
+    """Per slot, the index multiset of a monomial's variables in that slot."""
     witness = []
-    pos = 0
-    for v, d in enumerate(degs):
-        support = combo[v]
-        if d >= 2:
-            k = nvars_per_slot[v]
-            part = []
-            for t in range(k):
-                part.extend([support[t]] * (exps[pos + t] if exps else 0))
-            pos += k
-            witness.append(tuple(part))
+    for v in range(len(degs)):
+        if v in offsets:
+            off = offsets[v]
+            witness.append(tuple(i for i in range(n) for _ in range(exps[off + i])))
         else:
-            witness.append((support[0],))
+            witness.append((picked[v],))
     return tuple(witness)
 
 

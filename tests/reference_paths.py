@@ -1,0 +1,161 @@
+"""Independent references for the generic-element paths of octad.
+
+These are the per-subset strict checker and the inclusion-exclusion
+structure extraction that the library used before it read every
+coefficient from one evaluation at the generic element sum_i t_i e_i.
+They are kept verbatim so that the tests can compare the two.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from octad.cubic import CubicData
+from octad.extensions import DualExt, PolyExt
+from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
+from octad.linalg import add_vec, basis, sub_vec
+
+
+def strict_identity_check_by_subsets(algebra, ident, cost_guard=10**6):
+    """Decide whether the identity vanishes as a polynomial law.
+
+    Returns Holds, or Fails with the lexicographically smallest witness:
+    a tuple of basis-index multisets, one per variable.
+    """
+    ident = _resolve(algebra, ident)
+    n = algebra.dim
+    if ident.total_degree > 4 and n > 12:
+        raise CostGuardError(
+            "identities of total degree > 4 on dim > 12 require sampled mode"
+        )
+    if multiset_count(n, ident.multidegree) > cost_guard:
+        raise CostGuardError(
+            f"{ident.name}: {multiset_count(n, ident.multidegree)} multisets "
+            f"exceed the guard ({cost_guard}); use sampled mode"
+        )
+    R = algebra.ring
+    degs = ident.multidegree
+    # variable slots that need formal variables (degree >= 2)
+    poly_slots = [v for v, d in enumerate(degs) if d >= 2]
+    nvars_per_slot = {v: min(degs[v], n) for v in poly_slots}
+    total_vars = sum(nvars_per_slot.values())
+    cap = sum(degs)
+    L = PolyExt(R, total_vars, cap) if total_vars else R
+
+    subset_iters = []
+    for v, d in enumerate(degs):
+        if d >= 2:
+            subset_iters.append(list(itertools.combinations(range(n), nvars_per_slot[v])))
+        else:
+            subset_iters.append([(i,) for i in range(n)])
+
+    failures = []
+    for combo in itertools.product(*subset_iters):
+        var_offset = 0
+        vectors = []
+        for v, d in enumerate(degs):
+            support = combo[v]
+            if d >= 2:
+                vec = [L.zero] * n
+                for t, idx in enumerate(support):
+                    vec[idx] = L.var(var_offset + t)
+                var_offset += len(support)
+                vectors.append(vec)
+            else:
+                vec = [L.zero] * n
+                vec[support[0]] = L.one
+                vectors.append(vec)
+        value = ident.evaluate(algebra, L, vectors)
+        rows = [value] if ident.scalar else value
+        bad = _nonzero_monomials(L, rows, total_vars)
+        for exps in bad:
+            failures.append(_witness_from(combo, degs, exps, nvars_per_slot))
+    if not failures:
+        return Verdict(True, mode="strict", details={"identity": ident.name})
+    witness = min(failures)
+    return Verdict(False, witness=witness, mode="strict", details={"identity": ident.name})
+
+
+def _nonzero_monomials(L, rows, total_vars):
+    if total_vars == 0:
+        # plain ring evaluation: any nonzero coordinate is a failure
+        for c in rows:
+            if not L.is_zero(c):
+                return [()]
+        return []
+    bad = set()
+    for poly in rows:
+        bad.update(poly)
+    return sorted(L.exponents(key) for key in bad)
+
+
+def _witness_from(combo, degs, exps, nvars_per_slot):
+    """Map a monomial exponent tuple back to per-variable index multisets."""
+    witness = []
+    pos = 0
+    for v, d in enumerate(degs):
+        support = combo[v]
+        if d >= 2:
+            k = nvars_per_slot[v]
+            part = []
+            for t in range(k):
+                part.extend([support[t]] * (exps[pos + t] if exps else 0))
+            pos += k
+            witness.append(tuple(part))
+        else:
+            witness.append((support[0],))
+    return tuple(witness)
+
+
+def build_cubic_by_inclusion_exclusion(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
+    """Extract stored data from ring-generic sharp and norm callables.
+
+    sharp_fn(L, vec) and norm_fn(L, vec) must evaluate over any ring-like
+    L; the directional coefficients come from dual numbers, the trilinear
+    ones from inclusion-exclusion.
+    """
+
+    def e(i):
+        return basis(ring, dim, i)
+
+    sharp_basis = [sharp_fn(ring, e(i)) for i in range(dim)]
+    cross_pairs = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            s = sharp_fn(ring, add_vec(ring, e(i), e(j)))
+            cross_pairs[(i, j)] = sub_vec(ring, sub_vec(ring, s, sharp_basis[i]), sharp_basis[j])
+
+    n_single = [norm_fn(ring, e(i)) for i in range(dim)]
+    D = DualExt(ring)
+    n_dir = {}
+    for i in range(dim):
+        for j in range(dim):
+            if i == j:
+                continue
+            c = norm_fn(D, list(zip(e(i), e(j))))[1]
+            if not ring.is_zero(c):
+                n_dir[(i, j)] = c
+    pair_cache = {}
+
+    def npair(i, j):
+        if (i, j) not in pair_cache:
+            pair_cache[(i, j)] = norm_fn(ring, add_vec(ring, e(i), e(j)))
+        return pair_cache[(i, j)]
+
+    n_triple = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for l in range(j + 1, dim):
+                v = norm_fn(ring, add_vec(ring, add_vec(ring, e(i), e(j)), e(l)))
+                v = ring.sub(v, npair(i, j))
+                v = ring.sub(v, npair(j, l))
+                v = ring.sub(v, npair(i, l))
+                v = ring.add(v, n_single[i])
+                v = ring.add(v, n_single[j])
+                v = ring.add(v, n_single[l])
+                if not ring.is_zero(v):
+                    n_triple[(i, j, l)] = v
+
+    return CubicData(
+        ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name=name
+    )

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octad.cli import main, parse_algebra
 
@@ -176,6 +179,108 @@ def test_lattice_member_negative_fraction(capsys):
     code, blob = run_json(capsys, "lattice", "member", "hurwitz", "-1/3", "0", "0", "0", "--json")
     assert code == 0
     assert blob["member"] is False
+
+
+@pytest.mark.parametrize(
+    "spec, suite",
+    [
+        ("cay(Q;1/2,-1)", "moufang"),
+        ("her3(Q,1/2,1,1)", "axioms"),
+        ("tits(mat3(F5),1/2)", "adjoint"),
+    ],
+)
+def test_rational_parameters_are_accepted(capsys, spec, suite):
+    code, blob = run_json(capsys, "identities", spec, suite, "--json")
+    assert code == 0
+    assert blob["verdict"] == "Holds"
+
+
+def test_rational_parameter_equal_to_an_integer_gives_the_same_checks(capsys):
+    # 1/2 = 3 in F5, and 4/2 = 2 everywhere
+    for spec, same in (("her3(F5,1/2)", "her3(F5,3)"), ("cay(Q;4/2,-1)", "cay(Q;2,-1)")):
+        suite = "axioms" if spec.startswith("her3") else "alternative"
+        _, blob = run_json(capsys, "identities", spec, suite, "--json")
+        _, want = run_json(capsys, "identities", same, suite, "--json")
+        assert blob["checks"] == want["checks"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("identities", "cay(Z;1/2,-1)", "moufang"), "error: parameter '1/2' is not an element of ZZ"),
+        (("identities", "her3(Z/6,1/2)", "axioms"), "error: parameter '1/2' is not an element of Z/6"),
+        (("identities", "cay(Q;1/0)", "moufang"), "error: parameter '1/0' has a zero denominator"),
+        # the data of J(Mat3(Q), 1/2) is not integral, and dim 27 is above the generic guard
+        (("identities", "tits(mat3(Q),1/2)", "adjoint"), "cost guard: "),
+    ],
+)
+def test_refused_rational_parameters_give_one_line(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+
+
+# -- grammar-driven fuzzing of the spec and argument parsers ---------------------------
+
+RINGS = ("Q", "Z", "F2", "F3", "F5", "Z/6", "Z/4", "F4", "Z/1", "F", "R", "")
+PARAMS = ("-1", "1", "2", "-2", "1/2", "-3/2", "0", "1/0", "x", "", " 1 ")
+SUITES = (
+    "degree2", "flexible", "moufang", "alternative", "kirmse", "norm-comp", "norm-assoc",
+    "associative", "commutative", "conj-antihom", "adjoint", "axioms", "nope", "",
+)
+COORDS = ("0", "1", "-1", "1/2", "-1/2", "3/2", "1/0", "x", "--", "0.5")
+
+
+@st.composite
+def small_specs(draw):
+    """An algebra spec of dimension <= 8, or a malformed one: a valid spec
+    with one character deleted or a stray character inserted."""
+    ring = draw(st.sampled_from(RINGS))
+    params = ",".join(draw(st.lists(st.sampled_from(PARAMS), min_size=0, max_size=3)))
+    gammas = draw(st.sampled_from(("", "," + draw(st.sampled_from(PARAMS)), ",1,-1,1", ",1,2")))
+    spec = draw(
+        st.sampled_from(
+            (f"cay({ring};{params})", f"zorn({ring})", "cs-octonions", f"her3({ring}{gammas})", "her3(f2)")
+        )
+    )
+    edit = draw(st.sampled_from(("none", "delete", "insert")))
+    at = draw(st.integers(0, len(spec)))
+    if edit == "delete":
+        spec = spec[:at] + spec[at + 1 :]
+    elif edit == "insert":
+        spec = spec[:at] + draw(st.sampled_from("(),;/-x ")) + spec[at:]
+    return spec
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("identities", "table", "lattice member")))
+    flags = draw(st.lists(st.sampled_from(("--json", "--seed=3")), max_size=2))
+    flags += draw(st.sampled_from(([], [], [], ["--bogus"], ["--seed=x"])))
+    if command == "identities":
+        argv = ["identities", draw(small_specs()), draw(st.sampled_from(SUITES))]
+        flags += draw(st.sampled_from(([], ["--mode=sampled"])))
+    elif command == "table":
+        argv = ["table", draw(small_specs())]
+    else:
+        name = draw(st.sampled_from(("hurwitz", "gaussian", "dico", "kirmse", "nope")))
+        argv = ["lattice", "member", name, *draw(st.lists(st.sampled_from(COORDS), max_size=9))]
+    return argv + flags
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    """Any input answers or exits with a usage or one-line error: exit code
+    0, 1 or 2, no exception escapes main and no traceback is printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())

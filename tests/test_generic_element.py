@@ -1,0 +1,270 @@
+"""The generic-element paths against independent references.
+
+strict_identity_check, the adjoint verdict and build_cubic read every
+coefficient from one evaluation at the generic element sum_i t_i e_i.
+reference_paths.py keeps the per-subset checker and the
+inclusion-exclusion extraction they replaced; here the two must agree on
+verdicts, witnesses and extracted data, also on corrupted structures.
+"""
+
+import functools
+import importlib
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from octad.cayley import ground_algebra, iterated_cayley_dickson
+from octad.conic import ConicAlgebra, cartan_schouten, quadratic, split_etale
+from octad.cubic import (
+    CUBIC_IDENTITIES,
+    _adjoint_id,
+    _try_fast_adjoint,
+    build_cubic,
+    hat_of_conic,
+    k_cubic,
+    kk_cubic,
+    split_cubic_etale,
+)
+from octad.extensions import PolyExt
+from octad.her3 import Gamma, her3
+from octad.identities import CONIC_IDENTITIES, strict_identity_check
+from octad.scalars import GF, QQ, ZZ, Zmod
+from octad.tits import mat3, split_albert, tits
+from octad.zorn import zorn_algebra
+from reference_paths import build_cubic_by_inclusion_exclusion, strict_identity_check_by_subsets
+from test_cubic_kernels import Unchecked
+
+RINGS = {"ZZ": ZZ, "GF(2)": GF(2), "GF(3)": GF(3), "Z/6": Zmod(6), "QQ": QQ}
+
+
+def same_verdict(fast, slow):
+    return (fast.holds, fast.witness) == (slow.holds, slow.witness)
+
+
+# -- strict checks on conic algebras -----------------------------------------------
+
+CONICS = {
+    "ground": ground_algebra,
+    "split_etale": split_etale,
+    "quadratic(1,-1)": lambda R: quadratic(R, 1, -1),
+    "cay(-1,-1)": lambda R: iterated_cayley_dickson(R, [-1, -1]),
+    "cay(-1,1,-1)": lambda R: iterated_cayley_dickson(R, [-1, 1, -1]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def conic(name, ring):
+    return CONICS[name](RINGS[ring])
+
+
+@st.composite
+def conic_cases(draw):
+    """A catalog identity on a small conic algebra, possibly with one
+    structure constant e_a e_b changed."""
+    A = conic(draw(st.sampled_from(sorted(CONICS))), draw(st.sampled_from(sorted(RINGS))))
+    R, n = A.ring, A.dim
+    if draw(st.booleans()):
+        table = [[list(v) for v in row] for row in A.table]
+        a, b, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        table[a][b][k] = R.add(table[a][b][k], R.from_int(draw(st.sampled_from([1, -1, 2]))))
+        A = ConicAlgebra(R, n, table, A.unit, A.norm, name="corrupted", validate=False)
+    names = sorted(CONIC_IDENTITIES)
+    if n > 4:  # keep the per-subset reference quick on dimension 8
+        names = [x for x in names if CONIC_IDENTITIES[x].total_degree <= 3]
+    return A, draw(st.sampled_from(names))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(conic_cases())
+def test_strict_check_matches_per_subset_reference_on_conic_algebras(case):
+    A, name = case
+    assert same_verdict(strict_identity_check(A, name), strict_identity_check_by_subsets(A, name))
+
+
+def test_sedenion_witness_matches_reference():
+    S = iterated_cayley_dickson(QQ, [-1, -1, -1, -1])
+    fast = strict_identity_check(S, "norm-comp")
+    assert fast.witness == ((1, 10), (4, 15))
+    assert same_verdict(fast, strict_identity_check_by_subsets(S, "norm-comp"))
+
+
+# -- strict checks of the cubic identities ---------------------------------------------
+
+SMALL_CUBICS = {
+    "k_cubic": k_cubic,
+    "kk_cubic": kk_cubic,
+    "split_cubic_etale": split_cubic_etale,
+    "hat(quadratic)": lambda R: hat_of_conic(quadratic(R, 1, -1)),
+    "her3(ground)": lambda R: her3(ground_algebra(R)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def small_cubic(name, ring):
+    return SMALL_CUBICS[name](RINGS[ring])
+
+
+@st.composite
+def corrupted_cubics(draw, rings):
+    """A small cubic structure with up to two stored constants changed, past
+    the construction-time consistency check."""
+    J = small_cubic(draw(st.sampled_from(sorted(SMALL_CUBICS))), draw(st.sampled_from(rings)))
+    R, n = J.ring, J.dim
+    sharp = [list(v) for v in J.sharp_basis]
+    cross = {key: list(v) for key, v in J.cross_pairs.items()}
+    n_single, n_dir, n_triple = list(J.n_single), dict(J.n_dir), dict(J.n_triple)
+    for _ in range(draw(st.integers(0, 2))):
+        delta = R.from_int(draw(st.sampled_from([1, -1, 2])))
+        kinds = ["sharp", "single"] + (["cross", "dir"] if n >= 2 else []) + (["triple"] if n >= 3 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "sharp":
+            vec = sharp[draw(st.integers(0, n - 1))]
+        elif kind == "cross":
+            vec = cross[draw(st.sampled_from(sorted(cross)))]
+        if kind in ("sharp", "cross"):
+            k = draw(st.integers(0, n - 1))
+            vec[k] = R.add(vec[k], delta)
+        elif kind == "single":
+            i = draw(st.integers(0, n - 1))
+            n_single[i] = R.add(n_single[i], delta)
+        elif kind == "dir":
+            key = draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
+            n_dir[key] = R.add(n_dir.get(key, R.zero), delta)
+        else:
+            key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
+            n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
+    return Unchecked(R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(corrupted_cubics(sorted(RINGS)), st.sampled_from(sorted(CUBIC_IDENTITIES)))
+def test_strict_check_matches_per_subset_reference_on_cubic_identities(J, name):
+    if name == "fundamental" and J.dim > 3:  # 1,350 subsets per check at dimension 6
+        name = "sharp-cross"
+    ident = CUBIC_IDENTITIES[name]
+    assert same_verdict(strict_identity_check(J, ident), strict_identity_check_by_subsets(J, ident))
+
+
+# -- the adjoint verdict -----------------------------------------------------------------
+
+
+def reference_coordinate(J, witness):
+    """The smallest row of x## - N(x)x holding the witness monomial, from an
+    evaluation on the witness's support alone."""
+    support = sorted(set(witness))
+    L = PolyExt(J.ring, len(support), 4)
+    x = [L.zero] * J.dim
+    for t, i in enumerate(support):
+        x[i] = L.var(t)
+    exps = tuple(witness.count(i) for i in support)
+    rows = _adjoint_id(J, L, [x])
+    return min(k for k, poly in enumerate(rows) if any(L.exponents(key) == exps for key in poly))
+
+
+ADJOINT_RINGS = ["ZZ", "QQ", "GF(2)", "GF(3)"]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(corrupted_cubics(ADJOINT_RINGS))
+def test_tensor_adjoint_matches_per_subset_reference(J):
+    fast = _try_fast_adjoint(J)
+    slow = strict_identity_check_by_subsets(J, CUBIC_IDENTITIES["adjoint"])
+    assert fast.details["path"] == "tensor"
+    assert same_verdict(fast, slow)
+    if not fast.holds:
+        assert fast.details["coordinate"] == reference_coordinate(J, fast.witness[0])
+
+
+def test_tensor_adjoint_gate():
+    """Only ZZ, QQ and GF(p) structures whose constants are all ints take the
+    tensor path; the rest go to the guarded generic check."""
+    assert _try_fast_adjoint(small_cubic("her3(ground)", "Z/6")) is None
+    half = her3(ground_algebra(QQ), Gamma(QQ, [Fraction(1, 2), 1, 1]))
+    assert _try_fast_adjoint(half) is None
+    assert _try_fast_adjoint(small_cubic("her3(ground)", "GF(3)")).holds
+
+
+# -- structure extraction ------------------------------------------------------------------
+
+CONSTRUCTORS = {
+    "k_cubic": k_cubic,
+    "kk_cubic": kk_cubic,
+    "split_cubic_etale": split_cubic_etale,
+    "hat_of_conic": lambda R: hat_of_conic(quadratic(R, 1, -1)),
+    "hat_of_conic(zorn)": lambda R: hat_of_conic(zorn_algebra(R)),
+    "her3(ground)": lambda R: her3(ground_algebra(R)),
+    "her3(ground,1,-1,-1)": lambda R: her3(ground_algebra(R), Gamma(R, [1, -1, -1])),
+    "her3(zorn)": lambda R: her3(zorn_algebra(R)),
+    "mat3": lambda R: mat3(R).data,
+    "tits(mat3,-1)": lambda R: tits(mat3(R), -1),
+    "split_albert": split_albert,
+}
+QQ_CONSTRUCTORS = {
+    "her3(cs-octonions)": lambda R: her3(cartan_schouten(R)),
+    "her3(ground,1/2)": lambda R: her3(ground_algebra(R), Gamma(R, [Fraction(1, 2)] * 3)),
+}
+CONSTRUCTORS.update(QQ_CONSTRUCTORS)
+EXTRACTION_CASES = [
+    *((name, ring) for name in sorted(CONSTRUCTORS) if name not in QQ_CONSTRUCTORS for ring in ("ZZ", "GF(2)", "Z/6", "QQ")),
+    *((name, "QQ") for name in sorted(QQ_CONSTRUCTORS)),
+]
+
+
+def extracted(J):
+    """The stored constants, with their payload types."""
+    norm = (J.n_single, sorted(J.n_dir.items()), sorted(J.n_triple.items()))
+    return repr((J.sharp_basis, J.cross_pairs, norm, J.tvec))
+
+
+@pytest.mark.parametrize("name, ring", EXTRACTION_CASES)
+def test_build_cubic_matches_inclusion_exclusion(monkeypatch, name, ring):
+    J = CONSTRUCTORS[name](RINGS[ring])
+    for module in ("octad.cubic", "octad.her3", "octad.tits"):
+        monkeypatch.setattr(importlib.import_module(module), "build_cubic", build_cubic_by_inclusion_exclusion)
+    ref = CONSTRUCTORS[name](RINGS[ring])
+    assert extracted(J) == extracted(ref)
+    assert J.to_json() == ref.to_json()
+
+
+def test_build_cubic_rejects_a_sharp_that_is_not_quadratic():
+    # t0^2 t1 + t0 t1^2 vanishes on every point of GF(2)^2, so inclusion-
+    # exclusion over basis sums never sees it
+    def sharp_fn(L, v):
+        extra = L.add(L.mul(L.mul(v[0], v[0]), v[1]), L.mul(v[0], L.mul(v[1], v[1])))
+        return [L.add(L.mul(v[1], v[1]), extra), L.mul(v[0], v[1])]
+
+    def norm_fn(L, v):
+        return L.mul(v[0], L.mul(v[1], v[1]))
+
+    build_cubic_by_inclusion_exclusion(GF(2), 2, [1, 1], sharp_fn, norm_fn)
+    with pytest.raises(ValueError, match=r"^bad_sharp: sharp_fn has a term of degree 3, expected 2$"):
+        build_cubic(GF(2), 2, [1, 1], sharp_fn, norm_fn, name="bad_sharp")
+
+    def linear_sharp(L, v):
+        return [L.add(L.mul(v[1], v[1]), v[0]), L.mul(v[0], v[1])]
+
+    with pytest.raises(ValueError, match=r"^linear: sharp_fn has a term of degree 1, expected 2$"):
+        build_cubic(ZZ, 2, [1, 1], linear_sharp, norm_fn, name="linear")
+
+
+def test_build_cubic_rejects_a_norm_that_is_not_cubic():
+    def sharp_fn(L, v):
+        return [L.mul(v[1], v[1]), L.mul(v[0], v[1])]
+
+    # x0^2 x1^2 vanishes on e_0, on e_1 and in N(e_0 + eps e_1), the only
+    # values inclusion-exclusion reads at dimension 2
+    def quartic(L, v):
+        sq = L.mul(v[0], v[1])
+        return L.add(L.mul(v[0], L.mul(v[1], v[1])), L.mul(sq, sq))
+
+    build_cubic_by_inclusion_exclusion(ZZ, 2, [1, 1], sharp_fn, quartic)
+    with pytest.raises(ValueError, match=r"^quartic: norm_fn has a term of degree 4, expected 3$"):
+        build_cubic(ZZ, 2, [1, 1], sharp_fn, quartic, name="quartic")
+
+    def quadratic_norm(L, v):
+        return L.add(L.mul(v[0], L.mul(v[1], v[1])), L.mul(v[0], v[1]))
+
+    with pytest.raises(ValueError, match=r"^quadratic: norm_fn has a term of degree 2, expected 3$"):
+        build_cubic(ZZ, 2, [1, 1], sharp_fn, quadratic_norm, name="quadratic")
