@@ -3,16 +3,20 @@
 Lattices are given by a rational basis of the ambient algebra; the Gram
 matrix is taken with respect to the bilinearized norm, so its diagonal
 holds twice the norms of the basis vectors and "discriminant" means its
-determinant.  Unit enumeration is exact Fincke-Pohst: a rational
-Cholesky decomposition drives a depth-first search with no floating
-point anywhere.
+determinant.  Unit enumeration is exact Fincke-Pohst on integers: the
+rational LDL^T data are scaled once to ints, each level's window is exact,
+and elements, membership and the half-norm split use integer matrices with
+one common denominator.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from math import isqrt
+from functools import cache, partial
+from math import isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .cayley import cayley_dickson, ground_algebra
@@ -33,7 +37,8 @@ class ZLattice:
             raise ValueError("basis rows must live in the ambient algebra")
         self.rank = n
         self._basis_T = [list(col) for col in zip(*self.basis)]
-        self._basis_T_inv = None  # computed by the first coords_of call
+        self._int_basis_T = _over_common_den(self._basis_T)
+        self._basis_T_inv = None  # (ints, den), computed by the first coords_of or contains call
         if linalg.det(QQ, self._square_part()) == 0:
             raise ValueError("basis rows must be linearly independent")
         self.gram = [
@@ -58,27 +63,29 @@ class ZLattice:
         return True
 
     # -- membership -----------------------------------------------------------
-    def coords_of(self, x):
-        """The rational c with basis^T c = x (the basis has full rank)."""
+    def _coords_over_den(self, x):
         vec = x.coords if hasattr(x, "coords") else list(x)
         if len(vec) != self.ambient.dim:
             raise ValueError(f"expected {self.ambient.dim} coordinates, got {len(vec)}")
         if self._basis_T_inv is None:
-            self._basis_T_inv = linalg.inverse_rational(self._basis_T)
-        return linalg.mat_vec(QQ, self._basis_T_inv, [Fraction(c) for c in vec])
+            self._basis_T_inv = _over_common_den(linalg.inverse_rational(self._basis_T))
+        return _mul_over_den(self._basis_T_inv, vec)
+
+    def coords_of(self, x):
+        """The rational c with basis^T c = x (the basis has full rank)."""
+        num, den = self._coords_over_den(x)
+        return [Fraction(v, den) for v in num]
 
     def contains(self, x):
-        return all(c.denominator == 1 for c in self.coords_of(x))
+        num, den = self._coords_over_den(x)
+        return all(v % den == 0 for v in num)
 
     def element(self, int_coords):
         int_coords = list(int_coords)
         if len(int_coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(int_coords)}")
-        out = [Fraction(0)] * self.ambient.dim
-        for c, row in zip(int_coords, self.basis):
-            for k in range(self.ambient.dim):
-                out[k] += Fraction(c) * row[k]
-        return self.ambient.element(out)
+        rows, den = self._int_basis_T
+        return self.ambient.element([Fraction(sum(map(mul, row, int_coords)), den) for row in rows])
 
     # -- multiplicative closure --------------------------------------------------
     def closed_under_mul(self):
@@ -106,7 +113,7 @@ class ZLattice:
 
     # -- unit enumeration -----------------------------------------------------------
     def enumerate_units(self):
-        """All lattice points of norm 1, by exact Cholesky backtracking.
+        """All lattice points of norm 1, by integer Fincke-Pohst backtracking.
 
         Requires the norm to be positive definite on the lattice; the
         target in Gram terms is Dn(x, x) = 2.
@@ -123,10 +130,10 @@ class ZLattice:
         return elems
 
     def units_brute_force(self):
-        """Independent oracle: scan the整 box given by a proven coordinate bound."""
+        """Independent oracle: scan the box given by a proven coordinate bound."""
         bound = _box_bound(self.gram, Fraction(2))
         out = []
-        for c in _box_iter(self.rank, bound):
+        for c in itertools.product(range(-bound, bound + 1), repeat=self.rank):
             x = self.element(c)
             if self.ambient.norm.eval_payload(x.coords) == 1:
                 out.append(tuple(c))
@@ -168,6 +175,20 @@ class ZLattice:
         return f"{self.name}(rank={self.rank}, disc={self.disc})"
 
 
+def _over_common_den(rows):
+    """(ints, den) with den the lcm of the denominators of the rational
+    matrix rows and ints[i][j] = rows[i][j] * den."""
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+
+
+def _mul_over_den(mat, vec):
+    """mat . vec as (ints, den), for mat given as (ints, den)."""
+    ints, den = mat
+    (num,), vden = _over_common_den([vec])
+    return [sum(map(mul, row, num)) for row in ints], den * vden
+
+
 def _ldl(gram):
     """G = L D L^T with unit lower-triangular L; None unless G is pos. def."""
     n = len(gram)
@@ -190,63 +211,50 @@ def _ldl(gram):
     return diag, low
 
 
-def _floor_sqrt_frac(x):
-    if x < 0:
-        return -1
-    return isqrt(x.numerator // x.denominator) + 1
-
-
 def _fincke_pohst(diag, low, target):
-    """Integer points with sum_i d_i (x_i + sum_{j>i} L_ji x_j)^2 == target."""
+    """Integer points with sum_i d_i (x_i + sum_{j>i} L_ji x_j)^2 == target.
+
+    With L_ji = lnum[j][i] / lden[i] and one scale S making w_i = d_i S /
+    lden_i^2 and T = target S ints, this is sum_i w_i y_i^2 == T for
+    y_i = x_i lden_i + cn_i, and w y^2 <= rem exactly when |y| <= isqrt(rem // w).
+    """
     n = len(diag)
+    lden = [lcm(*(low[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    # centre terms (j, lnum[j][i]) of each level, zeros left out
+    centre = [
+        [(j, low[j][i].numerator * (lden[i] // low[j][i].denominator)) for j in range(i + 1, n) if low[j][i]]
+        for i in range(n)
+    ]
+    scaled = [d / l**2 for d, l in zip(diag, lden)] + [target]
+    S = lcm(*(q.denominator for q in scaled))
+    *w, T = [q.numerator * (S // q.denominator) for q in scaled]
     results = []
     coords = [0] * n
 
-    def descend(level, remaining):
+    def descend(level, rem):
         if level < 0:
-            if remaining == 0:
+            if rem == 0:
                 results.append(tuple(coords))
             return
-        # center c = sum_{j>level} L[j][level] x_j
-        c = Fraction(0)
-        for j in range(level + 1, n):
-            c += low[j][level] * coords[j]
-        # d * (x + c)^2 <= remaining
-        bound2 = remaining / diag[level]
-        # |x + c| <= sqrt(bound2): conservative integer window, exact test inside
-        root = _floor_sqrt_frac(bound2) + 1
-        lo = -root - _ceil_frac(c)
-        hi = root - _floor_frac(c) + 1
-        for x in range(lo - 1, hi + 1):
-            val = diag[level] * (x + c) ** 2
-            if val <= remaining:
-                coords[level] = x
-                descend(level - 1, remaining - val)
+        cn = sum(a * coords[j] for j, a in centre[level])
+        wl, dl = w[level], lden[level]
+        r = isqrt(rem // wl)
+        for x in range(-((r + cn) // dl), (r - cn) // dl + 1):
+            y = x * dl + cn
+            coords[level] = x
+            descend(level - 1, rem - wl * y * y)
         coords[level] = 0
 
-    descend(n - 1, target)
+    descend(n - 1, T)
     return results
-
-
-def _ceil_frac(x):
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x):
-    return x.numerator // x.denominator
 
 
 def _box_bound(gram, target):
     """Proven sup-norm bound: x^T G x = t implies |x_i|^2 <= t * (G^-1)_ii."""
     inv = linalg.inverse_rational(gram)
     best = max(inv[i][i] for i in range(len(gram)))
-    return _floor_sqrt_frac(target * best) + 1
-
-
-def _box_iter(rank, bound):
-    import itertools
-
-    return itertools.product(range(-bound, bound + 1), repeat=rank)
+    bound2 = target * best
+    return isqrt(bound2.numerator // bound2.denominator) + 2
 
 
 # -- the named lattices -------------------------------------------------------------
@@ -310,9 +318,15 @@ def eps_to_ambient(eps_coords):
     return out
 
 
+@cache
+def _eps_inverse():
+    """The inverse of the eps -> ambient map, as (ints, den)."""
+    return _over_common_den(linalg.inverse_rational([list(col) for col in zip(*_EPS_TO_U)]))
+
+
 def ambient_to_eps(vec):
-    mat = [list(col) for col in zip(*_EPS_TO_U)]
-    return linalg.solve_rational(mat, [Fraction(c) for c in vec])
+    num, den = _mul_over_den(_eps_inverse(), [Fraction(c) for c in vec])
+    return [Fraction(v, den) for v in num]
 
 
 def eps_membership(eps_coords):
@@ -356,11 +370,7 @@ def kirmse():
     amb = cs_ambient()
     F = Fraction
     one = [F(1), 0, 0, 0, 0, 0, 0, 0]
-
-    def u(i):
-        v = [F(0)] * 8
-        v[i] = F(1)
-        return v
+    u = partial(linalg.basis, QQ, 8)
 
     def comb(*terms):
         out = [F(0)] * 8
@@ -390,13 +400,8 @@ def kirmse():
     return lat
 
 
-def _half_point(indices, signs=None):
-    F = Fraction
-    out = [F(0)] * 8
-    for k, i in enumerate(indices):
-        s = 1 if signs is None else signs[k]
-        out[i] += F(s, 2)
-    return out
+def _half_point(indices):
+    return [Fraction(int(i in indices), 2) for i in range(8)]
 
 
 def alternative_dico(variant="p_form"):
@@ -411,7 +416,6 @@ def alternative_dico(variant="p_form"):
     different subset of the ambient octonions.
     """
     amb = cs_ambient()
-    F = Fraction
     if variant == "q_form":
         gens = (3, 4, 6)
         seed = _half_point((0, 3, 4, 5))
@@ -420,12 +424,7 @@ def alternative_dico(variant="p_form"):
         seed = _half_point((0, 1, 2, 3))
     else:
         raise ValueError("variant must be p_form or q_form")
-
-    def u(i):
-        v = [F(0)] * 8
-        v[i] = F(1)
-        return v
-
+    u = partial(linalg.basis, QQ, 8)
     one = u(0)
     basis = [one] + [u(i) for i in gens] + [seed]
     for i in gens:
@@ -437,8 +436,8 @@ def unit_type_split(lattice, units):
     """Partition unit elements by integrality of their half-norm coordinates."""
     integer_type, half_type = [], []
     for e in units:
-        eps = ambient_to_eps(e.coords)
-        if all(c.denominator == 1 for c in eps):
+        num, den = _mul_over_den(_eps_inverse(), e.coords)
+        if all(v % den == 0 for v in num):
             integer_type.append(e)
         else:
             half_type.append(e)

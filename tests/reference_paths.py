@@ -1,19 +1,24 @@
-"""Independent references for the generic-element paths of octad.
+"""Independent references for the fast paths of octad.
 
 These are the per-subset strict checker and the inclusion-exclusion
 structure extraction that the library used before it read every
-coefficient from one evaluation at the generic element sum_i t_i e_i.
+coefficient from one evaluation at the generic element sum_i t_i e_i,
+and the rational Fincke-Pohst search, lattice element and half-norm
+split that the library used before its lattice kernels ran on ints.
 They are kept verbatim so that the tests can compare the two.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import isqrt
 
 from octad.cubic import CubicData
 from octad.extensions import DualExt, PolyExt
 from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
-from octad.linalg import add_vec, basis, sub_vec
+from octad.linalg import add_vec, basis, solve_rational, sub_vec
+from octad.zorders import _EPS_TO_U
 
 
 def strict_identity_check_by_subsets(algebra, ident, cost_guard=10**6):
@@ -159,3 +164,78 @@ def build_cubic_by_inclusion_exclusion(ring, dim, basepoint, sharp_fn, norm_fn, 
     return CubicData(
         ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name=name
     )
+
+
+def _fincke_pohst(diag, low, target):
+    """Integer points with sum_i d_i (x_i + sum_{j>i} L_ji x_j)^2 == target."""
+    n = len(diag)
+    results = []
+    coords = [0] * n
+
+    def descend(level, remaining):
+        if level < 0:
+            if remaining == 0:
+                results.append(tuple(coords))
+            return
+        # center c = sum_{j>level} L[j][level] x_j
+        c = Fraction(0)
+        for j in range(level + 1, n):
+            c += low[j][level] * coords[j]
+        # d * (x + c)^2 <= remaining
+        bound2 = remaining / diag[level]
+        # |x + c| <= sqrt(bound2): conservative integer window, exact test inside
+        root = _floor_sqrt_frac(bound2) + 1
+        lo = -root - _ceil_frac(c)
+        hi = root - _floor_frac(c) + 1
+        for x in range(lo - 1, hi + 1):
+            val = diag[level] * (x + c) ** 2
+            if val <= remaining:
+                coords[level] = x
+                descend(level - 1, remaining - val)
+        coords[level] = 0
+
+    descend(n - 1, target)
+    return results
+
+
+def _floor_sqrt_frac(x):
+    if x < 0:
+        return -1
+    return isqrt(x.numerator // x.denominator) + 1
+
+
+def _ceil_frac(x):
+    return -((-x.numerator) // x.denominator)
+
+
+def _floor_frac(x):
+    return x.numerator // x.denominator
+
+
+def element_by_fraction_sum(lattice, int_coords):
+    """ZLattice.element as the sum of Fraction products over the basis."""
+    int_coords = list(int_coords)
+    if len(int_coords) != lattice.rank:
+        raise ValueError(f"expected {lattice.rank} coordinates, got {len(int_coords)}")
+    out = [Fraction(0)] * lattice.ambient.dim
+    for c, row in zip(int_coords, lattice.basis):
+        for k in range(lattice.ambient.dim):
+            out[k] += Fraction(c) * row[k]
+    return lattice.ambient.element(out)
+
+
+def ambient_to_eps_by_solve(vec):
+    mat = [list(col) for col in zip(*_EPS_TO_U)]
+    return solve_rational(mat, [Fraction(c) for c in vec])
+
+
+def unit_type_split_by_solve(lattice, units):
+    """Partition unit elements by integrality of their half-norm coordinates."""
+    integer_type, half_type = [], []
+    for e in units:
+        eps = ambient_to_eps_by_solve(e.coords)
+        if all(c.denominator == 1 for c in eps):
+            integer_type.append(e)
+        else:
+            half_type.append(e)
+    return integer_type, half_type
