@@ -11,6 +11,11 @@ over GF(2)).
 
 Variables of degree 1 are specialized to plain basis vectors, one
 evaluation per choice, which bounds the number of formal variables.
+
+One cost guard, STRICT_GUARD, bounds the checker's real size: the number
+of monomials the generic value can hold (one binomial C(n + d - 1, d) per
+slot of degree d >= 2) times the number of evaluations (n per slot of
+degree 1).  That product is multiset_count(n, multidegree).
 """
 
 from __future__ import annotations
@@ -76,6 +81,12 @@ class IdentitySpec:
         return sum(self.multidegree)
 
 
+# The largest strict check a catalog axiom needs is bilinear-adjoint at
+# dimension 27 (142,884).  Degree-5 identities on the sedenions inside the
+# guard take up to about 1.4 s (tests/test_axiom_suites.py).
+STRICT_GUARD = 150_000
+
+
 def multiset_count(dim, multidegree):
     from math import comb
 
@@ -85,21 +96,22 @@ def multiset_count(dim, multidegree):
     return total
 
 
-def strict_identity_check(algebra, ident, cost_guard=10**6):
+def strict_identity_check(algebra, ident):
     """Decide whether the identity vanishes as a polynomial law.
 
     Returns Holds, or Fails with the lexicographically smallest witness:
-    a tuple of basis-index multisets, one per variable.
+    a tuple of basis-index multisets, one per variable.  Raises
+    CostGuardError above STRICT_GUARD.
     """
     ident = _resolve(algebra, ident)
-    failure = smallest_failure(algebra, ident, cost_guard)
+    failure = smallest_failure(algebra, ident)
     details = {"identity": ident.name}
     if failure is None:
         return Verdict(True, mode="strict", details=details)
     return Verdict(False, witness=failure[0], mode="strict", details=details)
 
 
-def smallest_failure(algebra, ident, cost_guard=10**6):
+def smallest_failure(algebra, ident):
     """The smallest (witness, coordinate) at which the identity's value has
     a nonzero coefficient, or None when it vanishes as a polynomial law.
 
@@ -112,14 +124,10 @@ def smallest_failure(algebra, ident, cost_guard=10**6):
     """
     ident = _resolve(algebra, ident)
     n = algebra.dim
-    if ident.total_degree > 4 and n > 12:
+    size = multiset_count(n, ident.multidegree)
+    if size > STRICT_GUARD:
         raise CostGuardError(
-            "identities of total degree > 4 on dim > 12 require sampled mode"
-        )
-    if multiset_count(n, ident.multidegree) > cost_guard:
-        raise CostGuardError(
-            f"{ident.name}: {multiset_count(n, ident.multidegree)} multisets "
-            f"exceed the guard ({cost_guard}); use sampled mode"
+            f"{ident.name}: {size} generic monomials exceed the guard ({STRICT_GUARD}); use sampled mode"
         )
     R = algebra.ring
     degs = ident.multidegree
@@ -189,12 +197,6 @@ def sampled_identity_check(algebra, ident, seed=DEFAULT_SEED, samples=200):
                     details={"identity": ident.name, "trial": trial, "seed": seed},
                 )
     return Verdict(True, mode="sampled", details={"identity": ident.name, "samples": samples, "seed": seed})
-
-
-def check_identity(algebra, ident, mode="strict", seed=DEFAULT_SEED, cost_guard=10**6):
-    if mode == "strict":
-        return strict_identity_check(algebra, ident, cost_guard=cost_guard)
-    return sampled_identity_check(algebra, ident, seed=seed)
 
 
 # -- conic-algebra identity catalog --------------------------------------------
@@ -332,4 +334,6 @@ def _resolve(algebra, ident):
 def run_suite(algebra, suite, mode="strict", seed=DEFAULT_SEED):
     """Run a named identity or a suite of them; returns (name, Verdict) pairs."""
     names = SUITES.get(suite, (suite,))
-    return [(name, check_identity(algebra, name, mode=mode, seed=seed)) for name in names]
+    if mode == "strict":
+        return [(name, strict_identity_check(algebra, name)) for name in names]
+    return [(name, sampled_identity_check(algebra, name, seed=seed)) for name in names]

@@ -18,8 +18,7 @@ from octad.conic import quadratic
 from octad.cubic import (
     CUBIC_IDENTITIES,
     CubicData,
-    _fast_fundamental,
-    _fast_u_context,
+    _float_fundamental,
     _slow_fundamental,
     _try_fast_adjoint,
     fundamental_formula_samples,
@@ -260,7 +259,7 @@ def test_corrupted_structure_fails_fundamental_both_ways(name):
     assert not all(verdicts)
 
 
-# -- the int64 fundamental-formula path and its overflow bound ------------------------
+# -- the float64 fundamental-formula batches and their exactness bound ------------------
 
 ZZ_STRUCTURES = {
     "her3(zorn(Z))": lambda: structure("her3(zorn(Z))"),
@@ -270,7 +269,7 @@ ZZ_STRUCTURES = {
 
 
 def exact_intermediates(J, x, y):
-    """The matrices and vectors _fast_fundamental forms, in exact ints."""
+    """The matrices and vectors _float_fundamental forms, in exact ints."""
 
     def u(v):
         return np.array(J.u_matrix(list(v)), dtype=object).T
@@ -282,33 +281,46 @@ def exact_intermediates(J, x, y):
 
 
 @pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES))
-def test_int64_fundamental_is_bounded_and_agrees_with_exact_path(name):
+def test_float64_fundamental_bound_and_exactness(name):
     J = ZZ_STRUCTURES[name]()
-    ctx = _fast_u_context(J)
-    assert ctx is not None
+    k = J._u_tensors["bound"]
     rng = random.Random(27)
+    pairs = []
     for t in range(4):
         x = [ZZ.rand(rng) for _ in range(J.dim)]
         y = [ZZ.rand(rng) if t else 9 for _ in range(J.dim)]
+        pairs.append((x, y))
+    for (x, y), ok in zip(pairs, _float_fundamental(J, pairs)):
         B = max(1, *map(abs, x), *map(abs, y))
         largest = max(int(abs(A).max()) for A in exact_intermediates(J, x, y))
-        assert largest <= B**6 * ctx["bound"] < 2**62
-        assert _fast_fundamental(ctx, x, y) is _slow_fundamental(J, x, y) is True
+        assert largest <= B**6 * k
+        # the batch decides a sample exactly when the bound is below 2^53
+        assert ok is (True if B**6 * k < 2**53 else None)
+        assert _slow_fundamental(J, x, y) is True
     # a sample beyond the proven range is left to the exact path
     big = [10**6] * J.dim
-    assert _fast_fundamental(ctx, big, big) is None
+    assert _float_fundamental(J, [(big, big)]) == [None]
     assert _slow_fundamental(J, big, big) is True
+
+
+def test_large_bound_falls_back_to_the_exact_path_at_b9():
+    """hat(diag(1, 1000, -7)) has k = 6.5e10: 7^6 k < 2^53 <= 8^6 k."""
+    J = ZZ_STRUCTURES["hat(diag(1, 1000, -7))"]()
+    k = J._u_tensors["bound"]
+    assert 6.5e10 <= k < 6.6e10
+    small, nine = [7, -7, 1, 0], [9, 0, -9, 1]
+    assert _float_fundamental(J, [(small, small), (nine, small), (small, nine)]) == [True, None, None]
 
 
 def test_large_constants_take_the_exact_path():
     """N((r, u)) = r q(u) with q = x0^2 + 2^40 (x1^2 + x2^2): the bound is
-    above 2^62 already for |x_i| <= 1, so no sample runs in int64."""
+    above 2^53 already for |x_i| <= 1, so no sample runs in float64."""
     J = hat_pointed(QuadraticForm.diagonal(ZZ, [1, 2**40, 2**40]), [1, 0, 0])
-    assert _fast_u_context(J) is None
+    assert J._u_tensors is None
     assert fundamental_formula_samples(J, samples=20).holds
     pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
     bad = corrupted(J, pair, 0, 1)
-    assert _fast_u_context(bad) is None
+    assert bad._u_tensors is None
     v = fundamental_formula_samples(bad, samples=20)
     assert not v.holds
     x = [int(c) for c in v.witness[0]]
@@ -320,12 +332,76 @@ def test_corrupted_zz_structure_fails_on_both_fundamental_paths():
     J = structure("her3(zorn(Z))")
     pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
     bad = corrupted(J, pair, 0, 1)
-    ctx = _fast_u_context(bad)
     rng = random.Random(28)
-    for _ in range(3):
-        x = [ZZ.rand(rng) for _ in range(J.dim)]
-        y = [ZZ.rand(rng) for _ in range(J.dim)]
-        assert _fast_fundamental(ctx, x, y) is _slow_fundamental(bad, x, y) is False
+    pairs = [([ZZ.rand(rng) for _ in range(J.dim)], [ZZ.rand(rng) for _ in range(J.dim)]) for _ in range(3)]
+    assert _float_fundamental(bad, pairs) == [False] * 3
+    assert [_slow_fundamental(bad, x, y) for x, y in pairs] == [False] * 3
+
+
+def one_by_one(J, samples, seed):
+    """(trial, witness) of the first failing sample, checked one sample after
+    another on the exact path; None when every sample passes."""
+    R = J.ring
+    rng = random.Random(seed)
+    for trial in range(samples):
+        x = [R.rand(rng) for _ in range(J.dim)]
+        y = [R.rand(rng) for _ in range(J.dim)]
+        if not _slow_fundamental(J, x, y):
+            return trial, (tuple(map(R.render, x)), tuple(map(R.render, y)))
+    return None
+
+
+def zero_outside(trials, dim):
+    """A ZZ.rand that draws from the stream as usual but returns 0 outside
+    the given trials (2 dim draws each); x = 0 passes the formula."""
+    calls = itertools.count()
+    draw = type(ZZ).rand
+
+    def rand(rng):
+        value = draw(ZZ, rng)
+        return value if next(calls) // (2 * dim) in trials else 0
+
+    return rand
+
+
+@pytest.mark.parametrize(
+    "name, trials",
+    [
+        ("her3(zorn(Z))", {0}),
+        ("her3(zorn(Z))", {15}),
+        ("her3(zorn(Z))", {16, 30}),
+        ("her3(zorn(Z))", {39}),
+        ("hat(diag(1, 1000, -7))", {16}),
+        ("hat(diag(1, 1000, -7))", {3, 20, 21, 22}),
+    ],
+)
+def test_batches_report_the_first_failure_of_a_one_by_one_loop(monkeypatch, name, trials):
+    """Failures at the first and last trial of a chunk, the first of the next
+    and the last sample; on hat(diag(1, 1000, -7)) a chunk mixes float64
+    samples (|x_i| <= 7) with exact ones."""
+    J = ZZ_STRUCTURES[name]()
+    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
+    bad = corrupted(J, pair, 0, 1)
+    monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim))
+    v = fundamental_formula_samples(bad, samples=40, seed=5)
+    monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim))
+    want = one_by_one(bad, 40, seed=5)
+    assert want is not None and want[0] == min(trials)
+    assert not v.holds
+    assert (v.details["trial"], v.witness) == want
+    monkeypatch.setattr(ZZ, "rand", zero_outside(set(), J.dim))
+    assert fundamental_formula_samples(bad, samples=40, seed=5).holds
+
+
+@pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES))
+def test_batches_match_a_one_by_one_loop_on_the_raw_stream(name):
+    J = ZZ_STRUCTURES[name]()
+    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
+    for S in (J, corrupted(J, pair, 0, 1)):
+        for seed in (1, 2):
+            v = fundamental_formula_samples(S, samples=40, seed=seed)
+            want = one_by_one(S, 40, seed)
+            assert (None if v.holds else (v.details["trial"], v.witness)) == want
 
 
 # -- the tensor adjoint against the generic strict checker ----------------------------

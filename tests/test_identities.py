@@ -102,7 +102,8 @@ def test_cost_guard():
     def evaluate(alg, L, vs):
         return [L.zero] * alg.dim
 
-    too_big = IdentitySpec("user5", (3, 2), evaluate)
+    # 816 * 816 generic monomials at dimension 16
+    too_big = IdentitySpec("user6", (3, 3), evaluate)
     with pytest.raises(CostGuardError):
         strict_identity_check(S, too_big)
     # sampled mode remains available
