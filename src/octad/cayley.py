@@ -77,14 +77,6 @@ def sedenions(ring):
     return iterated_cayley_dickson(ring, [-1, -1, -1, -1])
 
 
-def split_element(x):
-    """Halves (u, v) of an element of a doubled algebra, as base elements."""
-    alg = x.algebra
-    base = alg.cd_base
-    m = base.dim
-    return base.element(x.coords[:m]), base.element(x.coords[m:])
-
-
 def composition_defect(x, y):
     """n(xy) - n(x)n(y); equals -mu n_B([v2,u1,u2], v1) in Cay(B, mu)."""
     alg = x.algebra

@@ -28,11 +28,10 @@ def _parse_ring(text):
         return QQ
     if text == "Z":
         return ZZ
-    if text.startswith("F"):
-        return GF(int(text[1:]))
-    if text.startswith("Z/"):
-        return Zmod(int(text[2:]))
-    raise ValueError(f"cannot parse ring {text!r} (use Q | Z | Fp | Z/n)")
+    m = re.fullmatch(r"(F|Z/)([0-9]+)", text)
+    if m is None:
+        raise ValueError(f"cannot parse ring {text!r} (use Q | Z | Fp | Z/n)")
+    return GF(int(m[2])) if m[1] == "F" else Zmod(int(m[2]))
 
 
 def parse_algebra(spec):
@@ -386,7 +385,9 @@ def main(argv=None):
         print(f"cost guard: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message; print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 
+from .extensions import lift_vec
+from .identities import IdentitySpec, strict_identity_check
 from .linalg import (
     ModuleElement,
     add_term,
-    add_vec,
     basis,
     scale_vec,
     signed_sparse,
@@ -49,46 +50,14 @@ class ConicAlgebra:
     # -- construction checks -------------------------------------------------
     def _validate(self):
         R = self.ring
-        one = self.norm.eval_payload(self.unit)
-        if not R.eq(one, R.one):
+        if not R.eq(self.norm.eval_payload(self.unit), R.one):
             raise ValueError(f"{self.name}: norm(unit) != 1")
-        for i in range(self.dim):
-            e = basis(R, self.dim, i)
-            if not vec_eq(R, self.mul_vec(self.unit, e), e):
-                raise ValueError(f"{self.name}: unit fails on left of e_{i}")
-            if not vec_eq(R, self.mul_vec(e, self.unit), e):
-                raise ValueError(f"{self.name}: unit fails on right of e_{i}")
-        v = self.check_degree2()
-        if not v.holds:
-            raise ValueError(f"{self.name}: degree-2 identity fails at {v.witness}")
+        require_law(self, UNIT_LAW, "unit law")
+        require_law(self, "degree2", "degree-2 identity")
 
     def check_degree2(self):
         """Strict degree-2 check: x^2 - t(x)x + n(x)1 vanishes as a law."""
-        from .identities import Verdict
-
-        R = self.ring
-        for i in range(self.dim):
-            ei = basis(R, self.dim, i)
-            if not vec_is_zero(R, self._deg2(ei)):
-                return Verdict(False, witness=((i, i),), mode="strict")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                ei = basis(R, self.dim, i)
-                ej = basis(R, self.dim, j)
-                s = self._deg2(add_vec(R, ei, ej))
-                s = sub_vec(R, s, self._deg2(ei))
-                s = sub_vec(R, s, self._deg2(ej))
-                if not vec_is_zero(R, s):
-                    return Verdict(False, witness=((i, j),), mode="strict")
-        return Verdict(True, mode="strict")
-
-    def _deg2(self, x):
-        R = self.ring
-        sq = self.mul_vec(x, x)
-        tx = self.trace_payload(x)
-        nx = self.norm.eval_payload(x)
-        out = sub_vec(R, sq, scale_vec(R, tx, x))
-        return add_vec(R, out, scale_vec(R, nx, self.unit))
+        return strict_identity_check(self, "degree2")
 
     # -- payload-level operations ---------------------------------------------
     def mul_vec(self, x, y, L=None):
@@ -196,8 +165,6 @@ class ConicAlgebra:
 
     def is_multiplicative(self):
         """Strict norm-composition check n(xy) = n(x)n(y)."""
-        from .identities import strict_identity_check
-
         return strict_identity_check(self, "norm-comp").holds
 
     def random_element(self, rng):
@@ -264,6 +231,23 @@ class ConicElement(ModuleElement):
 
     def scalars(self):
         return [Scalar(self.algebra.ring, c) for c in self.coords]
+
+
+def _unit_law(alg, L, vs):
+    """1 y - y and y 1 - y, stacked: both vanish iff alg.unit is a two-sided unit."""
+    (y,) = vs
+    one = lift_vec(L, alg.unit)
+    return sub_vec(L, alg.mul_vec(one, y, L), y) + sub_vec(L, alg.mul_vec(y, one, L), y)
+
+
+UNIT_LAW = IdentitySpec("unit", (1,), _unit_law)
+
+
+def require_law(alg, ident, what):
+    """Raise ValueError unless the identity holds strictly on alg."""
+    v = strict_identity_check(alg, ident)
+    if not v.holds:
+        raise ValueError(f"{alg.name}: {what} fails at {v.witness}")
 
 
 def structure_table(ring, dim, table):

@@ -966,21 +966,6 @@ def _float_fundamental(data, pairs):
     return out
 
 
-def gradient_identity_samples(data, samples=100, seed=DEFAULT_SEED):
-    """N(x + eps y) - N(x) has eps-part exactly T(x#, y) on random samples."""
-    R = data.ring
-    rng = random.Random(seed)
-    n = data.dim
-    for trial in range(samples):
-        x = [R.rand(rng) for _ in range(n)]
-        y = [R.rand(rng) for _ in range(n)]
-        lhs = data.norm_dir_payload(x, y)
-        rhs = data.trace_bilin(data.sharp_vec(x), y)
-        if not R.eq(lhs, rhs):
-            return Verdict(False, witness=(trial,), mode="sampled", details={"seed": seed})
-    return Verdict(True, mode="sampled", details={"samples": samples, "seed": seed})
-
-
 def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     """Run the cubic-norm-structure axiom suite.
 

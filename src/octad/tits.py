@@ -6,17 +6,20 @@ Elements are triples (x0, x1, x2) over A with
   x#    = (x0# - mu x1 x2,  mu x2# - x0 x1,  x1# - x2 x0)
   T(x,y)= T_A(x0,y0) + mu T_A(x1,y2) + mu T_A(x2,y1)
 
-Only associative inputs are accepted: the input validator checks
-associativity on basis triples, adjoint compatibility x# x = x x# =
-N(x) 1, and agreement of the derived bilinear trace with the
-multiplication trace.
+Only associative inputs are accepted.  The input validator decides four
+polynomial laws with the strict checker (identities.strict_identity_check):
+the base point is a two-sided unit, the product is associative, the
+adjoint satisfies x# x = x x# = N(x) 1, and the derived bilinear trace
+agrees with the multiplication trace, T(x, y) = T(xy).
 """
 
 from __future__ import annotations
 
-from .conic import ConicAlgebra, structure_table
+from .conic import UNIT_LAW, ConicAlgebra, require_law, structure_table
 from .cubic import build_cubic, k_cubic, verify_cubic_iso
-from .linalg import basis, scale_vec, sub_vec, vec_eq
+from .extensions import lift_vec
+from .identities import CONIC_IDENTITIES, IdentitySpec
+from .linalg import scale_vec, sub_vec
 
 
 class CubicAssocInput:
@@ -27,6 +30,7 @@ class CubicAssocInput:
         self.ring = data.ring
         self.dim = data.dim
         self.name = name
+        self.unit = data.basepoint
         self.table, self._sparse = structure_table(self.ring, self.dim, mul_table)
         if validate:
             self._validate()
@@ -35,61 +39,28 @@ class CubicAssocInput:
     mul_vec = ConicAlgebra.mul_vec
 
     def _validate(self):
-        R = self.ring
-        n = self.dim
-        e = lambda i: basis(R, n, i)
-        one = self.data.basepoint
-        for i in range(n):
-            if not vec_eq(R, self.mul_vec(one, e(i)), e(i)) or not vec_eq(
-                R, self.mul_vec(e(i), one), e(i)
-            ):
-                raise ValueError(f"{self.name}: base point is not a multiplicative unit")
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    lhs = self.mul_vec(self.mul_vec(e(i), e(j)), e(l))
-                    rhs = self.mul_vec(e(i), self.mul_vec(e(j), e(l)))
-                    if not vec_eq(R, lhs, rhs):
-                        raise ValueError(f"{self.name}: not associative at ({i},{j},{l})")
-        # adjoint compatibility on basis vectors and pair sums
-        for vec in _quadratic_probes(R, n):
-            sx = self.data.sharp_vec(vec)
-            nx = self.data.norm_payload(vec)
-            want = scale_vec(R, nx, one)
-            if not vec_eq(R, self.mul_vec(sx, vec), want) or not vec_eq(
-                R, self.mul_vec(vec, sx), want
-            ):
-                raise ValueError(f"{self.name}: x# x != N(x) 1")
-        # derived bilinear trace vs multiplication trace on basis pairs
-        for i in range(n):
-            for j in range(n):
-                lhs = self.data.trace_bilin(e(i), e(j))
-                rhs = self.data.trace_lin(self.mul_vec(e(i), e(j)))
-                if not R.eq(lhs, rhs):
-                    raise ValueError(f"{self.name}: T(x, y) != T(xy) at ({i},{j})")
+        require_law(self, UNIT_LAW, "unit law for the base point")
+        require_law(self, CONIC_IDENTITIES["associative"], "associativity")
+        require_law(self, ADJOINT_LAW, "x# x = x x# = N(x) 1")
+        require_law(self, TRACE_LAW, "T(x, y) = T(xy)")
 
 
-def _quadratic_probes(R, n):
-    # singles, pair sums and triple sums: enough support to catch sign
-    # errors in the cubic compatibility x# x = N(x) 1
-    for i in range(n):
-        v = [R.zero] * n
-        v[i] = R.one
-        yield v
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [R.zero] * n
-            v[i] = R.one
-            v[j] = R.one
-            yield v
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                v = [R.zero] * n
-                v[i] = R.one
-                v[j] = R.one
-                v[l] = R.one
-                yield v
+def _adjoint_law(alg, L, vs):
+    """x# x - N(x) 1 and x x# - N(x) 1, stacked."""
+    (x,) = vs
+    data = alg.data
+    sx = data.sharp_vec(x, L)
+    n1 = scale_vec(L, data.norm_payload(x, L), lift_vec(L, alg.unit))
+    return sub_vec(L, alg.mul_vec(sx, x, L), n1) + sub_vec(L, alg.mul_vec(x, sx, L), n1)
+
+
+def _trace_law(alg, L, vs):
+    x, y = vs
+    return L.sub(alg.data.trace_bilin(x, y, L), alg.data.trace_lin(alg.mul_vec(x, y, L), L))
+
+
+ADJOINT_LAW = IdentitySpec("adjoint-compat", (3,), _adjoint_law)
+TRACE_LAW = IdentitySpec("trace-compat", (1, 1), _trace_law, scalar=True)
 
 
 def k_assoc(ring):

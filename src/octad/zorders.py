@@ -160,6 +160,10 @@ class ZLattice:
         """Rebuild from the export format; Gram/disc are recomputed and
         must agree with the recorded values."""
         blob = json.loads(text)
+        fields = ("ambient_dim", "basis", "gram", "disc", "integral")
+        missing = [k for k in fields if k not in blob] if isinstance(blob, dict) else fields
+        if missing:
+            raise ValueError(f"lattice file lacks the field(s) {', '.join(missing)}")
         if blob["ambient_dim"] != ambient.dim:
             raise ValueError("ambient dimension mismatch")
         basis = [[Fraction(c) for c in row] for row in blob["basis"]]

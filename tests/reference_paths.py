@@ -3,9 +3,12 @@
 These are the per-subset strict checker and the inclusion-exclusion
 structure extraction that the library used before it read every
 coefficient from one evaluation at the generic element sum_i t_i e_i,
-and the rational Fincke-Pohst search, lattice element and half-norm
-split that the library used before its lattice kernels ran on ints.
-They are kept verbatim so that the tests can compare the two.
+the rational Fincke-Pohst search, lattice element and half-norm split
+that the library used before its lattice kernels ran on ints, and the
+degree-2 polarization loop that conic algebras ran at construction
+before they called the strict checker.  They are kept verbatim so that
+the tests can compare the two.  The grid check of the associative cubic
+input laws is new: a complete reference over ZZ for dimensions <= 3.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import isqrt
 from octad.cubic import CubicData
 from octad.extensions import DualExt, PolyExt
 from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
-from octad.linalg import add_vec, basis, solve_rational, sub_vec
+from octad.linalg import add_vec, basis, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
 from octad.zorders import _EPS_TO_U
 
 
@@ -239,3 +242,71 @@ def unit_type_split_by_solve(lattice, units):
         else:
             half_type.append(e)
     return integer_type, half_type
+
+
+def check_degree2_by_polarization(alg):
+    """Strict degree-2 check: x^2 - t(x)x + n(x)1 on the basis vectors and
+    its polarization on their pair sums, which decide a quadratic map."""
+    R = alg.ring
+
+    def deg2(x):
+        sq = alg.mul_vec(x, x)
+        tx = alg.trace_payload(x)
+        nx = alg.norm.eval_payload(x)
+        out = sub_vec(R, sq, scale_vec(R, tx, x))
+        return add_vec(R, out, scale_vec(R, nx, alg.unit))
+
+    for i in range(alg.dim):
+        ei = basis(R, alg.dim, i)
+        if not vec_is_zero(R, deg2(ei)):
+            return Verdict(False, witness=((i, i),), mode="strict")
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            ei = basis(R, alg.dim, i)
+            ej = basis(R, alg.dim, j)
+            s = deg2(add_vec(R, ei, ej))
+            s = sub_vec(R, s, deg2(ei))
+            s = sub_vec(R, s, deg2(ej))
+            if not vec_is_zero(R, s):
+                return Verdict(False, witness=((i, j),), mode="strict")
+    return Verdict(True, mode="strict")
+
+
+GRID = (-1, 0, 1, 2)
+
+
+def assoc_input_failures_on_grid(A):
+    """The laws of an associative cubic input over ZZ that fail, in the
+    validator's order: the unit and associativity on basis vectors (they
+    are linear in each argument), and x# x = x x# = N(x) 1 and
+    T(x, y) = T(xy) on the grid GRID^dim.  A polynomial of degree <= 3 in
+    each variable that vanishes on four integers per coordinate is zero,
+    so the grid decides both laws."""
+    R, n, data = A.ring, A.dim, A.data
+    one = data.basepoint
+    e = [basis(R, n, i) for i in range(n)]
+    grid = [list(p) for p in itertools.product(GRID, repeat=n)]
+
+    def unit(x):
+        return vec_eq(R, A.mul_vec(one, x), x) and vec_eq(R, A.mul_vec(x, one), x)
+
+    def associative(xyz):
+        x, y, z = xyz
+        return vec_eq(R, A.mul_vec(A.mul_vec(x, y), z), A.mul_vec(x, A.mul_vec(y, z)))
+
+    def adjoint(x):
+        sx = data.sharp_vec(x)
+        want = scale_vec(R, data.norm_payload(x), one)
+        return vec_eq(R, A.mul_vec(sx, x), want) and vec_eq(R, A.mul_vec(x, sx), want)
+
+    def trace(xy):
+        x, y = xy
+        return data.trace_bilin(x, y) == data.trace_lin(A.mul_vec(x, y))
+
+    laws = (
+        ("unit", unit, e),
+        ("associative", associative, itertools.product(e, repeat=3)),
+        ("adjoint", adjoint, grid),
+        ("trace", trace, itertools.product(grid, repeat=2)),
+    )
+    return [name for name, law, points in laws if not all(map(law, points))]

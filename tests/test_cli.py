@@ -149,21 +149,33 @@ def test_lattice_file_round_trip(tmp_path, capsys):
     assert blob2["disc"] == "4"
 
 
+# the error line of a case that names what is wrong; every other case says "error:"
+NAMED_ERRORS = {
+    ("lattice", "disc", "hurwitz", "--file", "{tmp}/partial.json"): "error: lattice file lacks the field(s) ambient_dim",
+    ("identities", "cay(Q;-1)", "axioms"): "error: unknown identity 'axioms'",
+    ("identities", "cay(FQ;1)", "moufang"): "error: cannot parse ring 'FQ'",
+    ("identities", "cay(Z/x;1)", "moufang"): "error: cannot parse ring 'Z/x'",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("table", "her3(f2)"),
         ("lattice", "member", "hurwitz", "1/0", "0", "0", "0", "--json"),
         ("lattice", "disc", "hurwitz", "--file", "no-such-dir/hurwitz.json"),
+        *NAMED_ERRORS,
     ],
 )
-def test_bad_input_gives_one_error_line(capsys, argv):
-    code = main(list(argv))
+def test_bad_input_gives_one_error_line(capsys, tmp_path, argv):
+    # a lattice export without its ambient_dim field
+    (tmp_path / "partial.json").write_text('{"basis": [], "disc": "1", "gram": [], "integral": true}')
+    code = main([a.format(tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines) == 1 and lines[0].startswith(NAMED_ERRORS.get(argv, "error:"))
     assert "Traceback" not in captured.err
 
 
