@@ -573,7 +573,7 @@ def _terms(L, poly, degree, label):
     """(sorted variable indices, coefficient) for each term of poly; every
     term must have the given degree."""
     for key, c in poly.items():
-        idx = tuple(i for i, e in enumerate(L.exponents(key)) for _ in range(e))
+        idx = tuple(i for i, e in L.factors(key) for _ in range(e))
         if len(idx) != degree:
             raise ValueError(f"{label} has a term of degree {len(idx)}, expected {degree}")
         yield idx, c
@@ -672,9 +672,6 @@ class PointedQuadraticJordan:
         R = self.ring
         t = self.q.bilin_payload(self.e, x)
         return [R.sub(R.mul(t, c), a) for c, a in zip(self.e, x)]
-
-    def trace_of(self, x):
-        return self.ring.scalar(self.q.bilin_payload(self.e, x))
 
     def u_op(self, x, y):
         R = self.ring

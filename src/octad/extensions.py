@@ -68,7 +68,8 @@ class PolyExt:
     product's degree exceeds cap exactly when its key reaches
     (cap + 1) << w*m.  Monomials of total degree > cap are dropped,
     which is sound because the checker only reads coefficients up to the
-    identity's total degree.  exponents(key) decodes a key.
+    identity's total degree.  exponents(key) decodes a key; factors(key)
+    reads only its nonzero fields.
     """
 
     def __init__(self, base, nvars, cap):
@@ -101,6 +102,21 @@ class PolyExt:
         w = self._width
         mask = (1 << w) - 1
         return tuple((key >> (w * i)) & mask for i in range(self.nvars))
+
+    def first_var(self, key):
+        """The least i with e_i > 0 in a packed key; -1 for the constant."""
+        return ((key & -key).bit_length() - 1) // self._width
+
+    def factors(self, key):
+        """The pairs (i, e_i) with e_i > 0 of a packed key, i ascending."""
+        w, out = self._width, []
+        rest = key & ((1 << self._degree_shift) - 1)
+        while rest:
+            i = self.first_var(rest)
+            e = (rest >> (w * i)) & ((1 << w) - 1)
+            out.append((i, e))
+            rest ^= e << (w * i)
+        return out
 
     def add(self, a, b):
         if not a:

@@ -3,24 +3,21 @@
 A multihomogeneous vector identity vanishes for all module elements over
 every scalar extension of the base ring iff all of its multihomogeneous
 components vanish on basis vectors.  The checker reads every component
-from one evaluation at the generic element: each variable of degree >= 2
-becomes sum_i t_i e_i over a truncated polynomial ring with its own n
-variables t_i, and each coefficient of the value is one component.  This
-is complete in every characteristic (point sampling alone is not, e.g.
-over GF(2)).
-
-Variables of degree 1 are specialized to plain basis vectors, one
-evaluation per choice, which bounds the number of formal variables.
+from one evaluation at the generic element: each variable becomes
+sum_i t_i e_i over a truncated polynomial ring with its own n variables
+t_i, and each coefficient of the value is one component.  This is
+complete in every characteristic (point sampling alone is not, e.g.
+over GF(2)).  No variable runs over basis picks: in a slot of degree 1
+the coefficient of t_i is the value at e_i.
 
 One cost guard, STRICT_GUARD, bounds the checker's real size: the number
-of monomials the generic value can hold (one binomial C(n + d - 1, d) per
-slot of degree d >= 2) times the number of evaluations (n per slot of
-degree 1).  That product is multiset_count(n, multidegree).
+of monomials the generic value can hold, one binomial C(n + d - 1, d) per
+slot of degree d (n for a slot of degree 1).  That product is
+multiset_count(n, multidegree).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .extensions import PolyExt, lift_vec
@@ -67,7 +64,9 @@ class IdentitySpec:
 
     evaluate(alg, L, vars) receives one payload vector per variable over
     the ring-like L and returns a payload vector (or a single payload when
-    scalar=True) that must vanish.
+    scalar=True) that must vanish.  A strict check always passes PolyExt
+    payloads, so evaluate must lift every constant of the base ring into
+    L (extensions.lift_vec) before it mixes it with the variables.
     """
 
     def __init__(self, name, multidegree, evaluate, scalar=False):
@@ -81,7 +80,8 @@ class IdentitySpec:
         return sum(self.multidegree)
 
 
-# The largest strict check a catalog axiom needs is bilinear-adjoint at
+# The guard counts the monomials of the one generic value a strict check
+# computes.  The largest a catalog axiom needs is bilinear-adjoint at
 # dimension 27 (142,884).  Degree-5 identities on the sedenions inside the
 # guard take up to about 1.4 s (tests/test_axiom_suites.py).
 STRICT_GUARD = 150_000
@@ -115,12 +115,11 @@ def smallest_failure(algebra, ident):
     """The smallest (witness, coordinate) at which the identity's value has
     a nonzero coefficient, or None when it vanishes as a polynomial law.
 
-    Each slot of degree >= 2 holds the generic element sum_i t_i e_i in its
-    own n variables; each slot of degree 1 runs over the basis vectors.  A
-    nonzero monomial of the value names a witness: per slot, the index
-    multiset of its variables in that slot, or the basis index of a degree-1
-    slot.  coordinate is the smallest row of the value (0 for a scalar
-    identity) where that monomial is nonzero.
+    One evaluation: every slot holds the generic element sum_i t_i e_i in
+    its own n variables.  A nonzero monomial of the value names a witness:
+    per slot, the index multiset of its variables in that slot.  coordinate
+    is the smallest row of the value (0 for a scalar identity) where that
+    monomial is nonzero.
     """
     ident = _resolve(algebra, ident)
     n = algebra.dim
@@ -129,50 +128,33 @@ def smallest_failure(algebra, ident):
         raise CostGuardError(
             f"{ident.name}: {size} generic monomials exceed the guard ({STRICT_GUARD}); use sampled mode"
         )
-    R = algebra.ring
-    degs = ident.multidegree
-    # a slot v of degree >= 2 owns the variables t_{offsets[v] + i}, i < n
-    offsets = {}
-    for v, d in enumerate(degs):
-        if d >= 2:
-            offsets[v] = n * len(offsets)
-    linear = [v for v, d in enumerate(degs) if d < 2]
-    L = PolyExt(R, n * len(offsets), ident.total_degree) if offsets else R
-
-    best = None
-    for picks in itertools.product(range(n), repeat=len(linear)):
-        picked = dict(zip(linear, picks))
-        vectors = []
-        for v in range(len(degs)):
-            if v in offsets:
-                vectors.append([L.var(offsets[v] + i) for i in range(n)])
-            else:
-                vec = [L.zero] * n
-                vec[picked[v]] = L.one
-                vectors.append(vec)
-        value = ident.evaluate(algebra, L, vectors)
-        rows = [value] if ident.scalar else value
-        for k, c in enumerate(rows):
-            if L.is_zero(c):
-                continue
-            monomials = [L.exponents(key) for key in c] if offsets else [()]
-            for exps in monomials:
-                found = (_witness(degs, offsets, picked, exps, n), k)
-                if best is None or found < best:
-                    best = found
-    return best
+    slots = len(ident.multidegree)
+    # slot v owns the variables t_{n v + i}, i < n
+    L = PolyExt(algebra.ring, n * slots, ident.total_degree)
+    vectors = [[L.var(n * v + i) for i in range(n)] for v in range(slots)]
+    value = ident.evaluate(algebra, L, vectors)
+    rows = [value] if ident.scalar else value
+    first_row = {}
+    for k, c in enumerate(rows):
+        for key in c:
+            first_row.setdefault(key, k)
+    if not first_row:
+        return None
+    # a witness opens with the least index of slot 0, or with the end of
+    # slot 0 (-1) when that slot is empty; only keys that share the least
+    # opening can be smallest, so only those are decoded
+    opening = {key: L.first_var(key) for key in first_row}
+    opening = {key: i if i < n else -1 for key, i in opening.items()}
+    least = min(opening.values())
+    return min((_witness(L, key, n, slots), k) for key, k in first_row.items() if opening[key] == least)
 
 
-def _witness(degs, offsets, picked, exps, n):
+def _witness(L, key, n, slots):
     """Per slot, the index multiset of a monomial's variables in that slot."""
-    witness = []
-    for v in range(len(degs)):
-        if v in offsets:
-            off = offsets[v]
-            witness.append(tuple(i for i in range(n) for _ in range(exps[off + i])))
-        else:
-            witness.append((picked[v],))
-    return tuple(witness)
+    parts = [[] for _ in range(slots)]
+    for i, e in L.factors(key):
+        parts[i // n].extend([i % n] * e)
+    return tuple(map(tuple, parts))
 
 
 def sampled_identity_check(algebra, ident, seed=DEFAULT_SEED, samples=200):

@@ -44,33 +44,47 @@ class _NotAUnit:
 NOT_A_UNIT = _NotAUnit()
 
 
+# Every n below this bound that is a strong probable prime to each of the
+# bases 2, 3, 5, ..., 41 is prime (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017), 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin.  A base that proves n composite is an
+    answer at any size; a probable prime at or above _MR_PROVEN is not,
+    and raises ValueError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        if pow(a, d, n) != 1 and all(pow(a, d << j, n) != n - 1 for j in range(s)):
             return False
-        f += 2
+    if n >= _MR_PROVEN:
+        raise ValueError(f"cannot prove {n} prime: moduli must be below {_MR_PROVEN}")
     return True
 
 
-def _radical(n):
-    # product of the distinct prime divisors of n
-    rad, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            rad *= p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        rad *= m
-    return rad
+def _iroot(n, k):
+    """The largest r with r**k <= n (Newton's method from above)."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime_power(n):
+    # for the largest k with n = r**k, r is no perfect power, so n is a
+    # prime power exactly when r is prime
+    k = max((k for k in range(2, n.bit_length() + 1) if _iroot(n, k) ** k == n), default=1)
+    return _is_prime(_iroot(n, k))
 
 
 class Ring:
@@ -353,11 +367,9 @@ class ModularRing(Ring):
         if n < 2:
             raise ValueError("modulus must be >= 2")
         self.n = n
-        self.rad = _radical(n)
         self.zero = 0
         self.one = 1
-        # connected <=> n is a prime power <=> radical is prime
-        self.is_connected = _is_prime(self.rad)
+        self.is_connected = _is_prime_power(n)
 
     def from_int(self, v):
         return v % self.n
@@ -383,23 +395,14 @@ class ModularRing(Ring):
         return (a - b) % self.n == 0
 
     def inv(self, a):
-        # extended gcd
-        a = a % self.n
-        g, x = self._xgcd(a, self.n)
-        if g != 1:
+        try:
+            return pow(a, -1, self.n)
+        except ValueError:  # a is not coprime to n
             return None
-        return x % self.n
-
-    @staticmethod
-    def _xgcd(a, b):
-        x0, x1 = 1, 0
-        while b:
-            q, a, b = a // b, b, a % b
-            x0, x1 = x1, x0 - q * x1
-        return a, x0
 
     def is_nilpotent(self, a):
-        return a % self.rad == 0
+        # every prime exponent of n is below n.bit_length()
+        return pow(a, self.n.bit_length(), self.n) == 0
 
     def elements(self):
         return range(self.n)

@@ -30,7 +30,7 @@ from octad.cubic import (
     validate_axioms,
 )
 from octad.cli import parse_algebra
-from octad.extensions import DualExt
+from octad.extensions import DualExt, lift_vec
 from octad.her3 import Gamma, her3
 from octad.identities import (
     STRICT_GUARD,
@@ -133,11 +133,12 @@ def _book_trace_form(J, L, vs):
     """T(x, y) - (T(x)T(y) - N(1; x, y)), N(1; x, y) the coefficient of s t
     in N(1 + s x + t y): the code's trace form against the book's."""
     x, y = vs
+    one = lift_vec(L, J.basepoint)
     D = DualExt(DualExt(L))
-    point = [((L.from_base(o), a), (b, L.zero)) for o, a, b in zip(J.basepoint, x, y)]
+    point = [((o, a), (b, L.zero)) for o, a, b in zip(one, x, y)]
     second = J.norm_payload(point, D)[1][1]
-    tx = J.norm_dir_payload(J.basepoint, x, L)
-    ty = J.norm_dir_payload(J.basepoint, y, L)
+    tx = J.norm_dir_payload(one, x, L)
+    ty = J.norm_dir_payload(one, y, L)
     book = L.sub(L.mul(tx, ty), second)
     return L.sub(J.trace_bilin(x, y, L), book)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octad.cayley import ground_algebra, iterated_cayley_dickson
-from octad.conic import ConicAlgebra, cartan_schouten, quadratic, split_etale
+from octad.conic import UNIT_LAW, ConicAlgebra, cartan_schouten, quadratic, split_etale
 from octad.cubic import (
     CUBIC_IDENTITIES,
     _adjoint_id,
@@ -29,11 +29,12 @@ from octad.cubic import (
 )
 from octad.extensions import PolyExt
 from octad.her3 import Gamma, her3
-from octad.identities import CONIC_IDENTITIES, strict_identity_check
+from octad.identities import CONIC_IDENTITIES, smallest_failure, strict_identity_check
 from octad.scalars import GF, QQ, ZZ, Zmod
-from octad.tits import mat3, split_albert, tits
+from octad.tits import TRACE_LAW, CubicAssocInput, mat3, split_albert, tits
 from octad.zorn import zorn_algebra
 from reference_paths import build_cubic_by_inclusion_exclusion, strict_identity_check_by_subsets
+from test_construction_laws import corrupted_inputs
 from test_cubic_kernels import Unchecked
 
 RINGS = {"ZZ": ZZ, "GF(2)": GF(2), "GF(3)": GF(3), "Z/6": Zmod(6), "QQ": QQ}
@@ -88,6 +89,90 @@ def test_sedenion_witness_matches_reference():
     fast = strict_identity_check(S, "norm-comp")
     assert fast.witness == ((1, 10), (4, 15))
     assert same_verdict(fast, strict_identity_check_by_subsets(S, "norm-comp"))
+
+
+# -- slots of degree 1: the generic element against basis picks -------------------------
+#
+# The reference runs every slot of degree 1 over the basis vectors, one
+# evaluation per pick, so it shares no code path with the one generic
+# evaluation of the library on these identities.
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(conic_cases())
+def test_unit_law_matches_per_subset_reference(case):
+    A, _ = case
+    assert same_verdict(strict_identity_check(A, UNIT_LAW), strict_identity_check_by_subsets(A, UNIT_LAW))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(corrupted_inputs())
+def test_trace_law_matches_per_subset_reference(case):
+    A = CubicAssocInput(*case, validate=False)
+    assert same_verdict(strict_identity_check(A, TRACE_LAW), strict_identity_check_by_subsets(A, TRACE_LAW))
+
+
+@pytest.mark.parametrize("ring", ["GF(3)", "Z/6"])
+def test_trace_law_matches_per_subset_reference_on_a_corrupted_mat3(ring):
+    M = mat3(RINGS[ring])
+    table = [[list(v) for v in row] for row in M.table]
+    table[1][5][0] = M.ring.add(table[1][5][0], M.ring.one)  # e_1 e_5 gains a trace
+    A = CubicAssocInput(M.data, table, validate=False)
+    fast = strict_identity_check(A, TRACE_LAW)
+    assert not fast.holds
+    assert same_verdict(fast, strict_identity_check_by_subsets(A, TRACE_LAW))
+
+
+@functools.lru_cache(maxsize=None)
+def corrupted_sedenions(ring, a, b, k):
+    """The sedenions over ring with the constant (e_a e_b)_k raised by one."""
+    S = iterated_cayley_dickson(RINGS[ring], [-1, -1, -1, -1])
+    R = S.ring
+    table = [[list(v) for v in row] for row in S.table]
+    table[a][b][k] = R.add(table[a][b][k], R.one)
+    return ConicAlgebra(R, S.dim, table, S.unit, S.norm, name="corrupted", validate=False)
+
+
+SEDENION_CORRUPTIONS = [("QQ", 3, 9, 10), ("GF(2)", 7, 12, 5), ("Z/6", 15, 15, 0)]
+
+
+@pytest.mark.parametrize("name", ["norm-assoc", "associative", "commutative"])
+@pytest.mark.parametrize("corruption", SEDENION_CORRUPTIONS, ids=lambda c: "-".join(map(str, c)))
+def test_multilinear_checks_match_reference_on_corrupted_sedenions(corruption, name):
+    S = corrupted_sedenions(*corruption)
+    fast = strict_identity_check(S, name)
+    assert same_verdict(fast, strict_identity_check_by_subsets(S, name))
+
+
+def smallest_failure_by_picks(A, ident):
+    """The first basis pick, in lexicographic order, where the identity is
+    nonzero, with the smallest nonzero row there."""
+    R, n = A.ring, A.dim
+    for picks in itertools.product(range(n), repeat=len(ident.multidegree)):
+        vectors = [[R.one if i == p else R.zero for i in range(n)] for p in picks]
+        value = ident.evaluate(A, R, vectors)
+        rows = [value] if ident.scalar else value
+        bad = [k for k, c in enumerate(rows) if not R.is_zero(c)]
+        if bad:
+            return tuple((p,) for p in picks), bad[0]
+    return None
+
+
+@pytest.mark.parametrize("name", ["norm-assoc", "associative"])
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        lambda: iterated_cayley_dickson(QQ, [-1, -1, -1]),
+        lambda: iterated_cayley_dickson(GF(3), [-1, 1, -1, -1]),
+        lambda: corrupted_sedenions("QQ", 3, 9, 10),
+        lambda: corrupted_sedenions("Z/6", 15, 15, 0),
+    ],
+    ids=["octonions", "cay(F3)16", "sedenions-QQ", "sedenions-Z/6"],
+)
+def test_coordinate_of_trilinear_failures_matches_a_pick_loop(algebra, name):
+    A = algebra()
+    ident = CONIC_IDENTITIES[name]
+    assert smallest_failure(A, ident) == smallest_failure_by_picks(A, ident)
 
 
 # -- strict checks of the cubic identities ---------------------------------------------

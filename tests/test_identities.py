@@ -9,8 +9,10 @@ from octad.identities import (
     IdentitySpec,
     multiset_count,
     sampled_identity_check,
+    smallest_failure,
     strict_identity_check,
 )
+from octad.extensions import PolyExt
 from octad.scalars import GF, QQ, ZZ
 
 
@@ -120,3 +122,33 @@ def test_deterministic_verdicts():
     v1 = strict_identity_check(O, "associative")
     v2 = strict_identity_check(O, "associative")
     assert v1.witness == v2.witness
+
+
+def test_witness_order_on_values_that_are_not_multihomogeneous():
+    """A user identity may leave a slot short or empty in some monomials.
+    The smallest witness is the least tuple of index multisets, with () and
+    short multisets first, as a min over every monomial of the value finds."""
+    A = split_etale(ZZ)
+    n = A.dim
+
+    def by_every_monomial(ident):
+        L = PolyExt(ZZ, n * len(ident.multidegree), ident.total_degree)
+        vectors = [[L.var(n * v + i) for i in range(n)] for v in range(len(ident.multidegree))]
+        rows = ident.evaluate(A, L, vectors)
+        found = []
+        for k, c in enumerate(rows):
+            for key in c:
+                exps = L.exponents(key)
+                slots = [[i for i in range(n) for _ in range(exps[n * v + i])] for v in range(len(vectors))]
+                found.append((tuple(map(tuple, slots)), k))
+        return min(found)
+
+    values = {
+        "empty slot 0": lambda L, x, y, z: [L.mul(x[0], y[0]), L.mul(y[1], z[1])],
+        "short slot 0": lambda L, x, y, z: [L.mul(L.mul(x[0], x[0]), y[1]), L.mul(x[0], y[0])],
+        "short slot 1": lambda L, x, y, z: [L.mul(x[1], z[0]), L.mul(L.mul(x[1], y[0]), z[0])],
+        "constant": lambda L, x, y, z: [L.mul(x[0], y[0]), L.one],
+    }
+    for name, value in values.items():
+        ident = IdentitySpec(name, (1, 1, 1), lambda alg, L, vs, value=value: value(L, *vs))
+        assert smallest_failure(A, ident) == by_every_monomial(ident), name
