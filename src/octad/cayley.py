@@ -1,11 +1,15 @@
-"""Cayley-Dickson doubling, classical quaternions/octonions/sedenions,
-norm-composition defect and the pinned sedenion zero-divisor pair.
+"""Cayley-Dickson doubling (through conic.build_conic), classical
+quaternions/octonions/sedenions, norm-composition defect, the pinned
+sedenion zero-divisor pair, and algebra maps whose laws the strict
+checker decides: f(xy) = f(x)f(y), n'(f(x)) = n(x) and the nucleus.
 """
 
 from __future__ import annotations
 
-from .conic import ConicAlgebra, ConicElement
-from .linalg import add_vec, basis, scale_vec, sub_vec, vec_eq
+from .conic import NOT_INVERTIBLE, ConicAlgebra, ConicElement, build_conic, cartan_schouten
+from .extensions import lift_vec
+from .identities import CONIC_IDENTITIES, IdentitySpec, strict_identity_check
+from .linalg import LinearMap, add_vec, basis, scale_vec, sub_vec, vec_eq
 from .quadforms import QuadraticForm
 from .scalars import QQ, ZZ
 
@@ -17,7 +21,8 @@ def ground_algebra(ring):
 
 
 def cayley_dickson(base, mu):
-    """Cay(B, mu) on coordinates (u, v) ~ u + v*j.
+    """Cay(B, mu) on coordinates (u, v) ~ u + v*j, read by build_conic from
+    one evaluation of these formulas at the generic element:
 
     (u1 + v1 j)(u2 + v2 j) = (u1 u2 + mu conj(v2) v1) + (v2 u1 + v1 conj(u2)) j
     n(u + v j) = n_B(u) - mu n_B(v)
@@ -27,31 +32,18 @@ def cayley_dickson(base, mu):
     if R.inv(mu_p) is None:
         raise ValueError("mu must be a unit")
     m = base.dim
-    n = 2 * m
 
-    def pad(u, v):
-        return list(u) + list(v)
+    def mul_fn(L, x, y):
+        u1, v1, u2, v2 = x[:m], x[m:], y[:m], y[m:]
+        mu_v = scale_vec(L, L.from_base(mu_p), base.mul_vec(base.conj_vec(v2, L), v1, L))
+        first = add_vec(L, base.mul_vec(u1, u2, L), mu_v)
+        return first + add_vec(L, base.mul_vec(v2, u1, L), base.mul_vec(v1, base.conj_vec(u2, L), L))
 
-    table = []
-    for a in range(n):
-        row = []
-        ua = basis(R, m, a) if a < m else [R.zero] * m
-        va = basis(R, m, a - m) if a >= m else [R.zero] * m
-        for b in range(n):
-            ub = basis(R, m, b) if b < m else [R.zero] * m
-            vb = basis(R, m, b - m) if b >= m else [R.zero] * m
-            first = add_vec(
-                R,
-                base.mul_vec(ua, ub),
-                scale_vec(R, mu_p, base.mul_vec(base.conj_vec(vb), va)),
-            )
-            second = add_vec(R, base.mul_vec(vb, ua), base.mul_vec(va, base.conj_vec(ub)))
-            row.append(pad(first, second))
-        table.append(row)
+    def norm_fn(L, x):
+        return L.sub(base.norm_payload(x[:m], L), L.mul(L.from_base(mu_p), base.norm_payload(x[m:], L)))
 
-    norm = QuadraticForm.direct_sum(base.norm, base.norm.scale(R.neg(mu_p)))
-    unit = pad(base.unit, [R.zero] * m)
-    alg = ConicAlgebra(R, n, table, unit, norm, name=f"cay({base.name},{R.render(mu_p)})")
+    unit = base.unit + [R.zero] * m
+    alg = build_conic(R, 2 * m, unit, mul_fn, norm_fn, name=f"cay({base.name},{R.render(mu_p)})")
     alg.cd_base = base
     alg.cd_mu = mu_p
     return alg
@@ -109,8 +101,6 @@ def composition_defect_formula(x, y):
 
 def sedenion_zero_divisor_witness(ring=None):
     """The pinned norm-2 pair with zero product in Cay(CS-octonions, -1)."""
-    from .conic import cartan_schouten
-
     if ring is None:
         ring = QQ
     if ring not in (QQ, ZZ):
@@ -122,90 +112,66 @@ def sedenion_zero_divisor_witness(ring=None):
     return alg, a, b
 
 
-class AlgebraMap:
-    """A verified linear map between conic algebras (columns = basis images)."""
-
-    def __init__(self, domain, codomain, columns):
-        self.domain = domain
-        self.codomain = codomain
-        self.columns = columns
+class AlgebraMap(LinearMap):
+    """A linear map between conic algebras (columns = basis images)."""
 
     def apply(self, x):
-        R = self.codomain.ring
-        out = [R.zero] * self.codomain.dim
-        for i, c in enumerate(x.coords):
-            if R.is_zero(c):
-                continue
-            for k, t in enumerate(self.columns[i]):
-                out[k] = R.add(out[k], R.mul(c, t))
-        return ConicElement(self.codomain, out)
+        return ConicElement(self.codomain, self.apply_vec(x.coords))
 
     def verify_homomorphism(self):
-        """Unit, norm and multiplicativity on all basis pairs."""
-        dom, cod = self.domain, self.codomain
-        R = cod.ring
-        if not vec_eq(R, self.apply(dom.one()).coords, cod.unit):
+        """f(1) = 1, and f(xy) = f(x)f(y) and n'(f(x)) = n(x) as laws."""
+        if not vec_eq(self.ring, self.apply_vec(self.domain.unit), self.codomain.unit):
             return False
-        for i in range(dom.dim):
-            ei = dom.basis_element(i)
-            if not R.eq(
-                cod.norm.eval_payload(self.apply(ei).coords),
-                dom.norm.eval_payload(ei.coords),
-            ):
-                return False
-            for j in range(dom.dim):
-                ej = dom.basis_element(j)
-                lhs = self.apply(dom.mul(ei, ej))
-                rhs = cod.mul(self.apply(ei), self.apply(ej))
-                if not vec_eq(R, lhs.coords, rhs.coords):
-                    return False
-        # norm on basis pairs (bilinear part)
-        for i in range(dom.dim):
-            for j in range(i + 1, dom.dim):
-                ei, ej = dom.basis_element(i), dom.basis_element(j)
-                if not R.eq(
-                    cod.norm.bilin_payload(self.apply(ei).coords, self.apply(ej).coords),
-                    dom.norm.bilin_payload(ei.coords, ej.coords),
-                ):
-                    return False
-        return True
+        return all(strict_identity_check(self, law).holds for law in (PRODUCT_LAW, NORM_LAW))
+
+
+def _product_law(f, L, vs):
+    x, y = vs
+    lhs = f.apply_vec(f.domain.mul_vec(x, y, L), L)
+    return sub_vec(L, lhs, f.codomain.mul_vec(f.apply_vec(x, L), f.apply_vec(y, L), L))
+
+
+def _norm_law(f, L, vs):
+    (x,) = vs
+    return L.sub(f.codomain.norm_payload(f.apply_vec(x, L), L), f.domain.norm_payload(x, L))
+
+
+PRODUCT_LAW = IdentitySpec("f(xy) = f(x)f(y)", (1, 1), _product_law)
+NORM_LAW = IdentitySpec("n'(f(x)) = n(x)", (2,), _norm_law, scalar=True)
+
+
+def nucleus_law(a):
+    """[x, y, a], [x, a, y] and [a, x, y], stacked: they all vanish as a
+    law iff the payload vector a lies in the nucleus."""
+    assoc = CONIC_IDENTITIES["associative"].evaluate
+
+    def evaluate(alg, L, vs):
+        x, y = vs
+        a_l = lift_vec(L, a)
+        return assoc(alg, L, (x, y, a_l)) + assoc(alg, L, (x, a_l, y)) + assoc(alg, L, (a_l, x, y))
+
+    return IdentitySpec("nucleus", (1, 1), evaluate)
 
 
 def scale_isomorphism(base, mu, a, nucleus_check=True):
     """u + v j -> u + (a v) j as a map Cay(B, n_B(a) mu) -> Cay(B, mu).
 
     Requires n_B(a) a unit; for associative B any unit a works.  The map
-    is verified on all basis pairs and the check failure signals a
+    is verified as a homomorphism, and the check failure signals a
     precondition violation (a outside the nucleus).
     """
     R = base.ring
     na = base.norm.eval_payload(a.coords)
     if R.inv(na) is None:
         raise ValueError("a must have unit norm")
-    if nucleus_check:
-        for i in range(base.dim):
-            for j in range(base.dim):
-                ei, ej = base.basis_element(i), base.basis_element(j)
-                lhs = base.mul(base.mul(ei, ej), a)
-                rhs = base.mul(ei, base.mul(ej, a))
-                lhs2 = base.mul(base.mul(ei, a), ej)
-                rhs2 = base.mul(ei, base.mul(a, ej))
-                lhs3 = base.mul(base.mul(a, ei), ej)
-                rhs3 = base.mul(a, base.mul(ei, ej))
-                if lhs != rhs or lhs2 != rhs2 or lhs3 != rhs3:
-                    raise ValueError("a is not in the nucleus of the base algebra")
+    if nucleus_check and not strict_identity_check(base, nucleus_law(a.coords)).holds:
+        raise ValueError("a is not in the nucleus of the base algebra")
     mu_p = R.coerce(mu)
     dom = cayley_dickson(base, R.mul(na, mu_p))
     cod = cayley_dickson(base, mu_p)
     m = base.dim
-    columns = []
-    for i in range(2 * m):
-        if i < m:
-            col = basis(R, m, i) + [R.zero] * m
-        else:
-            av = base.mul_vec(a.coords, basis(R, m, i - m))
-            col = [R.zero] * m + av
-        columns.append(col)
+    columns = [basis(R, m, i) + [R.zero] * m for i in range(m)]
+    columns += [[R.zero] * m + base.mul_vec(a.coords, basis(R, m, i)) for i in range(m)]
     fmap = AlgebraMap(dom, cod, columns)
     if not fmap.verify_homomorphism():
         raise ValueError("scale map failed verification (precondition violated)")
@@ -222,8 +188,6 @@ def quat_rotate(v, s):
     R = alg.ring
     if not R.is_zero(alg.trace_payload(s.coords)):
         raise ValueError("s must have trace zero")
-    from .conic import NOT_INVERTIBLE
-
     vinv = alg.try_inverse(v)
     if vinv is NOT_INVERTIBLE:
         raise ValueError("v must be invertible")

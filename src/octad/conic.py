@@ -3,13 +3,15 @@
 A conic algebra is a free module with a bilinear product, a two-sided
 unit and a norm form n with n(1) = 1 such that x^2 - t(x)x + n(x)1 = 0
 holds strictly, where t = Dn(1, .) and conjugation is t(x)1 - x.
+build_conic reads the table and the norm of an algebra given by formulas
+from one evaluation at the generic element, like cubic.build_cubic.
 """
 
 from __future__ import annotations
 
 import json
 
-from .extensions import lift_vec
+from .extensions import PolyExt, lift_vec
 from .identities import IdentitySpec, strict_identity_check
 from .linalg import (
     ModuleElement,
@@ -248,6 +250,26 @@ def require_law(alg, ident, what):
     v = strict_identity_check(alg, ident)
     if not v.holds:
         raise ValueError(f"{alg.name}: {what} fails at {v.witness}")
+
+
+def build_conic(ring, dim, unit, mul_fn, norm_fn, name="conic"):
+    """A conic algebra from product and norm callables mul_fn(L, x, y) and
+    norm_fn(L, x) that evaluate over any ring-like L.  Each is evaluated
+    once, at x = sum_a s_a e_a and y = sum_b t_b e_b over a truncated
+    polynomial ring: the coefficient of s_a t_b in coordinate k of the
+    product is table[a][b][k], that of s_i s_j (i <= j) in the norm is its
+    (i, j) coefficient.  A term of another degree, or a product term s_a s_b
+    or t_a t_b, raises ValueError."""
+    table = [[[ring.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    L = PolyExt(ring, 2 * dim, 3)
+    xy = [L.var(i) for i in range(2 * dim)]
+    for k, poly in enumerate(mul_fn(L, xy[:dim], xy[dim:])):
+        for (a, b), c in L.terms(poly, 2, f"{name}: mul_fn"):
+            if not a < dim <= b:
+                raise ValueError(f"{name}: mul_fn is not bilinear")
+            table[a][b - dim][k] = c
+    coeffs = dict(L.terms(norm_fn(L, xy[:dim]), 2, f"{name}: norm_fn"))
+    return ConicAlgebra(ring, dim, table, unit, QuadraticForm(ring, dim, coeffs), name=name)
 
 
 def structure_table(ring, dim, table):

@@ -48,6 +48,7 @@ from .identities import (
     strict_identity_check,
 )
 from .linalg import (
+    LinearMap,
     ModuleElement,
     add_term,
     basis,
@@ -546,7 +547,7 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
     cross_pairs = {(i, j): [ring.zero] * dim for i in range(dim) for j in range(i + 1, dim)}
     L = PolyExt(ring, dim, 3)
     for k, poly in enumerate(sharp_fn(L, [L.var(i) for i in range(dim)])):
-        for (i, j), c in _terms(L, poly, 2, f"{name}: sharp_fn"):
+        for (i, j), c in L.terms(poly, 2, f"{name}: sharp_fn"):
             (sharp_basis[i] if i == j else cross_pairs[(i, j)])[k] = c
 
     n_single = [ring.zero] * dim
@@ -554,7 +555,7 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
     n_triple = {}
     L = PolyExt(ring, dim, 4)
     norm = norm_fn(L, [L.var(i) for i in range(dim)])
-    for (i, j, l), c in _terms(L, norm, 3, f"{name}: norm_fn"):
+    for (i, j, l), c in L.terms(norm, 3, f"{name}: norm_fn"):
         if i == l:
             n_single[i] = c
         elif i == j:
@@ -567,16 +568,6 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
     return CubicData(
         ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name=name
     )
-
-
-def _terms(L, poly, degree, label):
-    """(sorted variable indices, coefficient) for each term of poly; every
-    term must have the given degree."""
-    for key, c in poly.items():
-        idx = tuple(i for i, e in L.factors(key) for _ in range(e))
-        if len(idx) != degree:
-            raise ValueError(f"{label} has a term of degree {len(idx)}, expected {degree}")
-        yield idx, c
 
 
 # -- constructors ------------------------------------------------------------------
@@ -690,20 +681,24 @@ class PointedQuadraticJordan:
 
 def verify_cubic_iso(src, dst, apply):
     """Check that the linear map apply: src -> dst is an isomorphism of cubic
-    norm structures: it must preserve the base point and the adjoint on basis
-    vectors and on their pair sums.  Raises AssertionError otherwise."""
-    n = src.dim
-    if apply(src.one()).coords != dst.one().coords:
+    norm structures: it preserves the base point, and f(x#) = f(x)# holds as
+    a law (on basis vectors: the t_i^2 terms; on pair sums: the t_i t_j
+    terms).  Raises AssertionError otherwise."""
+    f = LinearMap(src, dst, [apply(src.basis_element(i)).coords for i in range(src.dim)])
+    if not vec_eq(src.ring, f.apply_vec(src.basepoint), dst.basepoint):
         raise AssertionError("map does not preserve the base point")
-    basis_elems = [src.basis_element(i) for i in range(n)]
-    for i in range(n):
-        if apply(src.sharp(basis_elems[i])) != dst.sharp(apply(basis_elems[i])):
-            raise AssertionError("map does not preserve adjoints on basis")
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = basis_elems[i] + basis_elems[j]
-            if apply(src.sharp(s)) != dst.sharp(apply(s)):
-                raise AssertionError("map does not preserve adjoints on pair sums")
+    v = strict_identity_check(f, SHARP_MAP_LAW)
+    if not v.holds:
+        ((i, j),) = v.witness
+        raise AssertionError(f"map does not preserve adjoints on {'basis' if i == j else 'pair sums'}")
+
+
+def _sharp_map_law(f, L, vs):
+    (x,) = vs
+    return sub_vec(L, f.apply_vec(f.domain.sharp_vec(x, L), L), f.codomain.sharp_vec(f.apply_vec(x, L), L))
+
+
+SHARP_MAP_LAW = IdentitySpec("f(x#) = f(x)#", (2,), _sharp_map_law)
 
 
 # -- axiom validation ------------------------------------------------------------------

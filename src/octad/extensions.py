@@ -118,6 +118,16 @@ class PolyExt:
             rest ^= e << (w * i)
         return out
 
+    def terms(self, poly, degree, label):
+        """(sorted variable indices, coefficient) for each term of poly;
+        a term of another degree raises ValueError.  The structure builders
+        (conic.build_conic, cubic.build_cubic) read their constants here."""
+        for key, c in poly.items():
+            idx = tuple(i for i, e in self.factors(key) for _ in range(e))
+            if len(idx) != degree:
+                raise ValueError(f"{label} has a term of degree {len(idx)}, expected {degree}")
+            yield idx, c
+
     def add(self, a, b):
         if not a:
             return dict(b)

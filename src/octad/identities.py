@@ -188,17 +188,13 @@ def _mul(alg, L, x, y):
     return alg.mul_vec(x, y, L)
 
 
-def _unit(alg, L):
-    return lift_vec(L, alg.unit)
-
-
 def _degree2(alg, L, vs):
     (x,) = vs
     sq = _mul(alg, L, x, x)
     t = alg.trace_payload(x, L)
     nx = alg.norm_payload(x, L)
     out = sub_vec(L, sq, scale_vec(L, t, x))
-    return add_vec(L, out, scale_vec(L, nx, _unit(alg, L)))
+    return add_vec(L, out, scale_vec(L, nx, lift_vec(L, alg.unit)))
 
 
 def _flexible(alg, L, vs):

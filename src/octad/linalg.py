@@ -125,6 +125,30 @@ class ModuleElement:
         return "(" + ", ".join(R.render(c) for c in self.coords) + ")"
 
 
+class LinearMap:
+    """x -> sum_i x_i columns[i] between two free algebras.  It carries the
+    domain's ring and dim, so the strict checker decides a law of the map
+    (an identities.IdentitySpec evaluated on it) like a law of an algebra."""
+
+    def __init__(self, domain, codomain, columns):
+        self.domain = domain
+        self.codomain = codomain
+        self.columns = columns
+        self.ring = domain.ring
+        self.dim = domain.dim
+        self._sparse = [signed_sparse(self.ring, col) for col in columns]
+
+    def apply_vec(self, x, L=None):
+        """The image of a payload vector, optionally over ring-like L."""
+        R = L if L is not None else self.ring
+        out = [R.zero] * self.codomain.dim
+        for c, col in zip(x, self._sparse):
+            if not R.is_zero(c):
+                for k, t, sign in col:
+                    out[k] = add_term(R, out[k], c, t, sign)
+        return out
+
+
 # -- matrices ----------------------------------------------------------------------
 
 

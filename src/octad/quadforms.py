@@ -73,25 +73,10 @@ class QuadraticForm:
         d = linalg.det(self.ring, g)
         return self.ring.is_unit(d)
 
-    def scale(self, c):
-        R = self.ring
-        c = R.coerce(c)
-        return QuadraticForm(R, self.dim, {k: R.mul(c, v) for k, v in self.coeffs.items()})
-
     @staticmethod
     def diagonal(ring, entries):
         entries = [ring.coerce(e) for e in entries]
         return QuadraticForm(ring, len(entries), {(i, i): e for i, e in enumerate(entries)})
-
-    @staticmethod
-    def direct_sum(q1, q2):
-        if q1.ring != q2.ring:
-            raise ValueError("ring mismatch")
-        n1 = q1.dim
-        coeffs = dict(q1.coeffs)
-        for (i, j), c in q2.coeffs.items():
-            coeffs[(i + n1, j + n1)] = c
-        return QuadraticForm(q1.ring, n1 + q2.dim, coeffs)
 
 
 class BilinearForm:

@@ -16,6 +16,7 @@ value and a reduced Fraction for every other one (never a float).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .extensions import DualExt
 
@@ -369,7 +370,11 @@ class ModularRing(Ring):
         self.n = n
         self.zero = 0
         self.one = 1
-        self.is_connected = _is_prime_power(n)
+
+    @cached_property
+    def is_connected(self):
+        # on first use: a modulus too large to prove prime fails only here
+        return _is_prime_power(self.n)
 
     def from_int(self, v):
         return v % self.n
@@ -502,8 +507,11 @@ class DualNumbers(DualExt, Ring):
 
     def __init__(self, base):
         super().__init__(base)
-        self.is_connected = base.is_connected
         self.finite = base.finite
+
+    @property
+    def is_connected(self):
+        return self.base.is_connected
 
     def from_base(self, a):
         return a

@@ -9,14 +9,17 @@ entries, multiplied with the cross product:
 
 The norm is a1 a2 + <u2, u1>: with the product above, x conj(x) works out
 to that scalar (the determinant-style sign is incompatible with this
-product's off-diagonal minus signs).
+product's off-diagonal minus signs).  ZornElement and zorn_algebra share
+one payload-level product; zorn_algebra reads its table and norm on the
+basis E, 1-E, X_i, E X_i through conic.build_conic.
 """
 
 from __future__ import annotations
 
-from .conic import ConicAlgebra
+from collections import namedtuple
+
+from .conic import build_conic
 from .identities import Verdict
-from .quadforms import QuadraticForm
 from .scalars import GF
 
 
@@ -92,21 +95,30 @@ def _cross(R, u, v):
     )
 
 
+def _dot(R, u, v):
+    return R.add(R.add(R.mul(u[0], v[0]), R.mul(u[1], v[1])), R.mul(u[2], v[2]))
+
+
+_Entries = namedtuple("_Entries", "a1 u2 u1 a2")
+
+
+def _product(R, x, y):
+    """The Zorn product over any ring-like R of two ZornElements or _Entries
+    (payload entries a1, u2, u1, a2)."""
+    a1 = R.sub(R.mul(x.a1, y.a1), _dot(R, x.u2, y.u1))
+    a2 = R.sub(R.mul(x.a2, y.a2), _dot(R, x.u1, y.u2))
+    cx1 = _cross(R, x.u1, y.u1)
+    cx2 = _cross(R, x.u2, y.u2)
+    top = [R.add(R.add(R.mul(x.a1, y.u2[i]), R.mul(y.a2, x.u2[i])), cx1[i]) for i in range(3)]
+    bot = [R.add(R.add(R.mul(y.a1, x.u1[i]), R.mul(x.a2, y.u1[i])), cx2[i]) for i in range(3)]
+    return _Entries(a1, top, bot, a2)
+
+
 def zorn_mul(x, y):
     R = x.ring
     if y.ring != R:
         raise ValueError("ring mismatch")
-    a1 = R.sub(R.mul(x.a1, y.a1), R.dot(x.u2, y.u1))
-    a2 = R.sub(R.mul(x.a2, y.a2), R.dot(x.u1, y.u2))
-    cx1 = _cross(R, x.u1, y.u1)
-    cx2 = _cross(R, x.u2, y.u2)
-    top = [
-        R.add(R.add(R.mul(x.a1, y.u2[i]), R.mul(y.a2, x.u2[i])), cx1[i]) for i in range(3)
-    ]
-    bot = [
-        R.add(R.add(R.mul(y.a1, x.u1[i]), R.mul(x.a2, y.u1[i])), cx2[i]) for i in range(3)
-    ]
-    return ZornElement(R, a1, top, bot, a2)
+    return ZornElement(R, *_product(R, x, y))
 
 
 def zorn_unit(ring):
@@ -128,56 +140,38 @@ def gen_X(ring, i):
     return ZornElement(ring, ring.zero, [ring.neg(c) for c in e], e, ring.zero)
 
 
-# Basis order fixed by the spanning set: E, 1-E, X1, X2, X3, E X1, E X2, E X3.
-def _zorn_basis(ring):
-    E = idem_E(ring)
-    one = zorn_unit(ring)
-    Ebar = one - E
-    xs = [gen_X(ring, i) for i in (1, 2, 3)]
-    return [E, Ebar] + xs + [zorn_mul(E, x) for x in xs]
+def _from_coords(R, c):
+    """The entries of sum c_i b_i over the fixed basis b = E, 1-E, X1, X2,
+    X3, E X1, E X2, E X3, over any ring-like R.
 
-
-def _to_coords(ring, z):
-    """Coordinates in the fixed basis, solved in closed form.
-
-    element = a1 E + a2 Ebar + sum x_i X_i + sum y_i E X_i with
-    top-right = (-x1 - y1, -x2 - y2, x3 + y3) and bottom-left = (x1, x2, x3).
+    With X3 = [[0, e_3], [e_3, 0]] and E X_i the top-right half of X_i,
+    a1 E + a2 (1-E) + sum x_i X_i + sum y_i E X_i has top-right
+    (-x1 - y1, -x2 - y2, x3 + y3) and bottom-left (x1, x2, x3).
     """
-    R = ring
+    a1, a2, x1, x2, x3, y1, y2, y3 = c
+    u2 = [R.neg(R.add(x1, y1)), R.neg(R.add(x2, y2)), R.add(x3, y3)]
+    return _Entries(a1, u2, [x1, x2, x3], a2)
+
+
+def _to_coords(R, z):
+    """The inverse of _from_coords, on a ZornElement or _Entries."""
     x1, x2, x3 = z.u1
     t1, t2, t3 = z.u2
-    y1 = R.sub(R.neg(t1), x1)
-    y2 = R.sub(R.neg(t2), x2)
-    y3 = R.sub(t3, x3)
-    return [z.a1, z.a2, x1, x2, x3, y1, y2, y3]
+    return [z.a1, z.a2, x1, x2, x3, R.sub(R.neg(t1), x1), R.sub(R.neg(t2), x2), R.sub(t3, x3)]
 
 
 def zorn_algebra(ring):
-    """Zorn(k) registered as an 8-dimensional conic algebra."""
-    basis = _zorn_basis(ring)
-    table = []
-    for a in basis:
-        row = []
-        for b in basis:
-            row.append(_to_coords(ring, zorn_mul(a, b)))
-        table.append(row)
-    # n(sum coords * basis) expanded in coordinates
-    R = ring
-    coeffs = {}
-    for i in range(8):
-        for j in range(i, 8):
-            if i == j:
-                v = basis[i].norm().payload
-            else:
-                s = (basis[i] + basis[j]).norm().payload
-                v = R.sub(R.sub(s, basis[i].norm().payload), basis[j].norm().payload)
-            if not R.is_zero(v):
-                coeffs[(i, j)] = v
-    norm = QuadraticForm(ring, 8, coeffs)
-    unit = _to_coords(ring, zorn_unit(ring))
-    alg = ConicAlgebra(ring, 8, table, unit, norm, name="zorn")
-    alg.zorn_basis = basis
-    return alg
+    """Zorn(k) as an 8-dimensional conic algebra, read by build_conic from
+    one evaluation of the Zorn product and norm at the generic element."""
+
+    def mul_fn(L, x, y):
+        return _to_coords(L, _product(L, _from_coords(L, x), _from_coords(L, y)))
+
+    def norm_fn(L, x):
+        z = _from_coords(L, x)
+        return L.add(L.mul(z.a1, z.a2), _dot(L, z.u2, z.u1))
+
+    return build_conic(ring, 8, _to_coords(ring, zorn_unit(ring)), mul_fn, norm_fn, name="zorn")
 
 
 def presentation_suite(algebra, e, x1, x2):

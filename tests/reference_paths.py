@@ -4,10 +4,12 @@ These are the per-subset strict checker and the inclusion-exclusion
 structure extraction that the library used before it read every
 coefficient from one evaluation at the generic element sum_i t_i e_i,
 the rational Fincke-Pohst search, lattice element and half-norm split
-that the library used before its lattice kernels ran on ints, and the
+that the library used before its lattice kernels ran on ints, the
 degree-2 polarization loop that conic algebras ran at construction
-before they called the strict checker.  They are kept verbatim so that
-the tests can compare the two.  The grid check of the associative cubic
+before they called the strict checker, and the basis-pair loops that
+built Cayley-Dickson doubles and Zorn(k) before conic.build_conic read
+them from the generic element.  They are kept verbatim so that the tests
+can compare the two.  The grid check of the associative cubic
 input laws is new: a complete reference over ZZ for dimensions <= 3.
 """
 
@@ -17,10 +19,13 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
+from octad.conic import ConicAlgebra
 from octad.cubic import CubicData
 from octad.extensions import DualExt, PolyExt
 from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
 from octad.linalg import add_vec, basis, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
+from octad.quadforms import QuadraticForm
+from octad.zorn import _to_coords, gen_X, idem_E, zorn_mul, zorn_unit
 from octad.zorders import _EPS_TO_U
 
 
@@ -310,3 +315,84 @@ def assoc_input_failures_on_grid(A):
         ("trace", trace, itertools.product(grid, repeat=2)),
     )
     return [name for name, law, points in laws if not all(map(law, points))]
+
+
+def cayley_dickson_by_basis_pairs(base, mu):
+    """Cay(B, mu) on coordinates (u, v) ~ u + v*j.
+
+    (u1 + v1 j)(u2 + v2 j) = (u1 u2 + mu conj(v2) v1) + (v2 u1 + v1 conj(u2)) j
+    n(u + v j) = n_B(u) - mu n_B(v)
+    """
+    R = base.ring
+    mu_p = R.coerce(mu)
+    if R.inv(mu_p) is None:
+        raise ValueError("mu must be a unit")
+    m = base.dim
+    n = 2 * m
+
+    def pad(u, v):
+        return list(u) + list(v)
+
+    table = []
+    for a in range(n):
+        row = []
+        ua = basis(R, m, a) if a < m else [R.zero] * m
+        va = basis(R, m, a - m) if a >= m else [R.zero] * m
+        for b in range(n):
+            ub = basis(R, m, b) if b < m else [R.zero] * m
+            vb = basis(R, m, b - m) if b >= m else [R.zero] * m
+            first = add_vec(
+                R,
+                base.mul_vec(ua, ub),
+                scale_vec(R, mu_p, base.mul_vec(base.conj_vec(vb), va)),
+            )
+            second = add_vec(R, base.mul_vec(vb, ua), base.mul_vec(va, base.conj_vec(ub)))
+            row.append(pad(first, second))
+        table.append(row)
+
+    # QuadraticForm.direct_sum(base.norm, base.norm.scale(R.neg(mu_p))), inlined
+    minus_mu = R.neg(mu_p)
+    coeffs = dict(base.norm.coeffs)
+    for (i, j), c in base.norm.coeffs.items():
+        coeffs[(i + m, j + m)] = R.mul(minus_mu, c)
+    norm = QuadraticForm(R, n, coeffs)
+    unit = pad(base.unit, [R.zero] * m)
+    alg = ConicAlgebra(R, n, table, unit, norm, name=f"cay({base.name},{R.render(mu_p)})")
+    alg.cd_base = base
+    alg.cd_mu = mu_p
+    return alg
+
+
+# Basis order fixed by the spanning set: E, 1-E, X1, X2, X3, E X1, E X2, E X3.
+def _zorn_basis(ring):
+    E = idem_E(ring)
+    one = zorn_unit(ring)
+    Ebar = one - E
+    xs = [gen_X(ring, i) for i in (1, 2, 3)]
+    return [E, Ebar] + xs + [zorn_mul(E, x) for x in xs]
+
+
+def zorn_algebra_by_basis_products(ring):
+    """Zorn(k) registered as an 8-dimensional conic algebra."""
+    basis = _zorn_basis(ring)
+    table = []
+    for a in basis:
+        row = []
+        for b in basis:
+            row.append(_to_coords(ring, zorn_mul(a, b)))
+        table.append(row)
+    # n(sum coords * basis) expanded in coordinates
+    R = ring
+    coeffs = {}
+    for i in range(8):
+        for j in range(i, 8):
+            if i == j:
+                v = basis[i].norm().payload
+            else:
+                s = (basis[i] + basis[j]).norm().payload
+                v = R.sub(R.sub(s, basis[i].norm().payload), basis[j].norm().payload)
+            if not R.is_zero(v):
+                coeffs[(i, j)] = v
+    norm = QuadraticForm(ring, 8, coeffs)
+    unit = _to_coords(ring, zorn_unit(ring))
+    return ConicAlgebra(ring, 8, table, unit, norm, name="zorn")

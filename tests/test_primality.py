@@ -14,7 +14,7 @@ import pytest
 import sympy
 
 from octad.cli import main
-from octad.scalars import GF, Zmod, _is_prime, _is_prime_power, _iroot, _MR_PROVEN
+from octad.scalars import GF, DualNumbers, Zmod, _is_prime, _is_prime_power, _iroot, _MR_PROVEN
 
 
 def trial_division(n):
@@ -99,7 +99,7 @@ def test_no_answer_on_a_probable_prime_above_the_proven_bound():
     with pytest.raises(ValueError, match="cannot prove"):
         GF(prime)
     with pytest.raises(ValueError, match="cannot prove"):
-        Zmod(prime)
+        Zmod(prime).is_connected
     # a base that proves compositeness answers at any size
     assert not _is_prime(3 * _MR_PROVEN)
     assert not _is_prime(prime * sympy.nextprime(prime))
@@ -126,3 +126,25 @@ def test_unproven_modulus_gives_one_error_line(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: cannot prove") and captured.err.count("\n") == 1
+
+
+def test_unproven_modulus_is_refused_only_where_connectedness_is_asked(capsys):
+    """Z/n decides is_connected on first use: a check that never asks answers,
+    and the idempotent classifications, which ask, refuse with one ValueError."""
+    from octad.cayley import quaternions
+    from octad.cubic import split_cubic_etale
+
+    prime = sympy.nextprime(_MR_PROVEN)
+    code = main(["identities", f"cay(Z/{prime};-1)", "degree2", "--json"])
+    assert code == 0
+    assert '"verdict": "Holds"' in capsys.readouterr().out
+    R = Zmod(prime)
+    H = quaternions(R)
+    J = split_cubic_etale(R)
+    with pytest.raises(ValueError, match=f"cannot prove {prime} prime"):
+        H.classify_idempotent(H.one())
+    with pytest.raises(ValueError, match=f"cannot prove {prime} prime"):
+        J.idem_class(J.one())
+    assert DualNumbers(Zmod(9)).is_connected and not DualNumbers(Zmod(6)).is_connected
+    with pytest.raises(ValueError, match="cannot prove"):
+        DualNumbers(R).is_connected
