@@ -17,7 +17,7 @@ from .scalars import QQ, ZZ
 def ground_algebra(ring):
     """The ring itself as a rank-1 conic algebra with norm x^2."""
     norm = QuadraticForm(ring, 1, {(0, 0): ring.one})
-    return ConicAlgebra(ring, 1, [[[ring.one]]], [ring.one], norm, name="ground")
+    return ConicAlgebra(ring, 1, {(0, 0, 0): ring.one}, [ring.one], norm, name="ground")
 
 
 def cayley_dickson(base, mu):

@@ -204,7 +204,7 @@ def _run_count(args):
 def _run_table(args):
     t0 = time.monotonic()
     alg = parse_algebra(args.algebra)
-    if not (args.json or hasattr(alg, "table")):
+    if not (args.json or isinstance(alg, conic.ConicAlgebra)):
         raise ValueError(f"{args.algebra} has no multiplication table to print; use --json")
     report = {
         "command": "table",
@@ -222,14 +222,15 @@ def _run_table(args):
 
 
 def _print_grid(alg):
-    R = alg.ring
+    R, n = alg.ring, alg.dim
     names = _basis_names(alg)
-    width = max(len(n) for n in names) + 1
-    print(" " * width + " ".join(n.rjust(width) for n in names))
-    for a in range(alg.dim):
+    width = max(len(name) for name in names) + 1
+    print(" " * width + " ".join(name.rjust(width) for name in names))
+    for a in range(n):
         cells = []
-        for b in range(alg.dim):
-            cells.append(_render_combo(alg, alg.table[a][b], names).rjust(width))
+        for b in range(n):
+            vec = [alg.products.get((a, b, k), R.zero) for k in range(n)]
+            cells.append(_render_combo(alg, vec, names).rjust(width))
         print(names[a].rjust(width) + " ".join(cells))
 
 

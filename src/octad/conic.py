@@ -3,8 +3,9 @@
 A conic algebra is a free module with a bilinear product, a two-sided
 unit and a norm form n with n(1) = 1 such that x^2 - t(x)x + n(x)1 = 0
 holds strictly, where t = Dn(1, .) and conjugation is t(x)1 - x.
-build_conic reads the table and the norm of an algebra given by formulas
-from one evaluation at the generic element, like cubic.build_cubic.
+build_conic reads the products and the norm of an algebra given by
+formulas from one evaluation at the generic element, like
+cubic.build_cubic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .extensions import PolyExt, lift_vec
-from .identities import IdentitySpec, strict_identity_check
+from .identities import IdentitySpec, require_law, strict_identity_check
 from .linalg import (
     ModuleElement,
     add_term,
@@ -20,6 +21,7 @@ from .linalg import (
     scale_vec,
     signed_sparse,
     sub_vec,
+    unit_sign,
     vec_eq,
     vec_is_zero,
 )
@@ -30,11 +32,16 @@ NOT_INVERTIBLE = "NotInvertible"
 
 
 class ConicAlgebra:
-    def __init__(self, ring, dim, table, unit, norm, name="conic", validate=True):
-        """table[a][b] is the coordinate vector (payloads) of e_a * e_b."""
+    def __init__(self, ring, dim, products, unit, norm, name="conic", validate=True):
+        """The structure constants are stored once, as the nonzero terms
+        products {(a, b, k): c}: coordinate k of e_a e_b is c (absent keys
+        are zero).  mul_vec reads them through the signed rows _sparse
+        built from them here.  With validate, construction decides
+        n(1) = 1 directly and the unit law and the degree-2 identity
+        x^2 - t(x)x + n(x)1 = 0 strictly, as polynomial laws."""
         self.ring = ring
         self.dim = dim
-        self.table, self._sparse = structure_table(ring, dim, table)
+        self.products, self._sparse = index_products(ring, dim, products)
         self.unit = [ring.coerce(c) for c in unit]
         self.norm = norm
         self.name = name
@@ -174,14 +181,15 @@ class ConicAlgebra:
 
     # -- serialization ------------------------------------------------------------
     def to_json(self):
-        R = self.ring
+        """The products as the dense table[a][b] = coordinates of e_a e_b."""
+        R, n = self.ring, self.dim
         return json.dumps(
             {
-                "dim": self.dim,
+                "dim": n,
                 "unit": [R.render(c) for c in self.unit],
                 "table": [
-                    [[R.render(c) for c in self.table[a][b]] for b in range(self.dim)]
-                    for a in range(self.dim)
+                    [[R.render(self.products.get((a, b, k), R.zero)) for k in range(n)] for b in range(n)]
+                    for a in range(n)
                 ],
                 "norm_coeffs": {
                     f"{i},{j}": R.render(c) for (i, j), c in sorted(self.norm.coeffs.items())
@@ -195,16 +203,18 @@ class ConicAlgebra:
         blob = json.loads(text)
         parse = ring.parse
         dim = blob["dim"]
-        table = [
-            [[parse(c) for c in blob["table"][a][b]] for b in range(dim)]
-            for a in range(dim)
-        ]
+        products = {
+            (a, b, k): parse(c)
+            for a, row in enumerate(blob["table"])
+            for b, vec in enumerate(row)
+            for k, c in enumerate(vec)
+        }
         coeffs = {}
         for key, c in blob["norm_coeffs"].items():
             i, j = key.split(",")
             coeffs[(int(i), int(j))] = parse(c)
         norm = QuadraticForm(ring, dim, coeffs)
-        return ConicAlgebra(ring, dim, table, [parse(c) for c in blob["unit"]], norm, name=name)
+        return ConicAlgebra(ring, dim, products, [parse(c) for c in blob["unit"]], norm, name=name)
 
     def _check(self, x):
         if x.algebra is not self:
@@ -245,42 +255,40 @@ def _unit_law(alg, L, vs):
 UNIT_LAW = IdentitySpec("unit", (1,), _unit_law)
 
 
-def require_law(alg, ident, what):
-    """Raise ValueError unless the identity holds strictly on alg."""
-    v = strict_identity_check(alg, ident)
-    if not v.holds:
-        raise ValueError(f"{alg.name}: {what} fails at {v.witness}")
-
-
 def build_conic(ring, dim, unit, mul_fn, norm_fn, name="conic"):
     """A conic algebra from product and norm callables mul_fn(L, x, y) and
     norm_fn(L, x) that evaluate over any ring-like L.  Each is evaluated
     once, at x = sum_a s_a e_a and y = sum_b t_b e_b over a truncated
     polynomial ring: the coefficient of s_a t_b in coordinate k of the
-    product is table[a][b][k], that of s_i s_j (i <= j) in the norm is its
-    (i, j) coefficient.  A term of another degree, or a product term s_a s_b
-    or t_a t_b, raises ValueError."""
-    table = [[[ring.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    product is the product term (a, b, k), that of s_i s_j (i <= j) in the
+    norm is its (i, j) coefficient.  A term of another degree, or a product
+    term s_a s_b or t_a t_b, raises ValueError."""
     L = PolyExt(ring, 2 * dim, 3)
     xy = [L.var(i) for i in range(2 * dim)]
+    products = {}
     for k, poly in enumerate(mul_fn(L, xy[:dim], xy[dim:])):
         for (a, b), c in L.terms(poly, 2, f"{name}: mul_fn"):
             if not a < dim <= b:
                 raise ValueError(f"{name}: mul_fn is not bilinear")
-            table[a][b - dim][k] = c
+            products[(a, b - dim, k)] = c
     coeffs = dict(L.terms(norm_fn(L, xy[:dim]), 2, f"{name}: norm_fn"))
-    return ConicAlgebra(ring, dim, table, unit, QuadraticForm(ring, dim, coeffs), name=name)
+    return ConicAlgebra(ring, dim, products, unit, QuadraticForm(ring, dim, coeffs), name=name)
 
 
-def structure_table(ring, dim, table):
-    """Coerced structure constants table[a][b] (the coordinates of e_a e_b)
-    and their sparse view [(coordinate index, payload, sign), ...] read by
-    mul_vec.  sign is 1 or -1 when the constant is one or minus one, so
-    that mul_vec adds or subtracts the product instead of multiplying by
-    the lifted constant, and 0 for every other constant."""
-    dense = [[[ring.coerce(c) for c in table[a][b]] for b in range(dim)] for a in range(dim)]
-    sparse = [[signed_sparse(ring, v) for v in row] for row in dense]
-    return dense, sparse
+def index_products(ring, dim, products):
+    """The nonzero products {(a, b, k): c}, coerced into ring, and the rows
+    mul_vec reads: rows[a][b] lists (k, c, sign) over the nonzero
+    coordinates of e_a e_b, k ascending.  sign is 1 or -1 when c is one or
+    minus one, so that mul_vec adds or subtracts the product instead of
+    multiplying by the lifted constant, and 0 for every other constant."""
+    terms = {}
+    rows = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (a, b, k), c in sorted(products.items()):
+        c = ring.coerce(c)
+        if not ring.is_zero(c):
+            terms[(a, b, k)] = c
+            rows[a][b].append((k, c, unit_sign(ring, c)))
+    return terms, rows
 
 
 # -- constructors ----------------------------------------------------------------
@@ -288,24 +296,19 @@ def structure_table(ring, dim, table):
 
 def split_etale(ring):
     """k x k with componentwise product and hyperbolic norm."""
-    table = [
-        [[ring.one, ring.zero], [ring.zero] * 2],
-        [[ring.zero] * 2, [ring.zero, ring.one]],
-    ]
+    products = {(0, 0, 0): ring.one, (1, 1, 1): ring.one}
     norm = QuadraticForm(ring, 2, {(0, 1): ring.one})
-    return ConicAlgebra(ring, 2, table, [ring.one, ring.one], norm, name="split_etale")
+    return ConicAlgebra(ring, 2, products, [ring.one, ring.one], norm, name="split_etale")
 
 
 def quadratic(ring, alpha, beta):
     """k[t]/(t^2 - alpha t + beta) on basis (1, t)."""
     a = ring.coerce(alpha)
     b = ring.coerce(beta)
-    table = [
-        [[ring.one, ring.zero], [ring.zero, ring.one]],
-        [[ring.zero, ring.one], [ring.neg(b), a]],
-    ]
+    one = ring.one
+    products = {(0, 0, 0): one, (0, 1, 1): one, (1, 0, 1): one, (1, 1, 0): ring.neg(b), (1, 1, 1): a}
     norm = QuadraticForm(ring, 2, {(0, 0): ring.one, (0, 1): a, (1, 1): b})
-    return ConicAlgebra(ring, 2, table, [ring.one, ring.zero], norm, name="quadratic")
+    return ConicAlgebra(ring, 2, products, [ring.one, ring.zero], norm, name="quadratic")
 
 
 def _cs_product_rules():
@@ -335,22 +338,14 @@ def _cs_product_rules():
 
 def cartan_schouten(ring):
     """Octonions on the orthonormal basis (1, u_1..u_7), Fano-plane table."""
-    rules = _cs_product_rules()
-    n = 8
-    one, zero = ring.one, ring.zero
-    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == 0:
-                table[a][b][b] = one
-            elif b == 0:
-                table[a][b][a] = one
-            elif a == b:
-                table[a][b][0] = ring.neg(one)
-            else:
-                s, r = rules[(a, b)]
-                table[a][b][r] = one if s > 0 else ring.neg(one)
-    norm = QuadraticForm(ring, n, {(i, i): one for i in range(n)})
-    return ConicAlgebra(ring, n, table, [one] + [zero] * 7, norm, name="cs_octonions")
+    one, minus = ring.one, ring.neg(ring.one)
+    products = {(0, 0, 0): one}
+    for a in range(1, 8):
+        products[(0, a, a)] = products[(a, 0, a)] = one
+        products[(a, a, 0)] = minus
+    for (a, b), (s, r) in _cs_product_rules().items():
+        products[(a, b, r)] = one if s > 0 else minus
+    norm = QuadraticForm(ring, 8, {(i, i): one for i in range(8)})
+    return ConicAlgebra(ring, 8, products, [one] + [ring.zero] * 7, norm, name="cs_octonions")
 
 

@@ -1,18 +1,25 @@
 """Cubic norm structures and their Jordan algebra calculus.
 
-A structure is stored by its base point, the adjoints of basis vectors,
-the bilinearized adjoints of basis pairs, and the coefficients of the
-norm on basis multisets:
+A structure is stored once, by its base point and the nonzero terms of
+its adjoint and norm, keyed by sorted index tuples as build_cubic reads
+them from the generic element x = sum x_i e_i:
 
-  N(sum x_i e_i) = sum x_i^3 N(e_i) + sum_{i != j} x_i^2 x_j N(e_i; e_j)
-                 + sum_{i<j<l} x_i x_j x_l N(e_i, e_j, e_l).
+  x# = sum_{i <= j} x_i x_j sum_k c_ijk e_k       sharp_terms {(i, j, k): c_ijk}
+  N(x) = sum_{i <= j <= l} c_ijl x_i x_j x_l       norm_terms {(i, j, l): c_ijl}
+
+so (i, i, k) is coordinate k of e_i# and (i, j, k), i < j, that of
+e_i x e_j.  Construction decides N(1) = 1 and 1# = 1 directly and the
+gradient law N(x; y) = T(x#, y) strictly, as a polynomial law.  The dense
+layout (adjoints of basis vectors and pairs, N(e_i), N(e_i; e_j),
+N(e_i, e_j, e_l)) is only written by to_json and read by from_json.
 
 Traces are always derived, never stored: T(y) = N(1; y), S(x) = T(x#),
 T(x, y) = T(x)T(y) - T(x x y), U_x y = T(x, y) x - x# x y.  Directional
 norm coefficients come from the dual-number trick.
 
 Every map runs over the nonzero constants only, each kept with its
-linalg.unit_sign so that 1 and -1 are applied by add and sub:
+linalg.unit_sign so that 1 and -1 are applied by add and sub, in kernel
+indexes built from the terms once, at construction:
 
 - the norm as signed term lists indexed by first coordinate (cubes and
   x_i^2 x_j terms in one list, x_i x_j x_l terms grouped by (i, j));
@@ -21,7 +28,7 @@ linalg.unit_sign so that 1 and -1 are applied by add and sub:
   nonzero e_i x e_j (j > i) listed per i, with zero masks on the inputs;
 - the trace from the nonzero T(e_i), and the trace form from the sparse
   Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j), built once from
-  the stored adjoints;
+  the adjoint terms;
 - u_matrix(x), the columns U_x e_j = T(x, e_j) x - x# x e_j, with x# and
   the row T(x, e_.) computed once.  The sampled fundamental formula
   compares U_{U_x y} with U_x U_y U_x column by column through it.  Over
@@ -34,6 +41,7 @@ linalg.unit_sign so that 1 and -1 are applied by add and sub:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 
@@ -43,6 +51,7 @@ from .identities import (
     DEFAULT_SEED,
     IdentitySpec,
     Verdict,
+    require_law,
     sampled_identity_check,
     smallest_failure,
     strict_identity_check,
@@ -67,60 +76,59 @@ NOT_INVERTIBLE = "NotInvertible"
 
 
 class CubicData:
-    def __init__(self, ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name="cubic"):
+    def __init__(self, ring, dim, basepoint, sharp_terms, norm_terms, name="cubic"):
+        """sharp_terms {(i, j, k): c} (i <= j) and norm_terms {(i, j, l): c}
+        (i <= j <= l) as in the module docstring; zero terms are dropped."""
         self.ring = ring
         self.dim = dim
         self.basepoint = list(basepoint)
-        self.sharp_basis = [list(v) for v in sharp_basis]
-        self.cross_pairs = {k: list(v) for k, v in cross_pairs.items()}
-        self.n_single = list(n_single)
-        self.n_dir = dict(n_dir)
-        self.n_triple = dict(n_triple)
         self.name = name
-        self._sharp_sparse = [signed_sparse(ring, v) for v in self.sharp_basis]
-        # _cross_after[i]: (j, sparse e_i x e_j) for the j > i with e_i x e_j != 0
+        self.sharp_terms = {key: c for key, c in sorted(sharp_terms.items()) if not ring.is_zero(c)}
+        self.norm_terms = {key: c for key, c in sorted(norm_terms.items()) if not ring.is_zero(c)}
+        if any(i > j for i, j, _ in self.sharp_terms) or any(not i <= j <= l for i, j, l in self.norm_terms):
+            raise ValueError(f"{name}: term keys must be sorted index tuples")
+        # _sharp_sparse[i]: sparse e_i#; _cross_after[i]: (j, sparse e_i x e_j)
+        # for the j > i with e_i x e_j != 0
+        self._sharp_sparse = [[] for _ in range(dim)]
         self._cross_after = [[] for _ in range(dim)]
-        for (i, j), v in sorted(self.cross_pairs.items()):
-            entries = signed_sparse(ring, v)
-            if entries:
+        for (i, j), group in itertools.groupby(self.sharp_terms.items(), lambda item: item[0][:2]):
+            entries = [(k, c, unit_sign(ring, c)) for (_, _, k), c in group]
+            if i == j:
+                self._sharp_sparse[i] = entries
+            else:
                 self._cross_after[i].append((j, entries))
-        self._index_norm()
+        # _norm_sq[i]: (j, c, sign) for c x_i^2 x_j (j = i is the cube term);
+        # _norm_tri[i]: (j, [(l, c, sign), ...]) for c x_i x_j x_l
+        self._norm_sq = [[] for _ in range(dim)]
+        self._norm_tri = [[] for _ in range(dim)]
+        tails = {}
+        for (i, j, l), c in self.norm_terms.items():
+            entry = (c, unit_sign(ring, c))
+            if i == j:
+                self._norm_sq[i].append((l, *entry))
+            elif j == l:
+                self._norm_sq[l].append((i, *entry))
+            else:
+                tails.setdefault((i, j), []).append((l, *entry))
+        for (i, j), tail in tails.items():
+            self._norm_tri[i].append((j, tail))
         self.tvec = [self.norm_dir_payload(self.basepoint, basis(ring, dim, i)) for i in range(dim)]
         self._trace = signed_sparse(ring, self.tvec)
         self._gram = self._trace_gram()
         self._consistency()
 
-    def _index_norm(self):
-        """The nonzero norm coefficients as signed terms, indexed by first
-        coordinate: _norm_sq[i] holds (j, c, sign) for c x_i^2 x_j (j = i is
-        the cube term) and _norm_tri[i] holds (j, [(l, c, sign), ...]) for
-        c x_i x_j x_l."""
-        R = self.ring
-        self._norm_sq = [[] for _ in range(self.dim)]
-        self._norm_tri = [[] for _ in range(self.dim)]
-        squares = [*(((i, i), c) for i, c in enumerate(self.n_single)), *self.n_dir.items()]
-        for (i, j), c in squares:
-            if not R.is_zero(c):
-                self._norm_sq[i].append((j, c, unit_sign(R, c)))
-        tails = {}
-        for (i, j, l), c in self.n_triple.items():
-            if not R.is_zero(c):
-                tails.setdefault((i, j), []).append((l, c, unit_sign(R, c)))
-        for (i, j), tail in tails.items():
-            self._norm_tri[i].append((j, tail))
-
     def _trace_gram(self):
         """Sparse rows of the Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j),
-        read from the stored adjoints (e_i x e_i = 2 e_i#)."""
-        R, n, t = self.ring, self.dim, self.tvec
+        read from the adjoint terms (e_i x e_i = 2 e_i#)."""
+        R, t = self.ring, self.tvec
         gram = [[R.mul(a, b) for b in t] for a in t]
-        for i, v in enumerate(self.sharp_basis):
-            d = self.trace_lin(v)
-            gram[i][i] = R.sub(gram[i][i], R.add(d, d))
-        for (i, j), v in self.cross_pairs.items():
-            d = self.trace_lin(v)
-            gram[i][j] = R.sub(gram[i][j], d)
-            gram[j][i] = R.sub(gram[j][i], d)
+        for (i, j, k), c in self.sharp_terms.items():
+            d = R.mul(c, t[k])
+            if i == j:
+                gram[i][i] = R.sub(gram[i][i], R.add(d, d))
+            else:
+                gram[i][j] = R.sub(gram[i][j], d)
+                gram[j][i] = R.sub(gram[j][i], d)
         return [signed_sparse(R, row) for row in gram]
 
     @functools.cached_property
@@ -128,23 +136,13 @@ class CubicData:
         return _float_u_tensors(self)
 
     def _consistency(self):
+        """N(1) = 1 and 1# = 1, and the gradient law as a polynomial law."""
         R = self.ring
         if not R.eq(self.norm_payload(self.basepoint), R.one):
             raise ValueError(f"{self.name}: N(1) != 1")
         if not vec_eq(R, self.sharp_vec(self.basepoint), self.basepoint):
             raise ValueError(f"{self.name}: 1# != 1")
-        for i in range(self.dim):
-            rhs = self.trace_row(self.sharp_basis[i])
-            for j in range(self.dim):
-                if i == j:
-                    ei = basis(R, self.dim, i)
-                    lhs = self.norm_dir_payload(ei, ei)
-                else:
-                    lhs = self.n_dir.get((i, j), R.zero)
-                if not R.eq(lhs, rhs[j]):
-                    raise ValueError(
-                        f"{self.name}: stored N(e_{i}; e_{j}) disagrees with T(e_{i}#, e_{j})"
-                    )
+        require_law(self, CUBIC_IDENTITIES["gradient"], "gradient law N(x; y) = T(x#, y)")
 
     # -- scalar-valued maps -----------------------------------------------------
     def norm_payload(self, x, L=None):
@@ -463,21 +461,31 @@ class CubicData:
 
     # -- serialization ---------------------------------------------------------------
     def to_json(self):
-        R = self.ring
+        """The terms in the dense layout: e_i# and e_i x e_j for every pair
+        i < j, N(e_i), the nonzero N(e_i; e_j) = coefficient of x_i^2 x_j
+        under the key "i,j", and the nonzero N(e_i, e_j, e_l)."""
+        R, n = self.ring, self.dim
+
+        def adjoint(i, j):
+            return [R.render(self.sharp_terms.get((i, j, k), R.zero)) for k in range(n)]
+
+        norm_dir, norm_triple = {}, {}
+        for (i, j, l), c in self.norm_terms.items():
+            if i == j != l:
+                norm_dir[f"{i},{l}"] = R.render(c)
+            elif i != j == l:
+                norm_dir[f"{l},{i}"] = R.render(c)
+            elif i != j:
+                norm_triple[f"{i},{j},{l}"] = R.render(c)
         return json.dumps(
             {
-                "dim": self.dim,
+                "dim": n,
                 "basepoint": [R.render(c) for c in self.basepoint],
-                "sharp_basis": [[R.render(c) for c in v] for v in self.sharp_basis],
-                "cross_pairs": {
-                    f"{i},{j}": [R.render(c) for c in v]
-                    for (i, j), v in sorted(self.cross_pairs.items())
-                },
-                "norm_single": [R.render(c) for c in self.n_single],
-                "norm_dir": {f"{i},{j}": R.render(c) for (i, j), c in sorted(self.n_dir.items())},
-                "norm_triple": {
-                    f"{i},{j},{l}": R.render(c) for (i, j, l), c in sorted(self.n_triple.items())
-                },
+                "sharp_basis": [adjoint(i, i) for i in range(n)],
+                "cross_pairs": {f"{i},{j}": adjoint(i, j) for i, j in itertools.combinations(range(n), 2)},
+                "norm_single": [R.render(self.norm_terms.get((i, i, i), R.zero)) for i in range(n)],
+                "norm_dir": norm_dir,
+                "norm_triple": norm_triple,
             },
             sort_keys=True,
         )
@@ -486,30 +494,21 @@ class CubicData:
     def from_json(ring, text, name="cubic"):
         blob = json.loads(text)
         parse = ring.parse
-        dim = blob["dim"]
 
-        def vec(items):
-            return [parse(c) for c in items]
+        def key(text):
+            return tuple(int(i) for i in text.split(","))
 
-        def key2(k):
-            i, j = k.split(",")
-            return (int(i), int(j))
-
-        def key3(k):
-            i, j, l = k.split(",")
-            return (int(i), int(j), int(l))
-
-        return CubicData(
-            ring,
-            dim,
-            vec(blob["basepoint"]),
-            [vec(v) for v in blob["sharp_basis"]],
-            {key2(k): vec(v) for k, v in blob["cross_pairs"].items()},
-            vec(blob["norm_single"]),
-            {key2(k): parse(c) for k, c in blob["norm_dir"].items()},
-            {key3(k): parse(c) for k, c in blob["norm_triple"].items()},
-            name=name,
-        )
+        adjoints = [((i, i), v) for i, v in enumerate(blob["sharp_basis"])]
+        adjoints += [(key(k), v) for k, v in blob["cross_pairs"].items()]
+        sharp_terms = {(i, j, k): parse(c) for (i, j), v in adjoints for k, c in enumerate(v)}
+        norm_terms = {(i, i, i): parse(c) for i, c in enumerate(blob["norm_single"])}
+        for k, c in blob["norm_dir"].items():
+            # N(e_i; e_l) is the coefficient of x_i^2 x_l
+            i, l = key(k)
+            norm_terms[(i, i, l) if i < l else (l, i, i)] = parse(c)
+        norm_terms.update((key(k), parse(c)) for k, c in blob["norm_triple"].items())
+        basepoint = [parse(c) for c in blob["basepoint"]]
+        return CubicData(ring, blob["dim"], basepoint, sharp_terms, norm_terms, name=name)
 
     def __repr__(self):
         return f"{self.name}(dim={self.dim}, ring={self.ring})"
@@ -536,38 +535,20 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
 
     sharp_fn(L, vec) and norm_fn(L, vec) must evaluate over any ring-like
     L.  Each is evaluated once, at the generic element (t_0, ..., t_{dim-1})
-    over a truncated polynomial ring, and every stored constant is one
-    coefficient: t_i^2 and t_i t_j of the adjoint give e_i# and e_i x e_j,
-    t_i^3, t_i^2 t_j and t_i t_j t_l of the norm give N(e_i), N(e_i; e_j)
-    and N(e_i, e_j, e_l).  A term of another degree raises ValueError: one
-    of a lower degree, or one degree higher, the highest the truncation
-    keeps.
+    over a truncated polynomial ring, and every stored term is one
+    coefficient: t_i t_j (i <= j) in coordinate k of the adjoint is the
+    sharp term (i, j, k), t_i t_j t_l (i <= j <= l) of the norm the norm
+    term (i, j, l).  A term of another degree raises ValueError: one of a
+    lower degree, or one degree higher, the highest the truncation keeps.
     """
-    sharp_basis = [[ring.zero] * dim for _ in range(dim)]
-    cross_pairs = {(i, j): [ring.zero] * dim for i in range(dim) for j in range(i + 1, dim)}
     L = PolyExt(ring, dim, 3)
+    sharp_terms = {}
     for k, poly in enumerate(sharp_fn(L, [L.var(i) for i in range(dim)])):
         for (i, j), c in L.terms(poly, 2, f"{name}: sharp_fn"):
-            (sharp_basis[i] if i == j else cross_pairs[(i, j)])[k] = c
-
-    n_single = [ring.zero] * dim
-    n_dir = {}
-    n_triple = {}
+            sharp_terms[(i, j, k)] = c
     L = PolyExt(ring, dim, 4)
-    norm = norm_fn(L, [L.var(i) for i in range(dim)])
-    for (i, j, l), c in L.terms(norm, 3, f"{name}: norm_fn"):
-        if i == l:
-            n_single[i] = c
-        elif i == j:
-            n_dir[(i, l)] = c
-        elif j == l:
-            n_dir[(l, i)] = c
-        else:
-            n_triple[(i, j, l)] = c
-
-    return CubicData(
-        ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name=name
-    )
+    norm_terms = dict(L.terms(norm_fn(L, [L.var(i) for i in range(dim)]), 3, f"{name}: norm_fn"))
+    return CubicData(ring, dim, basepoint, sharp_terms, norm_terms, name=name)
 
 
 # -- constructors ------------------------------------------------------------------
@@ -795,12 +776,7 @@ def _try_fast_adjoint(data):
     R = data.ring
     if not (R in (ZZ, QQ) or isinstance(R, PrimeField)):
         return None
-    constants = [
-        *data.n_single,
-        *data.n_dir.values(),
-        *data.n_triple.values(),
-        *(c for v in (*data.sharp_basis, *data.cross_pairs.values()) for c in v),
-    ]
+    constants = [*data.sharp_terms.values(), *data.norm_terms.values()]
     # ZZ and GF(p) payloads are ints, and so is every integral QQ payload
     if not all(isinstance(c, int) for c in constants):
         return None

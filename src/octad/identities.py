@@ -111,6 +111,14 @@ def strict_identity_check(algebra, ident):
     return Verdict(False, witness=failure[0], mode="strict", details=details)
 
 
+def require_law(algebra, ident, what):
+    """Raise ValueError unless the identity holds strictly on the algebra;
+    the message names the law (what) and its smallest witness."""
+    v = strict_identity_check(algebra, ident)
+    if not v.holds:
+        raise ValueError(f"{algebra.name}: {what} fails at {v.witness}")
+
+
 def smallest_failure(algebra, ident):
     """The smallest (witness, coordinate) at which the identity's value has
     a nonzero coefficient, or None when it vanishes as a polynomial law.

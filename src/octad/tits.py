@@ -15,27 +15,30 @@ agrees with the multiplication trace, T(x, y) = T(xy).
 
 from __future__ import annotations
 
-from .conic import UNIT_LAW, ConicAlgebra, require_law, structure_table
+import itertools
+
+from .conic import UNIT_LAW, ConicAlgebra, index_products
 from .cubic import build_cubic, k_cubic, verify_cubic_iso
 from .extensions import lift_vec
-from .identities import CONIC_IDENTITIES, IdentitySpec
+from .identities import CONIC_IDENTITIES, IdentitySpec, require_law
 from .linalg import scale_vec, sub_vec
 
 
 class CubicAssocInput:
-    """A cubic norm structure together with an associative multiplication."""
+    """A cubic norm structure together with an associative multiplication,
+    given like a conic algebra's by its nonzero products {(a, b, k): c}."""
 
-    def __init__(self, data, mul_table, name="assoc", validate=True):
+    def __init__(self, data, products, name="assoc", validate=True):
         self.data = data
         self.ring = data.ring
         self.dim = data.dim
         self.name = name
         self.unit = data.basepoint
-        self.table, self._sparse = structure_table(self.ring, self.dim, mul_table)
+        self.products, self._sparse = index_products(self.ring, self.dim, products)
         if validate:
             self._validate()
 
-    # the same structure-constant product as a conic algebra's, on the same sparse table
+    # the same structure-constant product as a conic algebra's, on the same rows
     mul_vec = ConicAlgebra.mul_vec
 
     def _validate(self):
@@ -66,7 +69,7 @@ TRACE_LAW = IdentitySpec("trace-compat", (1, 1), _trace_law, scalar=True)
 def k_assoc(ring):
     """The ring itself as associative cubic input (norm = cube)."""
     data = k_cubic(ring)
-    return CubicAssocInput(data, [[[ring.one]]], name="k_assoc")
+    return CubicAssocInput(data, {(0, 0, 0): ring.one}, name="k_assoc")
 
 
 def mat3(ring):
@@ -112,18 +115,9 @@ def mat3(ring):
 
     basepoint = [ring.one if i in (0, 4, 8) else ring.zero for i in range(9)]
     data = build_cubic(ring, 9, basepoint, sharp_fn, norm_fn, name="mat3")
-    table = []
-    for a in range(9):
-        row = []
-        ia, ja = divmod(a, 3)
-        for b in range(9):
-            ib, jb = divmod(b, 3)
-            vec = [ring.zero] * 9
-            if ja == ib:
-                vec[idx(ia, jb)] = ring.one
-            row.append(vec)
-        table.append(row)
-    return CubicAssocInput(data, table, name="mat3")
+    # matrix units: e_{ij} e_{jl} = e_{il}, every other product of two is zero
+    products = {(idx(i, j), idx(j, l), idx(i, l)): ring.one for i, j, l in itertools.product(range(3), repeat=3)}
+    return CubicAssocInput(data, products, name="mat3")
 
 
 def tits(A, mu):

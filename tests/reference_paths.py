@@ -9,7 +9,8 @@ degree-2 polarization loop that conic algebras ran at construction
 before they called the strict checker, and the basis-pair loops that
 built Cayley-Dickson doubles and Zorn(k) before conic.build_conic read
 them from the generic element.  They are kept verbatim so that the tests
-can compare the two.  The grid check of the associative cubic
+can compare the two; only their dense constants now pass through
+dense_layout into the terms the library stores.  The grid check of the associative cubic
 input laws is new: a complete reference over ZZ for dimensions <= 3.
 """
 
@@ -27,6 +28,8 @@ from octad.linalg import add_vec, basis, scale_vec, solve_rational, sub_vec, vec
 from octad.quadforms import QuadraticForm
 from octad.zorn import _to_coords, gen_X, idem_E, zorn_mul, zorn_unit
 from octad.zorders import _EPS_TO_U
+
+from dense_layout import dense_cubic, table_products
 
 
 def strict_identity_check_by_subsets(algebra, ident, cost_guard=10**6):
@@ -169,8 +172,8 @@ def build_cubic_by_inclusion_exclusion(ring, dim, basepoint, sharp_fn, norm_fn, 
                 if not ring.is_zero(v):
                     n_triple[(i, j, l)] = v
 
-    return CubicData(
-        ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name=name
+    return dense_cubic(
+        CubicData, ring, dim, basepoint, sharp_basis, cross_pairs, n_single, n_dir, n_triple, name=name
     )
 
 
@@ -357,7 +360,7 @@ def cayley_dickson_by_basis_pairs(base, mu):
         coeffs[(i + m, j + m)] = R.mul(minus_mu, c)
     norm = QuadraticForm(R, n, coeffs)
     unit = pad(base.unit, [R.zero] * m)
-    alg = ConicAlgebra(R, n, table, unit, norm, name=f"cay({base.name},{R.render(mu_p)})")
+    alg = ConicAlgebra(R, n, table_products(table), unit, norm, name=f"cay({base.name},{R.render(mu_p)})")
     alg.cd_base = base
     alg.cd_mu = mu_p
     return alg
@@ -395,4 +398,4 @@ def zorn_algebra_by_basis_products(ring):
                 coeffs[(i, j)] = v
     norm = QuadraticForm(ring, 8, coeffs)
     unit = _to_coords(ring, zorn_unit(ring))
-    return ConicAlgebra(ring, 8, table, unit, norm, name="zorn")
+    return ConicAlgebra(ring, 8, table_products(table), unit, norm, name="zorn")

@@ -41,6 +41,7 @@ from octad.identities import (
     strict_identity_check,
 )
 from octad.scalars import GF, QQ, ZZ, Zmod
+from dense_layout import cubic_fields, dense_cubic
 from test_cubic_kernels import Unchecked
 
 RINGS = {"ZZ": ZZ, "GF(2)": GF(2), "GF(3)": GF(3), "Z/6": Zmod(6), "QQ": QQ}
@@ -64,7 +65,8 @@ def small(name, ring):
 
 
 def fields(J):
-    return (J.basepoint, J.sharp_basis, J.cross_pairs, J.n_single, J.n_dir, J.n_triple)
+    """The base point and the dense fields of J, fresh copies to corrupt."""
+    return (J.basepoint, *cubic_fields(J))
 
 
 def base_changed(J, g):
@@ -103,9 +105,6 @@ def structures(draw):
             g[i][j] = draw(st.sampled_from([0, 0, 1, -1, 2]))
         J = base_changed(J, g)
     basepoint, sharp, cross, n_single, n_dir, n_triple = fields(J)
-    sharp = [list(v) for v in sharp]
-    cross = {key: list(v) for key, v in cross.items()}
-    n_single, n_dir, n_triple = list(n_single), dict(n_dir), dict(n_triple)
     for _ in range(draw(st.integers(0, 2))):
         delta = R.from_int(draw(st.sampled_from([1, -1, 2])))
         kinds = ["sharp", "single"] + (["cross", "dir"] if n >= 2 else []) + (["triple"] if n >= 3 else [])
@@ -123,7 +122,7 @@ def structures(draw):
         else:
             key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
             n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
-    return Unchecked(R, n, basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(Unchecked, R, n, basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 # -- the trace form ---------------------------------------------------------------------
@@ -193,9 +192,8 @@ def test_sampled_mode_and_failing_axioms_sample_the_formula():
     J = small("her3(ground)", "ZZ")
     assert validate_axioms(J, mode="sampled").details["fundamental"] == "Holds (sampled)"
     basepoint, sharp, cross, n_single, n_dir, n_triple = fields(J)
-    cross = {key: list(v) for key, v in cross.items()}
     cross[(3, 4)][0] += 1
-    v = validate_axioms(Unchecked(ZZ, J.dim, basepoint, sharp, cross, n_single, n_dir, n_triple))
+    v = validate_axioms(dense_cubic(Unchecked, ZZ, J.dim, basepoint, sharp, cross, n_single, n_dir, n_triple))
     assert not v.holds
     assert v.details["adjoint"] == "Fails (strict)"
     assert v.details["fundamental"].endswith("(sampled)")
@@ -210,7 +208,7 @@ def test_implied_needs_exactly_the_four_defining_axioms(monkeypatch, failing):
     adjoint identities."""
     J = small("her3(ground)", "ZZ")
     if failing == "basepoint":  # N(2) = 8
-        J = Unchecked(ZZ, J.dim, [2 * c for c in J.basepoint], *fields(J)[1:])
+        J = Unchecked(ZZ, J.dim, [2 * c for c in J.basepoint], J.sharp_terms, J.norm_terms)
     monkeypatch.setattr(cubic, "_axiom_verdict", lambda data, ident, mode, seed: Verdict(
         ident.name != failing, mode="strict"))
     v = validate_axioms(J)

@@ -28,6 +28,7 @@ from octad.linalg import basis
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
 from octad.zorn import zorn_algebra
+from dense_layout import table_products
 from reference_paths import cayley_dickson_by_basis_pairs, zorn_algebra_by_basis_products
 
 RINGS = [ZZ, QQ, GF(2), GF(3), GF(5), Zmod(4), Zmod(6)]
@@ -178,7 +179,7 @@ ONE_ASSOCIATOR_FAILS = [
 
 @pytest.mark.parametrize("which, table, a", ONE_ASSOCIATOR_FAILS, ids=["right", "middle", "left"])
 def test_nucleus_law_reads_each_associator(which, table, a):
-    A = ConicAlgebra(QQ, 2, table, [1, 0], QuadraticForm.diagonal(QQ, [1, 1]), validate=False)
+    A = ConicAlgebra(QQ, 2, table_products(table), [1, 0], QuadraticForm.diagonal(QQ, [1, 1]), validate=False)
     assoc = CONIC_IDENTITIES["associative"].evaluate
     slots = {"[x, y, a]": (0, 1, None), "[x, a, y]": (0, None, 1), "[a, x, y]": (None, 0, 1)}
 

@@ -15,6 +15,7 @@ from octad.identities import run_suite, strict_identity_check
 from octad.linalg import vec_eq
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.zorn import zorn_algebra
+from dense_layout import conic_table
 
 
 def test_split_etale_mul():
@@ -163,22 +164,31 @@ def test_element_length_checked():
 
 
 def test_conic_json_round_trip_bit_exact():
+    from octad.cayley import sedenions
     from octad.conic import ConicAlgebra
-    from octad.zorn import zorn_algebra
 
-    for A in (split_etale(ZZ), cartan_schouten(GF(3)), zorn_algebra(ZZ)):
+    cases = (
+        split_etale(ZZ),
+        cartan_schouten(GF(3)),
+        zorn_algebra(ZZ),
+        sedenions(QQ),
+        iterated_cayley_dickson(Zmod(6), [-1, -1]),
+    )
+    for A in cases:
         text = A.to_json()
         again = ConicAlgebra.from_json(A.ring, text)
         assert again.to_json() == text
+        assert again.products == A.products
 
 
 def naive_mul_vec(alg, L, x, y):
     """Dense product with every structure constant lifted and multiplied."""
+    table = conic_table(alg)
     out = [L.zero] * alg.dim
     for a in range(alg.dim):
         for b in range(alg.dim):
             xy = L.mul(x[a], y[b])
-            for k, t in enumerate(alg.table[a][b]):
+            for k, t in enumerate(table[a][b]):
                 out[k] = L.add(out[k], L.mul(xy, L.from_base(t)))
     return out
 

@@ -22,12 +22,13 @@ from octad.identities import CONIC_IDENTITIES, strict_identity_check
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import ADJOINT_LAW, TRACE_LAW, CubicAssocInput
+from dense_layout import conic_table, cubic_fields, dense_cubic, table_products
 from reference_paths import assoc_input_failures_on_grid, check_degree2_by_polarization
 from test_cubic_kernels import Unchecked
 
 
 def componentwise(R, n):
-    """The structure constants of k^n with the componentwise product."""
+    """The dense table of k^n with the componentwise product."""
     return [[[R.one if k == a == b else R.zero for k in range(n)] for b in range(n)] for a in range(n)]
 
 
@@ -36,24 +37,25 @@ def cyclic_corruption(J):
     its norm.  The form vanishes at every 0/1 point and at 1, and so do its
     derivatives at 1: N(1), the trace and the adjoint stay the same."""
     R = J.ring
-    n_dir = dict(J.n_dir)
+    sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
     for key, c in {(0, 1): 1, (1, 0): -1, (1, 2): 1, (2, 1): -1, (2, 0): 1, (0, 2): -1}.items():
         n_dir[key] = R.add(n_dir.get(key, R.zero), R.from_int(c))
-    return Unchecked(R, 3, J.basepoint, J.sharp_basis, J.cross_pairs, J.n_single, n_dir, J.n_triple)
+    return dense_cubic(Unchecked, R, 3, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 def test_adjoint_law_sees_a_term_zero_at_every_0_1_point():
     J = split_cubic_etale(ZZ)
-    CubicAssocInput(J, componentwise(ZZ, 3))
+    k3 = table_products(componentwise(ZZ, 3))
+    CubicAssocInput(J, k3)
     bad = cyclic_corruption(J)
     R = ZZ
     assert R.eq(bad.norm_payload(bad.basepoint), R.one)
-    assert bad.tvec == J.tvec and bad.sharp_basis == J.sharp_basis
+    assert bad.tvec == J.tvec and bad.sharp_terms == J.sharp_terms
     for x in itertools.product((0, 1), repeat=3):
         assert bad.norm_payload(list(x)) == J.norm_payload(list(x))
     with pytest.raises(ValueError, match=r"x# x = x x# = N\(x\) 1"):
-        CubicAssocInput(bad, componentwise(ZZ, 3))
-    assert assoc_input_failures_on_grid(CubicAssocInput(bad, componentwise(ZZ, 3), validate=False)) == ["adjoint"]
+        CubicAssocInput(bad, k3)
+    assert assoc_input_failures_on_grid(CubicAssocInput(bad, k3, validate=False)) == ["adjoint"]
 
 
 # -- degree-2 identity against the polarization loop --------------------------------
@@ -76,7 +78,7 @@ def conic(name, ring):
 def corrupted_conics(draw):
     C = conic(draw(st.sampled_from(sorted(CONICS))), draw(st.sampled_from(sorted(CONIC_RINGS))))
     R, n = C.ring, C.dim
-    table = [[list(v) for v in row] for row in C.table]
+    table = conic_table(C)
     coeffs = dict(C.norm.coeffs)
     for _ in range(draw(st.integers(0, 2))):
         delta = R.from_int(draw(st.sampled_from([1, -1, 2])))
@@ -87,7 +89,7 @@ def corrupted_conics(draw):
             key = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i, n)]))
             coeffs[key] = R.add(coeffs.get(key, R.zero), delta)
     norm = QuadraticForm(R, n, coeffs)
-    return ConicAlgebra(R, n, table, C.unit, norm, validate=False)
+    return ConicAlgebra(R, n, table_products(table), C.unit, norm, validate=False)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -125,7 +127,7 @@ PHRASES = {
 @pytest.mark.parametrize("name", sorted(ASSOC))
 def test_catalog_inputs_hold_on_the_grid(name):
     build, n = ASSOC[name]
-    A = CubicAssocInput(build(ZZ), componentwise(ZZ, n))
+    A = CubicAssocInput(build(ZZ), table_products(componentwise(ZZ, n)))
     assert assoc_input_failures_on_grid(A) == []
 
 
@@ -150,9 +152,10 @@ def perturbed(table, f, g, k):
 )
 def test_one_sided_failures_are_refused(table, first):
     J = split_cubic_etale(ZZ)
-    assert assoc_input_failures_on_grid(CubicAssocInput(J, table, validate=False))[0] == first
+    products = table_products(table)
+    assert assoc_input_failures_on_grid(CubicAssocInput(J, products, validate=False))[0] == first
     with pytest.raises(ValueError, match=re.escape(PHRASES[first])):
-        CubicAssocInput(J, table)
+        CubicAssocInput(J, products)
 
 
 @st.composite
@@ -160,9 +163,7 @@ def corrupted_inputs(draw):
     build, n = ASSOC[draw(st.sampled_from(sorted(ASSOC)))]
     J = build(ZZ)
     R = ZZ
-    sharp = [list(v) for v in J.sharp_basis]
-    cross = {key: list(v) for key, v in J.cross_pairs.items()}
-    n_single, n_dir, n_triple = list(J.n_single), dict(J.n_dir), dict(J.n_triple)
+    sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
     table = componentwise(R, n)
     kinds = ["sharp", "single", "table"] + (["cross", "dir", "product"] if n >= 2 else [])
     kinds += ["triple"] if n >= 3 else []
@@ -193,14 +194,14 @@ def corrupted_inputs(draw):
             n_dir[key] = n_dir.get(key, 0) + delta
         else:
             n_triple[(0, 1, 2)] = n_triple.get((0, 1, 2), 0) + delta
-    return Unchecked(R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple), table
+    data = dense_cubic(Unchecked, R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return data, table_products(table)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(corrupted_inputs())
 def test_assoc_input_laws_agree_with_the_grid(case):
-    data, table = case
-    A = CubicAssocInput(data, table, validate=False)
+    A = CubicAssocInput(*case, validate=False)
     want = assoc_input_failures_on_grid(A)
     assert [name for name, spec in LAWS.items() if not strict_identity_check(A, spec).holds] == want
     if want:

@@ -9,6 +9,7 @@ from octad.conic import quadratic
 from octad.cubic import (
     CUBIC_IDENTITIES,
     NOT_INVERTIBLE,
+    CubicData,
     PointedQuadraticJordan,
     adjoint_identity_strict,
     build_cubic,
@@ -27,6 +28,9 @@ from octad.linalg import add_vec, sub_vec, vec_eq
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
 from octad.tits import mat3, tits
+from octad.zorn import zorn_algebra
+from dense_layout import cubic_fields, dense_cubic
+from test_cubic_kernels import Unchecked
 
 
 def test_k_cubic():
@@ -193,39 +197,22 @@ def test_validate_axioms_strict_small():
 
 def test_corrupted_data_fails_validation():
     J = split_cubic_etale(ZZ)
-    # perturb one norm coefficient; the build-time gradient consistency
-    # check must already reject it
-    with pytest.raises(ValueError):
-        from octad.cubic import CubicData
-
-        CubicData(
-            ZZ,
-            J.dim,
-            J.basepoint,
-            J.sharp_basis,
-            J.cross_pairs,
-            J.n_single,
-            {**J.n_dir, (0, 1): ZZ.scalar(5).payload},
-            J.n_triple,
-        )
+    # perturb one norm coefficient; construction must already reject it
+    # (N(1) = 6)
+    sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
+    n_dir[(0, 1)] = ZZ.scalar(5).payload
+    with pytest.raises(ValueError, match=r"N\(1\) != 1"):
+        dense_cubic(CubicData, ZZ, J.dim, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 def test_corrupted_sharp_fails_adjoint():
     J = split_cubic_etale(ZZ)
-    from octad.cubic import CubicData
-
-    bad_sharp = [list(v) for v in J.sharp_basis]
-    bad_sharp[0][0] = 3  # e1 sharp gains a bogus diagonal term
-    bad_dir = dict(J.n_dir)
-    # keep the gradient consistency intact by perturbing n_dir to match
-    bad = None
-    try:
-        bad = CubicData(
-            ZZ, J.dim, J.basepoint, bad_sharp, J.cross_pairs, J.n_single, bad_dir, J.n_triple
-        )
-    except ValueError:
-        return  # rejected at construction: acceptable
-    v = adjoint_identity_strict(bad)
+    sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
+    sharp[0][0] = 3  # e1 sharp gains a bogus diagonal term
+    fields = (ZZ, J.dim, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    with pytest.raises(ValueError, match=r"^cubic: 1# != 1$"):
+        dense_cubic(CubicData, *fields)
+    v = adjoint_identity_strict(dense_cubic(Unchecked, *fields))
     assert not v.holds
 
 
@@ -296,14 +283,41 @@ def test_build_cubic_rejects_mismatched_norm():
 
 
 def test_cubic_json_round_trip_bit_exact():
-    from octad.cubic import CubicData
-    from octad.her3 import her3
-    from octad.cayley import ground_algebra
-
-    for J in (kk_cubic(ZZ), split_cubic_etale(GF(7)), her3(ground_algebra(GF(2)))):
+    # kk_cubic (N = x0 x1^2) and its coordinate swap (N = x0^2 x1) store
+    # N(e_i; e_j) under the keys "1,0" and "0,1"; her3(zorn(F5)),
+    # hat(zorn(Z/6)) and tits(mat3(Z/6), 1) list zero pairs e_i x e_j next
+    # to nonzero ones, and N(e_i, e_j, e_l) terms
+    swapped = build_cubic(
+        ZZ,
+        2,
+        [1, 1],
+        lambda L, v: [L.mul(v[0], v[1]), L.mul(v[0], v[0])],
+        lambda L, v: L.mul(L.mul(v[0], v[0]), v[1]),
+    )
+    assert json.loads(swapped.to_json())["norm_dir"] == {"0,1": "1"}
+    cases = (
+        kk_cubic(ZZ),
+        swapped,
+        split_cubic_etale(GF(7)),
+        her3(ground_algebra(GF(2))),
+        her3(zorn_algebra(GF(5))),
+        hat_of_conic(zorn_algebra(Zmod(6))),
+        tits(mat3(Zmod(6)), 1),
+    )
+    for J in cases:
         text = J.to_json()
         again = CubicData.from_json(J.ring, text)
         assert again.to_json() == text
+        assert (again.sharp_terms, again.norm_terms) == (J.sharp_terms, J.norm_terms)
+
+
+@pytest.mark.parametrize("field, key", [("cross_pairs", "1,2"), ("norm_triple", "0,1,2")])
+def test_from_json_refuses_an_unsorted_key(field, key):
+    """A pair or triple key out of order would be dropped by to_json."""
+    blob = json.loads(split_cubic_etale(ZZ).to_json())
+    blob[field][",".join(reversed(key.split(",")))] = blob[field].pop(key)
+    with pytest.raises(ValueError, match="sorted index tuples"):
+        CubicData.from_json(ZZ, json.dumps(blob))
 
 
 def test_triple_is_u_linearization():

@@ -1,8 +1,8 @@
 """The sparse cubic kernels against their definitions.
 
 Each reference below is the dense formula a kernel of CubicData replaced:
-every index combination visited, every stored constant lifted and
-multiplied, zeros included.
+every index combination visited, every constant of the dense layout
+(tests/dense_layout.py) lifted and multiplied, zeros included.
 """
 
 import functools
@@ -36,6 +36,7 @@ from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import split_albert
 from octad.zorn import zorn_algebra
+from dense_layout import cubic_fields, dense_cubic
 
 BUILDERS = {
     "her3(zorn(Z))": lambda: her3(zorn_algebra(ZZ)),
@@ -62,28 +63,34 @@ class Unchecked(CubicData):
 
 
 def corrupted(J, pair, k, delta):
-    """J with delta added to coordinate k of the stored e_i x e_j."""
+    """J with delta added to coordinate k of e_i x e_j, (i, j) = pair."""
     R = J.ring
-    cross = {key: list(v) for key, v in J.cross_pairs.items()}
+    sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
     cross[pair][k] = R.add(cross[pair][k], R.from_int(delta))
-    return Unchecked(R, J.dim, J.basepoint, J.sharp_basis, cross, J.n_single, J.n_dir, J.n_triple)
+    return dense_cubic(Unchecked, R, J.dim, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+
+
+def first_cross_pair(J):
+    """The least pair i < j with e_i x e_j != 0."""
+    return next((i, j) for i, j, _ in J.sharp_terms if i < j)
 
 
 # -- dense references ------------------------------------------------------------
 
 
 def ref_norm(J, L, x):
-    """The all-triples loop over every stored coefficient."""
+    """The all-triples loop over every coefficient of the dense layout."""
     R, n, lift = J.ring, J.dim, L.from_base
+    _, _, n_single, n_dir, n_triple = cubic_fields(J)
     acc = L.zero
     for i in range(n):
         sq = L.mul(x[i], x[i])
-        acc = L.add(acc, L.mul(L.mul(sq, x[i]), lift(J.n_single[i])))
+        acc = L.add(acc, L.mul(L.mul(sq, x[i]), lift(n_single[i])))
         for j in range(n):
             if j != i:
-                acc = L.add(acc, L.mul(L.mul(sq, x[j]), lift(J.n_dir.get((i, j), R.zero))))
+                acc = L.add(acc, L.mul(L.mul(sq, x[j]), lift(n_dir.get((i, j), R.zero))))
     for i, j, l in itertools.combinations(range(n), 3):
-        c = J.n_triple.get((i, j, l), R.zero)
+        c = n_triple.get((i, j, l), R.zero)
         acc = L.add(acc, L.mul(L.mul(L.mul(x[i], x[j]), x[l]), lift(c)))
     return acc
 
@@ -95,11 +102,12 @@ def ref_trace(J, L, x):
 def ref_sharp(J, L, x):
     """sum_i x_i^2 e_i# + sum_{i<j} x_i x_j (e_i x e_j), all pairs."""
     n = J.dim
+    sharp_basis, cross_pairs = cubic_fields(J)[:2]
     out = [L.zero] * n
     for i in range(n):
         for j in range(i, n):
             c = L.mul(x[i], x[j])
-            vec = J.sharp_basis[i] if i == j else J.cross_pairs[(i, j)]
+            vec = sharp_basis[i] if i == j else cross_pairs[(i, j)]
             out = [L.add(o, L.mul(c, L.from_base(t))) for o, t in zip(out, vec)]
     return out
 
@@ -107,14 +115,15 @@ def ref_sharp(J, L, x):
 def ref_cross(J, L, x, y):
     """sum_i 2 x_i y_i e_i# + sum_{i<j} (x_i y_j + x_j y_i)(e_i x e_j)."""
     n = J.dim
+    sharp_basis, cross_pairs = cubic_fields(J)[:2]
     out = [L.zero] * n
     for i in range(n):
         for j in range(i, n):
             if i == j:
                 c = L.mul(x[i], y[i])
-                c, vec = L.add(c, c), J.sharp_basis[i]
+                c, vec = L.add(c, c), sharp_basis[i]
             else:
-                c, vec = L.add(L.mul(x[i], y[j]), L.mul(x[j], y[i])), J.cross_pairs[(i, j)]
+                c, vec = L.add(L.mul(x[i], y[j]), L.mul(x[j], y[i])), cross_pairs[(i, j)]
             out = [L.add(o, L.mul(c, L.from_base(t))) for o, t in zip(out, vec)]
     return out
 
@@ -247,8 +256,7 @@ def test_operator_fundamental_matches_definition(name):
 def test_corrupted_structure_fails_fundamental_both_ways(name):
     J = structure(name)
     R = J.ring
-    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(not R.is_zero(c) for c in v))
-    bad = corrupted(J, pair, 0, 1)
+    bad = corrupted(J, first_cross_pair(J), 0, 1)
     rng = random.Random(26)
     verdicts = []
     for _ in range(3):
@@ -318,8 +326,7 @@ def test_large_constants_take_the_exact_path():
     J = hat_pointed(QuadraticForm.diagonal(ZZ, [1, 2**40, 2**40]), [1, 0, 0])
     assert J._u_tensors is None
     assert fundamental_formula_samples(J, samples=20).holds
-    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
-    bad = corrupted(J, pair, 0, 1)
+    bad = corrupted(J, first_cross_pair(J), 0, 1)
     assert bad._u_tensors is None
     v = fundamental_formula_samples(bad, samples=20)
     assert not v.holds
@@ -330,8 +337,7 @@ def test_large_constants_take_the_exact_path():
 
 def test_corrupted_zz_structure_fails_on_both_fundamental_paths():
     J = structure("her3(zorn(Z))")
-    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
-    bad = corrupted(J, pair, 0, 1)
+    bad = corrupted(J, first_cross_pair(J), 0, 1)
     rng = random.Random(28)
     pairs = [([ZZ.rand(rng) for _ in range(J.dim)], [ZZ.rand(rng) for _ in range(J.dim)]) for _ in range(3)]
     assert _float_fundamental(bad, pairs) == [False] * 3
@@ -380,8 +386,7 @@ def test_batches_report_the_first_failure_of_a_one_by_one_loop(monkeypatch, name
     and the last sample; on hat(diag(1, 1000, -7)) a chunk mixes float64
     samples (|x_i| <= 7) with exact ones."""
     J = ZZ_STRUCTURES[name]()
-    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
-    bad = corrupted(J, pair, 0, 1)
+    bad = corrupted(J, first_cross_pair(J), 0, 1)
     monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim))
     v = fundamental_formula_samples(bad, samples=40, seed=5)
     monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim))
@@ -396,8 +401,7 @@ def test_batches_report_the_first_failure_of_a_one_by_one_loop(monkeypatch, name
 @pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES))
 def test_batches_match_a_one_by_one_loop_on_the_raw_stream(name):
     J = ZZ_STRUCTURES[name]()
-    pair = next(key for key, v in sorted(J.cross_pairs.items()) if any(v))
-    for S in (J, corrupted(J, pair, 0, 1)):
+    for S in (J, corrupted(J, first_cross_pair(J), 0, 1)):
         for seed in (1, 2):
             v = fundamental_formula_samples(S, samples=40, seed=seed)
             want = one_by_one(S, 40, seed)
@@ -425,9 +429,7 @@ def small_structure(name, ring):
 def corrupted_small(draw):
     J = small_structure(draw(st.sampled_from(sorted(SMALL))), draw(st.sampled_from(sorted(TENSOR_RINGS))))
     R, n = J.ring, J.dim
-    sharp = [list(v) for v in J.sharp_basis]
-    cross = {key: list(v) for key, v in J.cross_pairs.items()}
-    n_single, n_dir, n_triple = list(J.n_single), dict(J.n_dir), dict(J.n_triple)
+    sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
     for _ in range(draw(st.integers(1, 2))):
         delta = R.from_int(draw(st.sampled_from([1, -1, 2])))
         kinds = ["sharp", "single"] + (["cross", "dir"] if n >= 2 else []) + (["triple"] if n >= 3 else [])
@@ -448,7 +450,7 @@ def corrupted_small(draw):
         else:
             key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
             n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
-    return Unchecked(R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(Unchecked, R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -458,6 +460,23 @@ def test_tensor_adjoint_agrees_with_generic_strict_check(bad):
     slow = strict_identity_check(bad, CUBIC_IDENTITIES["adjoint"])
     assert fast is not None and fast.details["path"] == "tensor"
     assert (fast.holds, fast.witness) == (slow.holds, slow.witness)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(corrupted_small())
+def test_construction_refuses_exactly_a_failing_base_point_or_gradient_law(bad):
+    R = bad.ring
+    basepoint = R.eq(bad.norm_payload(bad.basepoint), R.one) and vec_eq(
+        R, bad.sharp_vec(bad.basepoint), bad.basepoint
+    )
+    gradient = strict_identity_check(bad, CUBIC_IDENTITIES["gradient"]).holds
+    try:
+        CubicData(R, bad.dim, bad.basepoint, bad.sharp_terms, bad.norm_terms)
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    assert refused == (not (basepoint and gradient))
 
 
 def test_tensor_adjoint_fails_branch_names_the_smallest_witness():

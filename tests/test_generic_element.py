@@ -33,6 +33,7 @@ from octad.identities import CONIC_IDENTITIES, smallest_failure, strict_identity
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import TRACE_LAW, CubicAssocInput, mat3, split_albert, tits
 from octad.zorn import zorn_algebra
+from dense_layout import conic_table, cubic_fields, dense_cubic, table_products
 from reference_paths import build_cubic_by_inclusion_exclusion, strict_identity_check_by_subsets
 from test_construction_laws import corrupted_inputs
 from test_cubic_kernels import Unchecked
@@ -67,10 +68,10 @@ def conic_cases(draw):
     A = conic(draw(st.sampled_from(sorted(CONICS))), draw(st.sampled_from(sorted(RINGS))))
     R, n = A.ring, A.dim
     if draw(st.booleans()):
-        table = [[list(v) for v in row] for row in A.table]
+        table = conic_table(A)
         a, b, k = (draw(st.integers(0, n - 1)) for _ in range(3))
         table[a][b][k] = R.add(table[a][b][k], R.from_int(draw(st.sampled_from([1, -1, 2]))))
-        A = ConicAlgebra(R, n, table, A.unit, A.norm, name="corrupted", validate=False)
+        A = ConicAlgebra(R, n, table_products(table), A.unit, A.norm, name="corrupted", validate=False)
     names = sorted(CONIC_IDENTITIES)
     if n > 4:  # keep the per-subset reference quick on dimension 8
         names = [x for x in names if CONIC_IDENTITIES[x].total_degree <= 3]
@@ -115,9 +116,9 @@ def test_trace_law_matches_per_subset_reference(case):
 @pytest.mark.parametrize("ring", ["GF(3)", "Z/6"])
 def test_trace_law_matches_per_subset_reference_on_a_corrupted_mat3(ring):
     M = mat3(RINGS[ring])
-    table = [[list(v) for v in row] for row in M.table]
+    table = conic_table(M)
     table[1][5][0] = M.ring.add(table[1][5][0], M.ring.one)  # e_1 e_5 gains a trace
-    A = CubicAssocInput(M.data, table, validate=False)
+    A = CubicAssocInput(M.data, table_products(table), validate=False)
     fast = strict_identity_check(A, TRACE_LAW)
     assert not fast.holds
     assert same_verdict(fast, strict_identity_check_by_subsets(A, TRACE_LAW))
@@ -128,9 +129,9 @@ def corrupted_sedenions(ring, a, b, k):
     """The sedenions over ring with the constant (e_a e_b)_k raised by one."""
     S = iterated_cayley_dickson(RINGS[ring], [-1, -1, -1, -1])
     R = S.ring
-    table = [[list(v) for v in row] for row in S.table]
+    table = conic_table(S)
     table[a][b][k] = R.add(table[a][b][k], R.one)
-    return ConicAlgebra(R, S.dim, table, S.unit, S.norm, name="corrupted", validate=False)
+    return ConicAlgebra(R, S.dim, table_products(table), S.unit, S.norm, name="corrupted", validate=False)
 
 
 SEDENION_CORRUPTIONS = [("QQ", 3, 9, 10), ("GF(2)", 7, 12, 5), ("Z/6", 15, 15, 0)]
@@ -197,9 +198,7 @@ def corrupted_cubics(draw, rings):
     the construction-time consistency check."""
     J = small_cubic(draw(st.sampled_from(sorted(SMALL_CUBICS))), draw(st.sampled_from(rings)))
     R, n = J.ring, J.dim
-    sharp = [list(v) for v in J.sharp_basis]
-    cross = {key: list(v) for key, v in J.cross_pairs.items()}
-    n_single, n_dir, n_triple = list(J.n_single), dict(J.n_dir), dict(J.n_triple)
+    sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
     for _ in range(draw(st.integers(0, 2))):
         delta = R.from_int(draw(st.sampled_from([1, -1, 2])))
         kinds = ["sharp", "single"] + (["cross", "dir"] if n >= 2 else []) + (["triple"] if n >= 3 else [])
@@ -220,7 +219,7 @@ def corrupted_cubics(draw, rings):
         else:
             key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
             n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
-    return Unchecked(R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(Unchecked, R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -298,9 +297,8 @@ EXTRACTION_CASES = [
 
 
 def extracted(J):
-    """The stored constants, with their payload types."""
-    norm = (J.n_single, sorted(J.n_dir.items()), sorted(J.n_triple.items()))
-    return repr((J.sharp_basis, J.cross_pairs, norm, J.tvec))
+    """The stored terms, with their payload types."""
+    return repr((J.sharp_terms, J.norm_terms, J.tvec))
 
 
 @pytest.mark.parametrize("name, ring", EXTRACTION_CASES)

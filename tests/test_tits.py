@@ -1,8 +1,16 @@
 import random
+import re
 
 import pytest
 
-from octad.cubic import adjoint_identity_strict, fundamental_formula_samples, validate_axioms
+from octad.cubic import (
+    CUBIC_IDENTITIES,
+    CubicData,
+    adjoint_identity_strict,
+    fundamental_formula_samples,
+    validate_axioms,
+)
+from octad.identities import strict_identity_check
 from octad.scalars import GF, QQ, ZZ
 from octad.tits import (
     CubicAssocInput,
@@ -13,6 +21,7 @@ from octad.tits import (
     split_albert,
     tits,
 )
+from test_cubic_kernels import Unchecked
 
 
 def test_tits_over_ground_ring_norm():
@@ -60,6 +69,7 @@ def test_mat3_adjoint_compatibility_doubles_as_det_test():
 def test_rejects_nonassociative_input():
     from octad.cayley import octonions
     from octad.cubic import hat_of_conic
+    from dense_layout import table_products
 
     O = octonions(QQ)
     hat = hat_of_conic(O)  # a 9-dim cubic structure whose natural product
@@ -87,7 +97,7 @@ def test_rejects_nonassociative_input():
             row.append(vec)
         table.append(row)
     with pytest.raises(ValueError):
-        CubicAssocInput(hat, table, name="octonion-hat")
+        CubicAssocInput(hat, table_products(table), name="octonion-hat")
 
 
 def test_split_albert(albert_zz):
@@ -95,6 +105,18 @@ def test_split_albert(albert_zz):
     assert J.dim == 27
     assert adjoint_identity_strict(J).holds
     assert J.norm(J.one()) == ZZ.scalar(1)
+
+
+def test_construction_refuses_a_norm_term_the_gradient_law_rejects(albert_zz):
+    """N + x0 x1 x2 keeps N(1) = 1 and 1# = 1 and every x_i^2 x_j
+    coefficient, so only the strict gradient law sees it."""
+    J = albert_zz
+    norm_terms = dict(J.norm_terms)
+    norm_terms[(0, 1, 2)] = ZZ.add(norm_terms.get((0, 1, 2), ZZ.zero), ZZ.one)
+    with pytest.raises(ValueError, match=re.escape("gradient law N(x; y) = T(x#, y) fails at ((0, 1), (2,))")):
+        CubicData(ZZ, J.dim, J.basepoint, J.sharp_terms, norm_terms, name=J.name)
+    bad = Unchecked(ZZ, J.dim, J.basepoint, J.sharp_terms, norm_terms)
+    assert strict_identity_check(bad, CUBIC_IDENTITIES["gradient"]).witness == ((0, 1), (2,))
 
 
 def test_albert_fundamental(albert_zz):
