@@ -14,17 +14,7 @@ import json
 
 from .extensions import PolyExt, lift_vec
 from .identities import IdentitySpec, require_law, strict_identity_check
-from .linalg import (
-    ModuleElement,
-    add_term,
-    basis,
-    scale_vec,
-    signed_sparse,
-    sub_vec,
-    unit_sign,
-    vec_eq,
-    vec_is_zero,
-)
+from .linalg import ModuleElement, TermMap, basis, scale_vec, sub_vec, vec_eq, vec_is_zero
 from .quadforms import QuadraticForm
 from .scalars import Scalar, RingMismatch
 
@@ -35,24 +25,27 @@ class ConicAlgebra:
     def __init__(self, ring, dim, products, unit, norm, name="conic", validate=True):
         """The structure constants are stored once, as the nonzero terms
         products {(a, b, k): c}: coordinate k of e_a e_b is c (absent keys
-        are zero).  mul_vec reads them through the signed rows _sparse
-        built from them here.  With validate, construction decides
-        n(1) = 1 directly and the unit law and the degree-2 identity
-        x^2 - t(x)x + n(x)1 = 0 strictly, as polynomial laws."""
+        are zero).  They are the terms of the bilinear linalg.TermMap that
+        mul_vec evaluates, as the trace t(e_i) = Dn(1, e_i) and the
+        conjugation conj(e_i) = t(e_i) 1 - e_i are TermMaps of degree 1.
+        With validate, construction decides n(1) = 1 directly and the unit
+        law and the degree-2 identity x^2 - t(x)x + n(x)1 = 0 strictly,
+        as polynomial laws."""
         self.ring = ring
         self.dim = dim
-        self.products, self._sparse = index_products(ring, dim, products)
+        self._product = TermMap(ring, products, 2, dim)
+        self.products = self._product.terms
         self.unit = [ring.coerce(c) for c in unit]
         self.norm = norm
         self.name = name
-        # the trace functional's nonzero values t(e_i) and the sparse columns
-        # conj(e_i) = t(e_i) 1 - e_i
         tvec = [norm.bilin_payload(self.unit, basis(ring, dim, i)) for i in range(dim)]
-        self._trace = signed_sparse(ring, tvec)
-        self._conj = [
-            signed_sparse(ring, sub_vec(ring, scale_vec(ring, t, self.unit), basis(ring, dim, i)))
-            for i, t in enumerate(tvec)
-        ]
+        self._trace = TermMap(ring, {(i,): t for i, t in enumerate(tvec)}, 1)
+        # conj(e_i) = t(e_i) 1 - e_i
+        support = [(k, u) for k, u in enumerate(self.unit) if not ring.is_zero(u)]
+        conj = {(i, k): ring.mul(t, u) for i, t in enumerate(tvec) if not ring.is_zero(t) for k, u in support}
+        for i in range(dim):
+            conj[(i, i)] = ring.sub(conj.get((i, i), ring.zero), ring.one)
+        self._conj = TermMap(ring, conj, 1, dim)
         if validate:
             self._validate()
 
@@ -71,39 +64,13 @@ class ConicAlgebra:
     # -- payload-level operations ---------------------------------------------
     def mul_vec(self, x, y, L=None):
         """Bilinear product on payload vectors, optionally over ring-like L."""
-        R = L if L is not None else self.ring
-        out = [R.zero] * self.dim
-        for a in range(self.dim):
-            xa = x[a]
-            if R.is_zero(xa):
-                continue
-            row = self._sparse[a]
-            for b in range(self.dim):
-                yb = y[b]
-                if R.is_zero(yb):
-                    continue
-                c = R.mul(xa, yb)
-                for k, t, sign in row[b]:
-                    out[k] = add_term(R, out[k], c, t, sign)
-        return out
+        return self._product.bilinear(x, y, L)
 
     def trace_payload(self, x, L=None):
-        R = L if L is not None else self.ring
-        acc = R.zero
-        for i, t, sign in self._trace:
-            if not R.is_zero(x[i]):
-                acc = add_term(R, acc, x[i], t, sign)
-        return acc
+        return self._trace.value(x, L)
 
     def conj_vec(self, x, L=None):
-        R = L if L is not None else self.ring
-        out = [R.zero] * self.dim
-        for i in range(self.dim):
-            if R.is_zero(x[i]):
-                continue
-            for k, c, sign in self._conj[i]:
-                out[k] = add_term(R, out[k], x[i], c, sign)
-        return out
+        return self._conj.value(x, L)
 
     def norm_payload(self, x, L=None):
         return self.norm.eval_payload(x, L)
@@ -273,22 +240,6 @@ def build_conic(ring, dim, unit, mul_fn, norm_fn, name="conic"):
             products[(a, b - dim, k)] = c
     coeffs = dict(L.terms(norm_fn(L, xy[:dim]), 2, f"{name}: norm_fn"))
     return ConicAlgebra(ring, dim, products, unit, QuadraticForm(ring, dim, coeffs), name=name)
-
-
-def index_products(ring, dim, products):
-    """The nonzero products {(a, b, k): c}, coerced into ring, and the rows
-    mul_vec reads: rows[a][b] lists (k, c, sign) over the nonzero
-    coordinates of e_a e_b, k ascending.  sign is 1 or -1 when c is one or
-    minus one, so that mul_vec adds or subtracts the product instead of
-    multiplying by the lifted constant, and 0 for every other constant."""
-    terms = {}
-    rows = [[[] for _ in range(dim)] for _ in range(dim)]
-    for (a, b, k), c in sorted(products.items()):
-        c = ring.coerce(c)
-        if not ring.is_zero(c):
-            terms[(a, b, k)] = c
-            rows[a][b].append((k, c, unit_sign(ring, c)))
-    return terms, rows
 
 
 # -- constructors ----------------------------------------------------------------

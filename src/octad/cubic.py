@@ -17,25 +17,21 @@ Traces are always derived, never stored: T(y) = N(1; y), S(x) = T(x#),
 T(x, y) = T(x)T(y) - T(x x y), U_x y = T(x, y) x - x# x y.  Directional
 norm coefficients come from the dual-number trick.
 
-Every map runs over the nonzero constants only, each kept with its
-linalg.unit_sign so that 1 and -1 are applied by add and sub, in kernel
-indexes built from the terms once, at construction:
+One kernel, linalg.TermMap, evaluates every stored form: the adjoint
+(x# its value, x x y its polar), the norm, the trace T(x) = sum T(e_i)
+x_i and the trace form, as the map x -> (T(x, e_j))_j given by the Gram
+matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j), whose terms are read
+from the adjoint terms once, at construction.  The kernel coerces each
+constant once, applies 1 and -1 by add and sub and sums a term only
+when all its factors are nonzero.
 
-- the norm as signed term lists indexed by first coordinate (cubes and
-  x_i^2 x_j terms in one list, x_i x_j x_l terms grouped by (i, j));
-  a term is summed only when all its factors are nonzero;
-- the adjoint and its bilinearization from the nonzero e_i# and the
-  nonzero e_i x e_j (j > i) listed per i, with zero masks on the inputs;
-- the trace from the nonzero T(e_i), and the trace form from the sparse
-  Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j), built once from
-  the adjoint terms;
-- u_matrix(x), the columns U_x e_j = T(x, e_j) x - x# x e_j, with x# and
-  the row T(x, e_.) computed once.  The sampled fundamental formula
-  compares U_{U_x y} with U_x U_y U_x column by column through it.  Over
-  ZZ it checks up to 16 samples at once as stacked matrices in float64
-  (numpy BLAS) wherever a bound from the constants and the sample's range
-  proves every value an integer below 2^53; the exact path takes every
-  other sample.
+u_matrix(x) gives the columns U_x e_j = T(x, e_j) x - x# x e_j, with x#,
+the row T(x, e_.) and the columns x# x e_j each computed in one pass.
+The sampled fundamental formula compares U_{U_x y} with U_x U_y U_x
+column by column through it.  Over ZZ it checks up to 16 samples at once
+as stacked matrices in float64 (numpy BLAS) wherever a bound from the
+constants and the sample's range proves every value an integer below
+2^53; the exact path takes every other sample.
 """
 
 from __future__ import annotations
@@ -59,14 +55,12 @@ from .identities import (
 from .linalg import (
     LinearMap,
     ModuleElement,
-    add_term,
+    TermMap,
     basis,
     cols_vec,
     mat_mul,
     scale_vec,
-    signed_sparse,
     sub_vec,
-    unit_sign,
     vec_eq,
     vec_is_zero,
 )
@@ -78,58 +72,40 @@ NOT_INVERTIBLE = "NotInvertible"
 class CubicData:
     def __init__(self, ring, dim, basepoint, sharp_terms, norm_terms, name="cubic"):
         """sharp_terms {(i, j, k): c} (i <= j) and norm_terms {(i, j, l): c}
-        (i <= j <= l) as in the module docstring; zero terms are dropped."""
+        (i <= j <= l) as in the module docstring; each constant is coerced
+        into ring and zero terms are dropped."""
         self.ring = ring
         self.dim = dim
-        self.basepoint = list(basepoint)
+        self.basepoint = [ring.coerce(c) for c in basepoint]
         self.name = name
-        self.sharp_terms = {key: c for key, c in sorted(sharp_terms.items()) if not ring.is_zero(c)}
-        self.norm_terms = {key: c for key, c in sorted(norm_terms.items()) if not ring.is_zero(c)}
+        self._sharp = TermMap(ring, sharp_terms, 2, dim)
+        self._norm = TermMap(ring, norm_terms, 3)
+        self.sharp_terms = self._sharp.terms
+        self.norm_terms = self._norm.terms
         if any(i > j for i, j, _ in self.sharp_terms) or any(not i <= j <= l for i, j, l in self.norm_terms):
             raise ValueError(f"{name}: term keys must be sorted index tuples")
-        # _sharp_sparse[i]: sparse e_i#; _cross_after[i]: (j, sparse e_i x e_j)
-        # for the j > i with e_i x e_j != 0
-        self._sharp_sparse = [[] for _ in range(dim)]
-        self._cross_after = [[] for _ in range(dim)]
-        for (i, j), group in itertools.groupby(self.sharp_terms.items(), lambda item: item[0][:2]):
-            entries = [(k, c, unit_sign(ring, c)) for (_, _, k), c in group]
-            if i == j:
-                self._sharp_sparse[i] = entries
-            else:
-                self._cross_after[i].append((j, entries))
-        # _norm_sq[i]: (j, c, sign) for c x_i^2 x_j (j = i is the cube term);
-        # _norm_tri[i]: (j, [(l, c, sign), ...]) for c x_i x_j x_l
-        self._norm_sq = [[] for _ in range(dim)]
-        self._norm_tri = [[] for _ in range(dim)]
-        tails = {}
-        for (i, j, l), c in self.norm_terms.items():
-            entry = (c, unit_sign(ring, c))
-            if i == j:
-                self._norm_sq[i].append((l, *entry))
-            elif j == l:
-                self._norm_sq[l].append((i, *entry))
-            else:
-                tails.setdefault((i, j), []).append((l, *entry))
-        for (i, j), tail in tails.items():
-            self._norm_tri[i].append((j, tail))
         self.tvec = [self.norm_dir_payload(self.basepoint, basis(ring, dim, i)) for i in range(dim)]
-        self._trace = signed_sparse(ring, self.tvec)
-        self._gram = self._trace_gram()
+        self._trace = TermMap(ring, {(i,): t for i, t in enumerate(self.tvec)}, 1)
+        self._trace_form = self._trace_gram()
         self._consistency()
 
     def _trace_gram(self):
-        """Sparse rows of the Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j),
-        read from the adjoint terms (e_i x e_i = 2 e_i#)."""
+        """The trace form as the map x -> (T(x, e_j))_j, from the Gram matrix
+        T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j) read from the adjoint
+        terms (e_i x e_i = 2 e_i#)."""
         R, t = self.ring, self.tvec
-        gram = [[R.mul(a, b) for b in t] for a in t]
+        support = [(i, a) for i, a in enumerate(t) if not R.is_zero(a)]
+        gram = {(i, j): R.mul(a, b) for i, a in support for j, b in support}
         for (i, j, k), c in self.sharp_terms.items():
+            if R.is_zero(t[k]):
+                continue
             d = R.mul(c, t[k])
             if i == j:
-                gram[i][i] = R.sub(gram[i][i], R.add(d, d))
+                gram[(i, i)] = R.sub(gram.get((i, i), R.zero), R.add(d, d))
             else:
-                gram[i][j] = R.sub(gram[i][j], d)
-                gram[j][i] = R.sub(gram[j][i], d)
-        return [signed_sparse(R, row) for row in gram]
+                gram[(i, j)] = R.sub(gram.get((i, j), R.zero), d)
+                gram[(j, i)] = R.sub(gram.get((j, i), R.zero), d)
+        return TermMap(R, gram, 1, self.dim)
 
     @functools.cached_property
     def _u_tensors(self):
@@ -146,25 +122,7 @@ class CubicData:
 
     # -- scalar-valued maps -----------------------------------------------------
     def norm_payload(self, x, L=None):
-        """N(x), summing the stored terms whose factors are all nonzero."""
-        R = L if L is not None else self.ring
-        z = [R.is_zero(c) for c in x]
-        acc = R.zero
-        for i, xi in enumerate(x):
-            if z[i]:
-                continue
-            sq = R.mul(xi, xi)
-            for j, c, sign in self._norm_sq[i]:
-                if not z[j]:
-                    acc = add_term(R, acc, R.mul(sq, x[j]), c, sign)
-            for j, tail in self._norm_tri[i]:
-                if z[j]:
-                    continue
-                xij = R.mul(xi, x[j])
-                for l, c, sign in tail:
-                    if not z[l]:
-                        acc = add_term(R, acc, R.mul(xij, x[l]), c, sign)
-        return acc
+        return self._norm.value(x, L)
 
     def norm_dir_payload(self, x, y, L=None):
         """N(x; y): the eps-part of N(x + eps y), exact in every characteristic."""
@@ -173,41 +131,21 @@ class CubicData:
         return self.norm_payload(list(zip(x, y)), D)[1]
 
     def trace_lin(self, x, L=None):
-        R = L if L is not None else self.ring
-        acc = R.zero
-        for i, t, sign in self._trace:
-            if not R.is_zero(x[i]):
-                acc = add_term(R, acc, x[i], t, sign)
-        return acc
+        return self._trace.value(x, L)
 
     def trace_row(self, x, L=None):
-        """[T(x, e_0), ..., T(x, e_{dim-1})] from the sparse Gram matrix."""
-        R = L if L is not None else self.ring
-        z = [R.is_zero(c) for c in x]
-        row = []
-        for entries in self._gram:
-            acc = R.zero
-            for i, t, sign in entries:
-                if not z[i]:
-                    acc = add_term(R, acc, x[i], t, sign)
-            row.append(acc)
-        return row
+        """[T(x, e_0), ..., T(x, e_{dim-1})] from the Gram matrix."""
+        return self._trace_form.value(x, L)
 
     def trace_bilin(self, x, y, L=None):
-        """T(x, y) = T(x)T(y) - T(x x y) = sum_j y_j T(x, e_j), reading
-        only the Gram rows where y_j != 0."""
+        """T(x, y) = T(x)T(y) - T(x x y) = sum_i x_i T(y, e_i), reading only
+        the Gram rows where y_i != 0 (y is the sparse argument of u_op_vec
+        on basis vectors and the base point)."""
         R = L if L is not None else self.ring
-        z = [R.is_zero(c) for c in x]
         acc = R.zero
-        for yj, entries in zip(y, self._gram):
-            if R.is_zero(yj):
-                continue
-            t = R.zero
-            for i, c, sign in entries:
-                if not z[i]:
-                    t = add_term(R, t, x[i], c, sign)
-            if not R.is_zero(t):
-                acc = R.add(acc, R.mul(t, yj))
+        for xi, t in zip(x, self.trace_row(y, L)):
+            if not (R.is_zero(t) or R.is_zero(xi)):
+                acc = R.add(acc, R.mul(t, xi))
         return acc
 
     def squad(self, x, L=None):
@@ -216,47 +154,11 @@ class CubicData:
     # -- vector-valued maps ---------------------------------------------------------
     def sharp_vec(self, x, L=None, acc=None):
         """x#, added onto the vector acc when one is given."""
-        R = L if L is not None else self.ring
-        out = [R.zero] * self.dim if acc is None else list(acc)
-        z = [R.is_zero(c) for c in x]
-        for i, xi in enumerate(x):
-            if z[i]:
-                continue
-            c = R.mul(xi, xi)
-            for k, t, sign in self._sharp_sparse[i]:
-                out[k] = add_term(R, out[k], c, t, sign)
-            for j, entries in self._cross_after[i]:
-                if z[j]:
-                    continue
-                c = R.mul(xi, x[j])
-                for k, t, sign in entries:
-                    out[k] = add_term(R, out[k], c, t, sign)
-        return out
+        return self._sharp.value(x, L, acc)
 
     def cross_vec(self, x, y, L=None, acc=None):
         """x x y, added onto the vector acc when one is given."""
-        R = L if L is not None else self.ring
-        out = [R.zero] * self.dim if acc is None else list(acc)
-        zx = [R.is_zero(c) for c in x]
-        zy = [R.is_zero(c) for c in y]
-        for i in range(self.dim):
-            if zx[i] and zy[i]:
-                continue
-            if not (zx[i] or zy[i]):
-                c = R.mul(x[i], y[i])
-                c = R.add(c, c)
-                for k, t, sign in self._sharp_sparse[i]:
-                    out[k] = add_term(R, out[k], c, t, sign)
-            for j, entries in self._cross_after[i]:
-                # x_i y_j + x_j y_i vanishes when both products have a zero factor
-                if (zx[i] or zy[j]) and (zx[j] or zy[i]):
-                    continue
-                c = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
-                if R.is_zero(c):
-                    continue
-                for k, t, sign in entries:
-                    out[k] = add_term(R, out[k], c, t, sign)
-        return out
+        return self._sharp.polar(x, y, L, acc)
 
     def u_op_vec(self, x, y, L=None):
         R = L if L is not None else self.ring
@@ -265,27 +167,12 @@ class CubicData:
         return sub_vec(R, scale_vec(R, t, x), cx)
 
     def u_matrix(self, x, L=None):
-        """U_x by columns: U_x e_j = T(x, e_j) x - x# x e_j, with x# and the
-        trace row computed once for all j."""
+        """U_x by columns: U_x e_j = T(x, e_j) x - x# x e_j, with x#, the
+        trace row and the columns x# x e_j each computed in one pass."""
         R = L if L is not None else self.ring
         n = self.dim
         cols = [[R.zero] * n if R.is_zero(t) else scale_vec(R, t, x) for t in self.trace_row(x, L)]
-        neg = [None if R.is_zero(c) else R.neg(c) for c in self.sharp_vec(x, L)]
-
-        def sub_cross(col, c, entries):
-            for k, t, sign in entries:
-                col[k] = add_term(R, col[k], c, t, sign)
-
-        # x# x e_j = 2 x#_j e_j# + sum_{i != j} x#_i (e_i x e_j)
-        for i, c in enumerate(neg):
-            if c is not None:
-                sub_cross(cols[i], R.add(c, c), self._sharp_sparse[i])
-            for j, entries in self._cross_after[i]:
-                if c is not None:
-                    sub_cross(cols[j], c, entries)
-                if neg[j] is not None:
-                    sub_cross(cols[i], neg[j], entries)
-        return cols
+        return self._sharp.polar_columns([R.neg(c) for c in self.sharp_vec(x, L)], L, cols)
 
     def triple_vec(self, x, y, z, L=None):
         """{x y z} = U_{x,z} y = T(x,y) z + T(z,y) x - (x x z) x y."""
@@ -857,14 +744,12 @@ def _float_u_tensors(data):
     n = data.dim
     XU = np.zeros((n, n, n), dtype=object)
     X = np.zeros((n, n, n), dtype=object)
-    for a, entries in enumerate(data._sharp_sparse):
-        for k, c, _ in entries:
+    for (a, b, k), c in data.sharp_terms.items():
+        if a == b:
             XU[a, a, k] = c
             X[a, a, k] = 2 * c
-    for a, after in enumerate(data._cross_after):
-        for b, entries in after:
-            for k, c, _ in entries:
-                XU[a, b, k] = X[a, b, k] = X[b, a, k] = c
+        else:
+            XU[a, b, k] = X[a, b, k] = X[b, a, k] = c
     tvec = np.array(data.tvec, dtype=object)
     TX = np.tensordot(X, tvec, axes=([2], [0]))
     bound = _fundamental_bound(np, XU, X, tvec)

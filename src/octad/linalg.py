@@ -1,10 +1,17 @@
-"""Exact dense linear algebra over the scalar rings.
+"""Exact linear algebra over the scalar rings, and the one kernel that
+evaluates stored structure constants.
 
 Vectors are lists of payloads and matrices are lists of payload rows.
 Sizes in this library never exceed 27, so the algorithms optimize for
 exactness, not asymptotics.  Determinants use fraction-free Bareiss over
 ZZ, ordinary elimination over fields and the division-free Berkowitz
 algorithm over every other commutative ring (Berkowitz, IPL 18, 1984).
+
+Every polynomial map the library stores by its coefficients (conic
+products, traces and conjugations, quadratic forms, linear maps, cubic
+adjoints, norms and traces) is a TermMap: its nonzero terms, evaluated
+over the base ring or any ring-like extension by the loops of that one
+class.
 """
 
 from __future__ import annotations
@@ -55,11 +62,6 @@ def unit_sign(R, c):
     return 0
 
 
-def signed_sparse(R, vec):
-    """[(index, payload, unit_sign), ...] over the nonzero entries of vec."""
-    return [(k, c, unit_sign(R, c)) for k, c in enumerate(vec) if not R.is_zero(c)]
-
-
 def add_term(L, acc, x, c, sign):
     """acc + c*x over the ring-like L, for a base-ring constant c with
     sign = unit_sign(base ring, c)."""
@@ -68,6 +70,152 @@ def add_term(L, acc, x, c, sign):
     if sign == -1:
         return L.sub(acc, x)
     return L.add(acc, L.mul(x, L.from_base(c)))
+
+
+class TermMap:
+    """A polynomial map of one degree d, stored as its nonzero terms.
+
+    terms {(i_1, ..., i_d, k): c} with i_1 <= ... <= i_d give the map
+    x -> sum c x_{i_1} ... x_{i_d} e_k into out_dim coordinates; the keys
+    of a scalar form (out_dim None) have no k.  Each constant is coerced
+    into ring once and kept with its unit_sign, and self.terms is the one
+    stored copy, in key order.  Every evaluation runs over the ring or
+    any ring-like L, adds onto acc when one is given and skips a term
+    with a zero factor.  A degree-2 map with unsorted keys (a, b, k) is
+    the bilinear map (x, y) -> sum c x_a y_b e_k: as conic.build_conic
+    reads a product, (a, b, k) is the degree-2 term (a, dim + b, k) of
+    the pair (x, y).
+    """
+
+    def __init__(self, ring, terms, degree, out_dim=None):
+        self.ring = ring
+        self.degree = degree
+        self._scalar = out_dim is None
+        self._size = out_dim or 1
+        self.terms = {}
+        # a trie over the key's factors: _index lists (i, children) by first
+        # factor, and so on down to the last factor, whose children are the
+        # (k, c, sign) of its nonzero terms; sorted keys share prefixes in a row
+        self._index = []
+        coerce, is_zero = ring.coerce, ring.is_zero
+        for key, c in sorted(terms.items()):
+            c = coerce(c)
+            if is_zero(c):
+                continue
+            self.terms[key] = c
+            node = self._index
+            for i in key[:degree]:
+                if not node or node[-1][0] != i:
+                    node.append((i, []))
+                node = node[-1][1]
+            node.append((0 if self._scalar else key[degree], c, unit_sign(ring, c)))
+
+    def value(self, x, L=None, acc=None):
+        """f(x) at degree 1, 2 or 3."""
+        if self.degree == 2:
+            return self.bilinear(x, x, L, acc)
+        R = L if L is not None else self.ring
+        out = [R.zero] * self._size if acc is None else [acc] if self._scalar else list(acc)
+        if self.degree == 1:
+            for i, leaves in self._index:
+                xi = x[i]
+                if not R.is_zero(xi):
+                    for k, c, sign in leaves:
+                        out[k] = add_term(R, out[k], xi, c, sign)
+            return out[0] if self._scalar else out
+        z = [R.is_zero(c) for c in x]
+        for i, rows in self._index:
+            if z[i]:
+                continue
+            for j, row in rows:
+                if z[j]:
+                    continue
+                xij = R.mul(x[i], x[j])
+                for l, leaves in row:
+                    if not z[l]:
+                        m = R.mul(xij, x[l])
+                        for k, c, sign in leaves:
+                            out[k] = add_term(R, out[k], m, c, sign)
+        return out[0] if self._scalar else out
+
+    def bilinear(self, x, y, L=None, acc=None):
+        """sum c x_a y_b (e_k) over the degree-2 terms (a, b[, k])."""
+        R = L if L is not None else self.ring
+        out = [R.zero] * self._size if acc is None else [acc] if self._scalar else list(acc)
+        zy = [R.is_zero(c) for c in y]
+        zx = zy if x is y else [R.is_zero(c) for c in x]
+        for i, row in self._index:
+            if zx[i]:
+                continue
+            xi = x[i]
+            for j, leaves in row:
+                if not zy[j]:
+                    m = R.mul(xi, y[j])
+                    for k, c, sign in leaves:
+                        out[k] = add_term(R, out[k], m, c, sign)
+        return out[0] if self._scalar else out
+
+    def polar(self, x, y, L=None, acc=None):
+        """f(x + y) - f(x) - f(y) at degree 2: a term (i, j) contributes
+        c (x_i y_j + x_j y_i), each product only when its factors are
+        nonzero, and (i, i) contributes 2 c x_i y_i."""
+        R = L if L is not None else self.ring
+        out = [R.zero] * self._size if acc is None else [acc] if self._scalar else list(acc)
+        zx = [R.is_zero(c) for c in x]
+        zy = [R.is_zero(c) for c in y]
+        for i, row in self._index:
+            if zx[i] and zy[i]:
+                continue
+            for j, leaves in row:
+                if i == j:
+                    if zx[i] or zy[i]:
+                        continue
+                    m = R.mul(x[i], y[i])
+                    m = R.add(m, m)
+                else:
+                    ij = not (zx[i] or zy[j])
+                    ji = not (zx[j] or zy[i])
+                    if ij and ji:
+                        m = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
+                    elif ij:
+                        m = R.mul(x[i], y[j])
+                    elif ji:
+                        m = R.mul(x[j], y[i])
+                    else:
+                        continue
+                    if R.is_zero(m):
+                        continue
+                for k, c, sign in leaves:
+                    out[k] = add_term(R, out[k], m, c, sign)
+        return out[0] if self._scalar else out
+
+    def polar_columns(self, x, L=None, acc=None):
+        """[polar(x, e_j) for each coordinate j of x] in one pass, added
+        onto the columns acc when they are given."""
+        R = L if L is not None else self.ring
+        if acc is None:
+            cols = [[R.zero] * self._size for _ in x]
+        else:
+            cols = [[c] if self._scalar else list(c) for c in acc]
+        z = [R.is_zero(c) for c in x]
+
+        def add(col, m, leaves):
+            for k, c, sign in leaves:
+                col[k] = add_term(R, col[k], m, c, sign)
+
+        for i, row in self._index:
+            for j, leaves in row:
+                # polar(x, e_j) gains c x_i and polar(x, e_i) gains c x_j,
+                # or 2 c x_i when i = j
+                if i == j:
+                    if not z[i]:
+                        add(cols[i], R.add(x[i], x[i]), leaves)
+                    continue
+                if not z[i]:
+                    add(cols[j], x[i], leaves)
+                if not z[j]:
+                    add(cols[i], x[j], leaves)
+        return [col[0] for col in cols] if self._scalar else cols
 
 
 class ModuleElement:
@@ -133,20 +281,14 @@ class LinearMap:
     def __init__(self, domain, codomain, columns):
         self.domain = domain
         self.codomain = codomain
-        self.columns = columns
         self.ring = domain.ring
         self.dim = domain.dim
-        self._sparse = [signed_sparse(self.ring, col) for col in columns]
+        terms = {(i, k): c for i, col in enumerate(columns) for k, c in enumerate(col)}
+        self._map = TermMap(self.ring, terms, 1, codomain.dim)
 
     def apply_vec(self, x, L=None):
         """The image of a payload vector, optionally over ring-like L."""
-        R = L if L is not None else self.ring
-        out = [R.zero] * self.codomain.dim
-        for c, col in zip(x, self._sparse):
-            if not R.is_zero(c):
-                for k, t, sign in col:
-                    out[k] = add_term(R, out[k], c, t, sign)
-        return out
+        return self._map.value(x, L)
 
 
 # -- matrices ----------------------------------------------------------------------

@@ -17,43 +17,24 @@ class QuadraticForm:
         """coeffs: dict {(i, j): payload} with i <= j, or dense row list."""
         self.ring = ring
         self.dim = dim
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = (((i, j), coeffs[i][j]) for i in range(dim) for j in range(i, dim))
-        self.coeffs = {}
-        for (i, j), c in items:
-            if i > j:
-                raise ValueError("coefficients must be upper triangular")
-            c = ring.coerce(c)
-            if not ring.is_zero(c):
-                self.coeffs[(i, j)] = c
-        self._terms = [(i, j, c, linalg.unit_sign(ring, c)) for (i, j), c in self.coeffs.items()]
+        if not isinstance(coeffs, dict):
+            coeffs = {(i, j): coeffs[i][j] for i in range(dim) for j in range(i, dim)}
+        if any(i > j for i, j in coeffs):
+            raise ValueError("coefficients must be upper triangular")
+        self._form = linalg.TermMap(ring, coeffs, 2)
+        self.coeffs = self._form.terms
 
     def eval_payload(self, x, L=None):
         """Evaluate on a payload vector, optionally over a ring-like L."""
-        R = L if L is not None else self.ring
-        acc = R.zero
-        for i, j, c, sign in self._terms:
-            xi, xj = x[i], x[j]
-            if R.is_zero(xi) or R.is_zero(xj):
-                continue
-            acc = linalg.add_term(R, acc, R.mul(xi, xj), c, sign)
-        return acc
+        return self._form.value(x, L)
 
     def eval(self, x):
         x = _payload_vec(self.ring, self.dim, x)
         return self.ring.scalar(self.eval_payload(x))
 
     def bilin_payload(self, x, y, L=None):
-        """Dq(x, y) = q(x+y) - q(x) - q(y), expanded coefficient-wise."""
-        R = L if L is not None else self.ring
-        acc = R.zero
-        for i, j, c, sign in self._terms:
-            t = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
-            if not R.is_zero(t):
-                acc = linalg.add_term(R, acc, t, c, sign)
-        return acc
+        """Dq(x, y) = q(x+y) - q(x) - q(y)."""
+        return self._form.polar(x, y, L)
 
     def bilinearize(self):
         R = self.ring

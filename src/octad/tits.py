@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 
-from .conic import UNIT_LAW, ConicAlgebra, index_products
+from .conic import UNIT_LAW, ConicAlgebra
 from .cubic import build_cubic, k_cubic, verify_cubic_iso
 from .extensions import lift_vec
 from .identities import CONIC_IDENTITIES, IdentitySpec, require_law
-from .linalg import scale_vec, sub_vec
+from .linalg import TermMap, scale_vec, sub_vec
 
 
 class CubicAssocInput:
@@ -34,11 +34,12 @@ class CubicAssocInput:
         self.dim = data.dim
         self.name = name
         self.unit = data.basepoint
-        self.products, self._sparse = index_products(self.ring, self.dim, products)
+        self._product = TermMap(self.ring, products, 2, self.dim)
+        self.products = self._product.terms
         if validate:
             self._validate()
 
-    # the same structure-constant product as a conic algebra's, on the same rows
+    # the same structure-constant product as a conic algebra's
     mul_vec = ConicAlgebra.mul_vec
 
     def _validate(self):

@@ -204,7 +204,7 @@ def test_products_with_unit_constants_match_naive_formulas(R):
     ]
     L = PolyExt(R, 2, 3)
     for alg in algebras:
-        signs = {s for row in alg._sparse for entries in row for _, _, s in entries}
+        signs = {s for _, row in alg._product._index for _, leaves in row for _, _, s in leaves}
         assert 1 in signs
         for _ in range(20):
             x = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(alg.dim)]

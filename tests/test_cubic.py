@@ -27,7 +27,7 @@ from octad.identities import sampled_identity_check
 from octad.linalg import add_vec, sub_vec, vec_eq
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
-from octad.tits import mat3, tits
+from octad.tits import mat3, split_albert, tits
 from octad.zorn import zorn_algebra
 from dense_layout import cubic_fields, dense_cubic
 from test_cubic_kernels import Unchecked
@@ -309,6 +309,30 @@ def test_cubic_json_round_trip_bit_exact():
         again = CubicData.from_json(J.ring, text)
         assert again.to_json() == text
         assert (again.sharp_terms, again.norm_terms) == (J.sharp_terms, J.norm_terms)
+
+
+def test_fraction_constants_over_qq_keep_the_tensor_adjoint_path():
+    """Constants given as integral Fractions are stored as QQ's int payloads,
+    so the integral data gets the tensor adjoint verdict at dimension 27."""
+    J = split_albert(QQ)
+    wrapped = CubicData(
+        QQ,
+        J.dim,
+        [Fraction(c) for c in J.basepoint],
+        {key: Fraction(c) for key, c in J.sharp_terms.items()},
+        {key: Fraction(c) for key, c in J.norm_terms.items()},
+    )
+    v = adjoint_identity_strict(wrapped)
+    assert v.holds and v.details["path"] == "tensor"
+
+
+def test_constants_are_reduced_into_the_ring():
+    """A constant given as 6 over GF(5) is stored as 1, the constant a JSON
+    round trip reads back."""
+    K = CubicData(GF(5), 1, [1], {(0, 0, 0): 6}, {(0, 0, 0): 1})
+    assert K.sharp_terms == {(0, 0, 0): 1}
+    again = CubicData.from_json(GF(5), K.to_json())
+    assert (again.sharp_terms, again.norm_terms) == (K.sharp_terms, K.norm_terms)
 
 
 @pytest.mark.parametrize("field, key", [("cross_pairs", "1,2"), ("norm_triple", "0,1,2")])
