@@ -139,14 +139,12 @@ def _run_identities(args):
 
     if isinstance(alg, CubicData):
         if suite == "adjoint":
-            from .cubic import adjoint_identity_strict
-            from .identities import sampled_identity_check
-            from .cubic import CUBIC_IDENTITIES
+            from .cubic import CUBIC_IDENTITIES, adjoint_identity_strict
 
             if args.mode == "strict":
                 v = adjoint_identity_strict(alg)
             else:
-                v = sampled_identity_check(alg, CUBIC_IDENTITIES["adjoint"], seed=seed)
+                v = identities.check_identity(alg, CUBIC_IDENTITIES["adjoint"], args.mode, seed)
             results = [("adjoint", v)]
         elif suite == "axioms":
             from .cubic import validate_axioms

@@ -47,6 +47,7 @@ from .identities import (
     DEFAULT_SEED,
     IdentitySpec,
     Verdict,
+    check_identity,
     require_law,
     sampled_identity_check,
     smallest_failure,
@@ -84,10 +85,23 @@ class CubicData:
         self.norm_terms = self._norm.terms
         if any(i > j for i, j, _ in self.sharp_terms) or any(not i <= j <= l for i, j, l in self.norm_terms):
             raise ValueError(f"{name}: term keys must be sorted index tuples")
-        self.tvec = [self.norm_dir_payload(self.basepoint, basis(ring, dim, i)) for i in range(dim)]
+        self.tvec = self._base_trace()
         self._trace = TermMap(ring, {(i,): t for i, t in enumerate(self.tvec)}, 1)
         self._trace_form = self._trace_gram()
         self._consistency()
+
+    def _base_trace(self):
+        """[T(e_0), ..., T(e_{dim-1})] in one pass over the norm terms:
+        T(e_i) = N(1; e_i), and the derivative of x_a x_b x_l at 1 in the
+        direction e_i sums, over the factors equal to i, the product of the
+        other two at 1."""
+        R, p = self.ring, self.basepoint
+        t = [R.zero] * self.dim
+        for (a, b, l), c in self.norm_terms.items():
+            for i, u, v in ((a, b, l), (b, a, l), (l, a, b)):
+                if not (R.is_zero(p[u]) or R.is_zero(p[v])):
+                    t[i] = R.add(t[i], R.mul(c, R.mul(p[u], p[v])))
+        return t
 
     def _trace_gram(self):
         """The trace form as the map x -> (T(x, e_j))_j, from the Gram matrix
@@ -822,13 +836,16 @@ def _float_fundamental(data, pairs):
 def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     """Run the cubic-norm-structure axiom suite.
 
-    strict mode checks unit-id, gradient, bilinear-adjoint, sharp-cross
-    and adjoint as polynomial laws (strict_identity_check) and samples an
-    identity only above the cost guard.  The fundamental formula is then
-    implied, not checked, when the base point, unit-id, gradient and
-    adjoint identities all hold strictly.  This is McCrimmon's theorem
-    (K. McCrimmon, Trans. AMS 139, 1969; the cubic norm structures of
-    Garibaldi-Petersson-Racine, Albert algebras over commutative rings):
+    Each of unit-id, gradient, bilinear-adjoint, sharp-cross and adjoint
+    gets identities.check_identity's verdict in the mode: strict mode
+    decides it as a polynomial law and samples it only above the cost
+    guard; sampled mode evaluates a few seeded points first and decides
+    strictly what they do not refute, inside the guard.  The fundamental
+    formula is then implied, not checked, when the base point, unit-id,
+    gradient and adjoint identities all hold strictly.  This is
+    McCrimmon's theorem (K. McCrimmon, Trans. AMS 139, 1969; the cubic
+    norm structures of Garibaldi-Petersson-Racine, Albert algebras over
+    commutative rings):
     let N be a cubic form with a quadratic adjoint # and a base point 1,
     T(y) = N(1; y) and T(x, y) = T(x)T(y) - T(x x y).  If, as polynomial
     laws,
@@ -840,9 +857,9 @@ def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     every scalar extension.  Under the unit and gradient identities this
     T(x, y) is the book's bilinear trace T(x)T(y) - N(1; x, y), with
     N(1; x, y) the coefficient of s t in N(1 + s x + t y): both give
-    T(x x y) = N(1; x, y).  Otherwise, and in sampled mode, the formula
-    is sampled (fundamental_formula_samples).  The details record each
-    identity's mode: strict, sampled or implied.
+    T(x x y) = N(1; x, y).  Otherwise the formula is sampled
+    (fundamental_formula_samples).  The details record each identity's
+    mode: strict, sampled or implied.
     """
     R = data.ring
     basepoint = R.eq(data.norm_payload(data.basepoint), R.one) and vec_eq(
@@ -869,11 +886,9 @@ def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
 
 
 def _axiom_verdict(data, ident, mode, seed):
-    """The strict verdict in strict mode, unless the cost guard refuses it;
-    else the sampled one."""
-    if mode == "strict":
-        try:
-            return strict_identity_check(data, ident)
-        except CostGuardError:
-            pass
-    return sampled_identity_check(data, ident, seed=seed)
+    """The verdict of identities.check_identity in the mode; in strict mode
+    above the cost guard, the sampled one."""
+    try:
+        return check_identity(data, ident, mode, seed)
+    except CostGuardError:
+        return sampled_identity_check(data, ident, seed=seed)

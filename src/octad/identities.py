@@ -14,6 +14,15 @@ One cost guard, STRICT_GUARD, bounds the checker's real size: the number
 of monomials the generic value can hold, one binomial C(n + d - 1, d) per
 slot of degree d (n for a slot of degree 1).  That product is
 multiset_count(n, multidegree).
+
+check_identity is the one routing rule for a mode.  Strict mode decides
+strictly and raises CostGuardError above the guard.  Sampled mode first
+evaluates PRESAMPLES seeded random points (the first trials of the full
+sampled run, from the same stream): a failing point is a definitive Fails
+with its trial and witness.  If none fails, an identity inside the guard
+is decided strictly: the verdict's mode is "strict", and its details add
+the seed and PRESAMPLES.  Above the guard the full seeded sampled check
+answers, and its pass is only probabilistic.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .extensions import PolyExt, lift_vec
 from .linalg import add_vec, scale_vec, sub_vec
 
 DEFAULT_SEED = 0xA1BE27
+PRESAMPLES = 8  # random points a sampled-mode check evaluates before it decides strictly
 
 
 class CostGuardError(RuntimeError):
@@ -189,6 +199,22 @@ def sampled_identity_check(algebra, ident, seed=DEFAULT_SEED, samples=200):
     return Verdict(True, mode="sampled", details={"identity": ident.name, "samples": samples, "seed": seed})
 
 
+def check_identity(algebra, ident, mode="strict", seed=DEFAULT_SEED):
+    """The identity's verdict in mode "strict" or "sampled", by the routing
+    rule of the module docstring."""
+    ident = _resolve(algebra, ident)
+    if mode == "strict":
+        return strict_identity_check(algebra, ident)
+    if multiset_count(algebra.dim, ident.multidegree) > STRICT_GUARD:
+        return sampled_identity_check(algebra, ident, seed=seed)
+    pre = sampled_identity_check(algebra, ident, seed=seed, samples=PRESAMPLES)
+    if not pre.holds:
+        return pre
+    verdict = strict_identity_check(algebra, ident)
+    verdict.details.update(seed=seed, presamples=PRESAMPLES)
+    return verdict
+
+
 # -- conic-algebra identity catalog --------------------------------------------
 
 
@@ -319,7 +345,4 @@ def _resolve(algebra, ident):
 
 def run_suite(algebra, suite, mode="strict", seed=DEFAULT_SEED):
     """Run a named identity or a suite of them; returns (name, Verdict) pairs."""
-    names = SUITES.get(suite, (suite,))
-    if mode == "strict":
-        return [(name, strict_identity_check(algebra, name)) for name in names]
-    return [(name, sampled_identity_check(algebra, name, seed=seed)) for name in names]
+    return [(name, check_identity(algebra, name, mode, seed)) for name in SUITES.get(suite, (suite,))]

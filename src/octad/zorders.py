@@ -11,7 +11,6 @@ one common denominator.  No floating point anywhere.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from functools import cache, partial
@@ -129,16 +128,6 @@ class ZLattice:
                 raise AssertionError(f"enumerated a lattice point of norm != 1: {e!r}")
         return elems
 
-    def units_brute_force(self):
-        """Independent oracle: scan the box given by a proven coordinate bound."""
-        bound = _box_bound(self.gram, Fraction(2))
-        out = []
-        for c in itertools.product(range(-bound, bound + 1), repeat=self.rank):
-            x = self.element(c)
-            if self.ambient.norm.eval_payload(x.coords) == 1:
-                out.append(tuple(c))
-        return [self.element(c) for c in sorted(out)]
-
     # -- serialization ---------------------------------------------------------------
     def to_json(self):
         def frac(x):
@@ -251,14 +240,6 @@ def _fincke_pohst(diag, low, target):
 
     descend(n - 1, T)
     return results
-
-
-def _box_bound(gram, target):
-    """Proven sup-norm bound: x^T G x = t implies |x_i|^2 <= t * (G^-1)_ii."""
-    inv = linalg.inverse_rational(gram)
-    best = max(inv[i][i] for i in range(len(gram)))
-    bound2 = target * best
-    return isqrt(bound2.numerator // bound2.denominator) + 2
 
 
 # -- the named lattices -------------------------------------------------------------

@@ -4,7 +4,8 @@ These are the per-subset strict checker and the inclusion-exclusion
 structure extraction that the library used before it read every
 coefficient from one evaluation at the generic element sum_i t_i e_i,
 the rational Fincke-Pohst search, lattice element and half-norm split
-that the library used before its lattice kernels ran on ints, the
+that the library used before its lattice kernels ran on ints, a scan for
+lattice units over a proven coordinate box, the
 degree-2 polarization loop that conic algebras ran at construction
 before they called the strict checker, and the basis-pair loops that
 built Cayley-Dickson doubles and Zorn(k) before conic.build_conic read
@@ -24,7 +25,7 @@ from octad.conic import ConicAlgebra
 from octad.cubic import CubicData
 from octad.extensions import DualExt, PolyExt
 from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
-from octad.linalg import add_vec, basis, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
+from octad.linalg import add_vec, basis, inverse_rational, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
 from octad.quadforms import QuadraticForm
 from octad.zorn import _to_coords, gen_X, idem_E, zorn_mul, zorn_unit
 from octad.zorders import _EPS_TO_U
@@ -221,6 +222,23 @@ def _ceil_frac(x):
 
 def _floor_frac(x):
     return x.numerator // x.denominator
+
+
+def box_bound(gram, target):
+    """Proven sup-norm bound: x^T G x = t implies |x_i|^2 <= t * (G^-1)_ii."""
+    inv = inverse_rational(gram)
+    bound2 = target * max(inv[i][i] for i in range(len(gram)))
+    return isqrt(bound2.numerator // bound2.denominator) + 2
+
+
+def units_by_box_scan(lattice):
+    """The lattice points of norm 1, by a scan of the box of box_bound."""
+    bound = box_bound(lattice.gram, Fraction(2))
+    out = []
+    for c in itertools.product(range(-bound, bound + 1), repeat=lattice.rank):
+        if lattice.ambient.norm.eval_payload(lattice.element(c).coords) == 1:
+            out.append(c)
+    return [lattice.element(c) for c in sorted(out)]
 
 
 def element_by_fraction_sum(lattice, int_coords):

@@ -190,7 +190,7 @@ def test_implied_agrees_with_the_strict_fundamental_check(name, ring):
 
 def test_sampled_mode_and_failing_axioms_sample_the_formula():
     J = small("her3(ground)", "ZZ")
-    assert validate_axioms(J, mode="sampled").details["fundamental"] == "Holds (sampled)"
+    assert validate_axioms(J, mode="sampled").details["fundamental"] == "Holds (implied)"
     basepoint, sharp, cross, n_single, n_dir, n_triple = fields(J)
     cross[(3, 4)][0] += 1
     v = validate_axioms(dense_cubic(Unchecked, ZZ, J.dim, basepoint, sharp, cross, n_single, n_dir, n_triple))

@@ -5,8 +5,11 @@ import pytest
 from octad.cayley import octonions, quaternions, sedenions
 from octad.conic import cartan_schouten, split_etale
 from octad.identities import (
+    DEFAULT_SEED,
+    PRESAMPLES,
     CostGuardError,
     IdentitySpec,
+    check_identity,
     multiset_count,
     sampled_identity_check,
     smallest_failure,
@@ -71,25 +74,37 @@ def test_sedenion_norm_composition_fails():
     assert composition_defect(x, y) != ZZ.scalar(0)
 
 
+def _setmap_zero(alg, L, vs):
+    # x0^2 x1 + x0 x1^2 vanishes at every point of GF(2)^2 but not as a law
+    (x,) = vs
+    a, b = x[0], x[1]
+    t = L.add(L.mul(L.mul(a, a), b), L.mul(a, L.mul(b, b)))
+    return [t, L.zero]
+
+
+SETMAP_ZERO = IdentitySpec("setmap-zero", (3,), _setmap_zero)
+
+
 def test_polynomial_law_vs_set_map_over_f2():
-    # x1^2 x2 + x1 x2^2 vanishes at every point of GF(2)^2 but not as a law
     A = split_etale(GF(2))
-
-    def evaluate(alg, L, vs):
-        (x,) = vs
-        a, b = x[0], x[1]
-        t = L.add(L.mul(L.mul(a, a), b), L.mul(a, L.mul(b, b)))
-        return [t, L.zero]
-
-    ident = IdentitySpec("setmap-zero", (3,), evaluate)
     # vanishes on all four points of the set map
     R = GF(2)
     for a in range(2):
         for b in range(2):
-            val = evaluate(A, R, [[a, b]])
+            val = _setmap_zero(A, R, [[a, b]])
             assert R.is_zero(val[0])
-    v = strict_identity_check(A, ident)
-    assert not v.holds
+    v = strict_identity_check(A, SETMAP_ZERO)
+    assert not v.holds and v.witness == ((0, 0, 1),)
+    # so no number of sampled points refutes it
+    assert sampled_identity_check(A, SETMAP_ZERO).holds
+
+
+def test_sampled_mode_decides_the_set_map_zero_law_strictly():
+    """Sampled mode inside the guard is a proof: the pre-draws all pass and
+    the strict check finds the failure that no point of GF(2)^2 shows."""
+    v = check_identity(split_etale(GF(2)), SETMAP_ZERO, mode="sampled")
+    assert (v.holds, v.mode, v.witness) == (False, "strict", ((0, 0, 1),))
+    assert v.details == {"identity": "setmap-zero", "seed": DEFAULT_SEED, "presamples": PRESAMPLES}
 
 
 def test_sampled_mode_catches_gross_failures():

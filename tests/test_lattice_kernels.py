@@ -16,7 +16,6 @@ from octad.cayley import cayley_dickson, ground_algebra
 from octad.scalars import QQ
 from octad.zorders import (
     NAMED_LATTICES,
-    _box_bound,
     _fincke_pohst,
     _ldl,
     alternative_dico,
@@ -29,7 +28,7 @@ from octad.zorders import (
     unit_type_split,
 )
 import reference_paths
-from reference_paths import ambient_to_eps_by_solve, element_by_fraction_sum, unit_type_split_by_solve
+from reference_paths import ambient_to_eps_by_solve, box_bound, element_by_fraction_sum, unit_type_split_by_solve
 
 ALL_LATTICES = {
     **NAMED_LATTICES,
@@ -39,9 +38,9 @@ ALL_LATTICES = {
 
 
 def _box_scan(gram, target):
-    """Every x in the box of _box_bound with x^T G x == target, on ints."""
+    """Every x in the box of box_bound with x^T G x == target, on ints."""
     n = len(gram)
-    bound = _box_bound(gram, target)
+    bound = box_bound(gram, target)
     den = lcm(*(c.denominator for row in gram for c in row))
     rows = [[int(c * den) for c in row] for row in gram]
     want = target * den
@@ -70,7 +69,7 @@ def ldl_grams(draw):
 @given(ldl_grams(), st.integers(1, 6))
 def test_integer_fincke_pohst_agrees_with_rational_and_box_scan(gram, t):
     target = Fraction(t)
-    assume((2 * _box_bound(gram, target) + 1) ** len(gram) <= 20000)
+    assume((2 * box_bound(gram, target) + 1) ** len(gram) <= 20000)
     diag, low = _ldl(gram)
     fast = sorted(_fincke_pohst(diag, low, target))
     assert fast == sorted(reference_paths._fincke_pohst(diag, low, target))

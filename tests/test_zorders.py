@@ -19,6 +19,7 @@ from octad.zorders import (
     kirmse,
     unit_type_split,
 )
+from reference_paths import units_by_box_scan
 
 
 def gaussian_complex():
@@ -115,7 +116,7 @@ def test_units_closed_under_mul_and_conj():
 def test_brute_force_box_oracle_rank_le_4():
     for lat in (gaussian_complex(), hurwitz()):
         fp = {tuple(u.coords) for u in lat.enumerate_units()}
-        box = {tuple(u.coords) for u in lat.units_brute_force()}
+        box = {tuple(u.coords) for u in units_by_box_scan(lat)}
         assert fp == box
 
 
