@@ -144,7 +144,7 @@ class ConicAlgebra:
         return strict_identity_check(self, "norm-comp").holds
 
     def random_element(self, rng):
-        return ConicElement(self, [self.ring.rand(rng) for _ in range(self.dim)])
+        return ConicElement(self, self.ring.rand_vec(rng, self.dim))
 
     # -- serialization ------------------------------------------------------------
     def to_json(self):

@@ -28,8 +28,9 @@ when all its factors are nonzero.
 u_matrix(x) gives the columns U_x e_j = T(x, e_j) x - x# x e_j, with x#,
 the row T(x, e_.) and the columns x# x e_j each computed in one pass.
 The sampled fundamental formula compares U_{U_x y} with U_x U_y U_x
-column by column through it.  Over ZZ it checks up to 16 samples at once
-as stacked matrices in float64 (numpy BLAS) wherever a bound from the
+column by column through it.  It draws all its samples in one
+Ring.rand_vec call.  Over ZZ it checks up to 16 samples at once as
+stacked matrices in float64 (numpy BLAS) wherever a bound from the
 constants and the sample's range proves every value an integer below
 2^53; the exact path takes every other sample.
 """
@@ -358,7 +359,7 @@ class CubicData:
         return E2, E1, E0
 
     def random_element(self, rng):
-        return CubicElement(self, [self.ring.rand(rng) for _ in range(self.dim)])
+        return CubicElement(self, self.ring.rand_vec(rng, self.dim))
 
     # -- serialization ---------------------------------------------------------------
     def to_json(self):
@@ -701,30 +702,34 @@ def fundamental_formula_samples(data, samples=1000, seed=DEFAULT_SEED):
     """U_{U_x y} = U_x U_y U_x as exact operator equality on seeded samples.
 
     The samples come from one random.Random(seed) stream, x then y per
-    trial, _CHUNK at a time.  _float_fundamental decides the samples of a
-    chunk it admits, the exact path the others, in order; the verdict, the
-    first failing trial and its witness are those of checking one sample
-    after another.
+    trial, all drawn in one R.rand_vec call: the same stream as one R.rand
+    call per coordinate.  _float_fundamental decides the samples of each
+    chunk of _CHUNK it admits, the exact path the others, in order; the
+    verdict, the first failing trial and its witness are those of checking
+    one sample after another.  details["arith"] counts the samples the
+    verdict rests on (all of them, or those up to the failing trial) by
+    the arithmetic that decided them: float64 or exact.
     """
-    R = data.ring
-    rng = random.Random(seed)
-    n = data.dim
+    R, n = data.ring, data.dim
+    draws = R.rand_vec(random.Random(seed), 2 * n * samples)
+    arith = {"float64": 0, "exact": 0}
     for start in range(0, samples, _CHUNK):
-        pairs = [
-            ([R.rand(rng) for _ in range(n)], [R.rand(rng) for _ in range(n)])
-            for _ in range(min(_CHUNK, samples - start))
-        ]
+        block = draws[2 * n * start : 2 * n * min(start + _CHUNK, samples)]
+        pairs = [(block[i : i + n], block[i + n : i + 2 * n]) for i in range(0, len(block), 2 * n)]
         for i, ((x, y), ok) in enumerate(zip(pairs, _float_fundamental(data, pairs))):
             if ok is None:
                 ok = _slow_fundamental(data, x, y)
+                arith["exact"] += 1
+            else:
+                arith["float64"] += 1
             if not ok:
                 return Verdict(
                     False,
                     witness=(tuple(R.render(c) for c in x), tuple(R.render(c) for c in y)),
                     mode="sampled",
-                    details={"trial": start + i, "seed": seed},
+                    details={"trial": start + i, "seed": seed, "arith": arith},
                 )
-    return Verdict(True, mode="sampled", details={"samples": samples, "seed": seed})
+    return Verdict(True, mode="sampled", details={"samples": samples, "seed": seed, "arith": arith})
 
 
 def _slow_fundamental(data, x, y):
@@ -746,10 +751,12 @@ def _float_u_tensors(data):
     _float_fundamental forms is an integer of absolute value at most
     B^6 k.  k sums the absolute values of the constants along the same
     contractions: U_x is quadratic in x, U_x y is cubic, and U_{U_x y} and
-    U_x U_y U_x have degree 6.  A partial sum of a matrix product is
+    U_x U_y U_x have degree 6; x# is summed from the products x_a x_b of
+    the pairs a <= b that carry terms.  A partial sum of a matrix product is
     bounded by the sum of the absolute values of its terms, so the bound
-    holds whatever order BLAS adds in.  None off ZZ or when k itself
-    reaches 2^53.  CubicData caches the result as _u_tensors.
+    holds whatever order BLAS adds in.  reach is the largest B with
+    B^6 k < 2^53.  None off ZZ or when k itself reaches 2^53.  CubicData
+    caches the result as _u_tensors.
     """
     if data.ring != ZZ:
         return None
@@ -769,11 +776,23 @@ def _float_u_tensors(data):
     bound = _fundamental_bound(np, XU, X, tvec)
     if bound >= _FLOAT_EXACT:
         return None
+    reach = 1
+    while (reach + 1) ** 6 * bound < _FLOAT_EXACT:
+        reach += 1
+    # x# = sum over the pairs a <= b that have terms of x_a x_b times a row
+    pairs = sorted({(a, b) for a, b, _ in data.sharp_terms})
+    row = {ab: r for r, ab in enumerate(pairs)}
+    sharp = np.zeros((len(pairs), n))
+    for (a, b, k), c in data.sharp_terms.items():
+        sharp[row[a, b], k] = c
     # entries are at most 2k, each 2c for an exact c: all are float64 exactly
     return {
         "bound": bound,
-        "XU": XU.reshape(n * n, n).astype(np.float64),
-        "X": X.reshape(n, n * n).astype(np.float64),
+        "reach": reach,
+        "sharp_a": np.array([a for a, _ in pairs], dtype=np.intp),
+        "sharp_b": np.array([b for _, b in pairs], dtype=np.intp),
+        "sharp": sharp,
+        "cross": X.transpose(0, 2, 1).reshape(n, n * n).astype(np.float64),  # [a, (k, j)] = X[a, j, k]
         "tvec": tvec.astype(np.float64),
         "TX": TX.astype(np.float64),
     }
@@ -798,38 +817,37 @@ def _u_batch(ctx, xs):
     """U_x for each row x of the (m, n) array xs, stacked as (m, n, n):
     U[s, i, j] = x_i T(x, e_j) - (x# x e_j)_i."""
     m, n = xs.shape
-    sharp = (xs[:, :, None] * xs[:, None, :]).reshape(m, n * n) @ ctx["XU"]
+    sharp = (xs[:, ctx["sharp_a"]] * xs[:, ctx["sharp_b"]]) @ ctx["sharp"]
     w = (xs @ ctx["tvec"])[:, None] * ctx["tvec"] - xs @ ctx["TX"]
-    cross = (sharp @ ctx["X"]).reshape(m, n, n)  # [s, j, k] = (x# x e_j)_k
-    return xs[:, :, None] * w[:, None, :] - cross.transpose(0, 2, 1)
+    cross = (sharp @ ctx["cross"]).reshape(m, n, n)  # [s, k, j] = (x# x e_j)_k
+    return xs[:, :, None] * w[:, None, :] - cross
 
 
 def _float_fundamental(data, pairs):
     """Per (x, y) in pairs, whether U_{U_x y} = U_x U_y U_x, decided in
     float64 for every pair with B^6 k < 2^53 (B = max(1, |x_i|, |y_i|),
     k from _float_u_tensors), where every value is an exact integer, and
-    None for the other pairs."""
+    None for the other pairs.  B^6 k < 2^53 holds exactly when every
+    coordinate lies in [-reach, reach], which one int64 array decides."""
     out = [None] * len(pairs)
     ctx = data._u_tensors
     if ctx is None:
         return out
     import numpy as np
 
-    keep = [
-        s
-        for s, (x, y) in enumerate(pairs)
-        if max(1, *map(abs, x), *map(abs, y)) ** 6 * ctx["bound"] < _FLOAT_EXACT
-    ]
-    if not keep:
+    pairs = np.asarray(pairs, dtype=np.int64)
+    reach = ctx["reach"]
+    keep = np.flatnonzero((pairs.max(axis=(1, 2)) <= reach) & (pairs.min(axis=(1, 2)) >= -reach))
+    if not keep.size:
         return out
-    xs = np.array([pairs[s][0] for s in keep], dtype=np.float64)
-    ys = np.array([pairs[s][1] for s in keep], dtype=np.float64)
+    xs = pairs[keep, 0].astype(np.float64)
+    ys = pairs[keep, 1].astype(np.float64)
     U = _u_batch(ctx, np.concatenate([xs, ys]))
     Ux, Uy = U[: len(keep)], U[len(keep) :]
     lhs = _u_batch(ctx, (Ux @ ys[:, :, None])[:, :, 0])
     same = (lhs == Ux @ Uy @ Ux).all(axis=(1, 2))
-    for s, ok in zip(keep, same):
-        out[s] = bool(ok)
+    for s, ok in zip(keep.tolist(), same.tolist()):
+        out[s] = ok
     return out
 
 

@@ -68,8 +68,8 @@ class PolyExt:
     product's degree exceeds cap exactly when its key reaches
     (cap + 1) << w*m.  Monomials of total degree > cap are dropped,
     which is sound because the checker only reads coefficients up to the
-    identity's total degree.  exponents(key) decodes a key; factors(key)
-    reads only its nonzero fields.
+    identity's total degree.  factors(key) decodes a key, reading only its
+    nonzero fields.
     """
 
     def __init__(self, base, nvars, cap):
@@ -96,12 +96,6 @@ class PolyExt:
 
     def var(self, i):
         return {(1 << self._degree_shift) + (1 << (self._width * i)): self.base.one}
-
-    def exponents(self, key):
-        """The exponent tuple (e_0, ..., e_{m-1}) of a packed monomial key."""
-        w = self._width
-        mask = (1 << w) - 1
-        return tuple((key >> (w * i)) & mask for i in range(self.nvars))
 
     def first_var(self, key):
         """The least i with e_i > 0 in a packed key; -1 for the constant."""

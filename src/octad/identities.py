@@ -178,14 +178,19 @@ def _witness(L, key, n, slots):
 def sampled_identity_check(algebra, ident, seed=DEFAULT_SEED, samples=200):
     """Evaluate the identity at seeded random points; exact equality.
 
-    A failure is definitive; a pass is probabilistic.
+    Each trial draws its variables' coordinates, variable after variable,
+    in one R.rand_vec call: the same stream as one R.rand call per
+    coordinate, so an early failure draws no more than the trials before
+    it.  A failure is definitive; a pass is probabilistic.
     """
     ident = _resolve(algebra, ident)
     R = algebra.ring
     rng = random.Random(seed)
     n = algebra.dim
+    slots = len(ident.multidegree)
     for trial in range(samples):
-        vectors = [[R.rand(rng) for _ in range(n)] for _ in ident.multidegree]
+        draws = R.rand_vec(rng, n * slots)
+        vectors = [draws[n * v : n * v + n] for v in range(slots)]
         value = ident.evaluate(algebra, R, vectors)
         rows = [value] if ident.scalar else value
         for c in rows:

@@ -11,10 +11,19 @@ work.
 Payloads are canonical, so equal values have equal payloads: ZZ uses
 ints, GF(p) and Z/n reduced ints, and QQ an int for every integral
 value and a reduced Fraction for every other one (never a float).
+
+Random draws go through one kernel, draw_below(rng, n, count): the
+values rng.randrange(n) would return count times, taken from the stream
+in bulk.  Ring.rand_vec(rng, count) is [rand(rng) for _ in range(count)]
+with rng left in the same state; ZZ and QQ draw uniformly from [-9, 9],
+GF(p) and Z/n from their residues, through the kernel.  draw_below's
+docstring proves that the stream is the same.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import cached_property
 
@@ -88,6 +97,47 @@ def _is_prime_power(n):
     return _is_prime(_iroot(n, k))
 
 
+def draw_one(rng, n):
+    """rng.randrange(n) for a random.Random rng and n >= 1, by CPython's
+    rejection loop (random._randbelow_with_getrandbits) without the
+    argument handling."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def draw_below(rng, n, count):
+    """[rng.randrange(n) for _ in range(count)] for a random.Random rng
+    and n >= 1, leaving rng in the same state, drawn in bulk.
+
+    randrange(n) takes k = n.bit_length() bits and draws again while the
+    result is >= n.  For k <= 32, getrandbits(k) is the top k bits of one
+    32-bit Mersenne Twister word, and getrandbits(32 m) returns the next
+    m words, least significant first.  So the sequential calls consume
+    word after word and keep w >> (32 - k) for each word w < n << (32 - k).
+    Drawing need words at once, need being the number of values still
+    missing, consumes words the sequential calls would consume too, since
+    each of those words yields at most one value.  For k > 32 each value
+    is drawn on its own (draw_one).  tests/test_scalars.py checks the
+    equality against randrange itself.
+    """
+    k = n.bit_length()
+    if k > 32:
+        return [draw_one(rng, n) for _ in range(count)]
+    shift = 32 - k
+    limit = n << shift
+    out = []
+    while len(out) < count:
+        need = count - len(out)
+        words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+        if sys.byteorder == "big":  # the words arrive little-endian
+            words.byteswap()
+        out += [w >> shift for w in words if w < limit]
+    return out
+
+
 class Ring:
     """Base class; every ring works on raw payloads.
 
@@ -137,6 +187,11 @@ class Ring:
 
     def rand(self, rng):
         raise NotImplementedError
+
+    def rand_vec(self, rng, count):
+        """[self.rand(rng) for _ in range(count)], with rng left in the
+        same state; rings with int payloads draw them in bulk."""
+        return [self.rand(rng) for _ in range(count)]
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -196,7 +251,10 @@ class IntegerRing(Ring):
         return (a > 0) - (a < 0)
 
     def rand(self, rng):
-        return rng.randint(-9, 9)
+        return draw_one(rng, 19) - 9  # rng.randint(-9, 9)
+
+    def rand_vec(self, rng, count):
+        return [v - 9 for v in draw_below(rng, 19, count)]
 
     def render(self, a):
         return str(a)
@@ -276,8 +334,8 @@ class RationalField(Ring):
     def sign(self, a):
         return (a > 0) - (a < 0)
 
-    def rand(self, rng):
-        return rng.randint(-9, 9)
+    rand = IntegerRing.rand  # uniform on [-9, 9], as over ZZ
+    rand_vec = IntegerRing.rand_vec
 
     def render(self, a):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -341,7 +399,10 @@ class PrimeField(Ring):
         return range(self.p)
 
     def rand(self, rng):
-        return rng.randrange(self.p)
+        return draw_one(rng, self.p)
+
+    def rand_vec(self, rng, count):
+        return draw_below(rng, self.p, count)
 
     def render(self, a):
         return f"{a % self.p} mod {self.p}"
@@ -413,7 +474,10 @@ class ModularRing(Ring):
         return range(self.n)
 
     def rand(self, rng):
-        return rng.randrange(self.n)
+        return draw_one(rng, self.n)
+
+    def rand_vec(self, rng, count):
+        return draw_below(rng, self.n, count)
 
     def render(self, a):
         return f"{a % self.n} mod {self.n}"

@@ -9,7 +9,9 @@ lattice units over a proven coordinate box, the
 degree-2 polarization loop that conic algebras ran at construction
 before they called the strict checker, and the basis-pair loops that
 built Cayley-Dickson doubles and Zorn(k) before conic.build_conic read
-them from the generic element.  They are kept verbatim so that the tests
+them from the generic element, and the sampled identity check as it drew
+one R.rand per coordinate before the samplers drew in bulk
+(Ring.rand_vec).  They are kept verbatim so that the tests
 can compare the two; only their dense constants now pass through
 dense_layout into the terms the library stores.  The grid check of the associative cubic
 input laws is new: a complete reference over ZZ for dimensions <= 3.
@@ -18,6 +20,7 @@ input laws is new: a complete reference over ZZ for dimensions <= 3.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -93,6 +96,28 @@ def strict_identity_check_by_subsets(algebra, ident, cost_guard=10**6):
     return Verdict(False, witness=witness, mode="strict", details={"identity": ident.name})
 
 
+def sampled_identity_check_by_coordinates(algebra, ident, seed, samples=200):
+    """Evaluate the identity at seeded random points, one R.rand call per
+    coordinate; exact equality."""
+    ident = _resolve(algebra, ident)
+    R = algebra.ring
+    rng = random.Random(seed)
+    n = algebra.dim
+    for trial in range(samples):
+        vectors = [[R.rand(rng) for _ in range(n)] for _ in ident.multidegree]
+        value = ident.evaluate(algebra, R, vectors)
+        rows = [value] if ident.scalar else value
+        for c in rows:
+            if not R.is_zero(c):
+                return Verdict(
+                    False,
+                    witness=tuple(tuple(R.render(x) for x in v) for v in vectors),
+                    mode="sampled",
+                    details={"identity": ident.name, "trial": trial, "seed": seed},
+                )
+    return Verdict(True, mode="sampled", details={"identity": ident.name, "samples": samples, "seed": seed})
+
+
 def _nonzero_monomials(L, rows, total_vars):
     if total_vars == 0:
         # plain ring evaluation: any nonzero coordinate is a failure
@@ -103,7 +128,16 @@ def _nonzero_monomials(L, rows, total_vars):
     bad = set()
     for poly in rows:
         bad.update(poly)
-    return sorted(L.exponents(key) for key in bad)
+    return sorted(exponents(L, key) for key in bad)
+
+
+def exponents(L, key):
+    """The exponent tuple (e_0, ..., e_{m-1}) of a packed monomial key of
+    the PolyExt L, read field by field from the layout, independently of
+    L.factors."""
+    w = L._width
+    mask = (1 << w) - 1
+    return tuple((key >> (w * i)) & mask for i in range(L.nvars))
 
 
 def _witness_from(combo, degs, exps, nvars_per_slot):

@@ -21,6 +21,7 @@ from octad.cubic import (
     _float_fundamental,
     _slow_fundamental,
     _try_fast_adjoint,
+    _u_batch,
     fundamental_formula_samples,
     hat_of_conic,
     hat_pointed,
@@ -30,7 +31,7 @@ from octad.cubic import (
 )
 from octad.extensions import DualExt, PolyExt
 from octad.her3 import her3
-from octad.identities import strict_identity_check
+from octad.identities import DEFAULT_SEED, strict_identity_check
 from octad.linalg import basis, vec_eq
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod
@@ -305,6 +306,9 @@ def test_float64_fundamental_bound_and_exactness(name):
         # the batch decides a sample exactly when the bound is below 2^53
         assert ok is (True if B**6 * k < 2**53 else None)
         assert _slow_fundamental(J, x, y) is True
+    # the stacked float64 U_x are the exact operators
+    xs = np.array([x for x, _ in pairs], dtype=np.float64)
+    assert (_u_batch(J._u_tensors, xs) == np.array([exact_intermediates(J, x, y)[0] for x, y in pairs])).all()
     # a sample beyond the proven range is left to the exact path
     big = [10**6] * J.dim
     assert _float_fundamental(J, [(big, big)]) == [None]
@@ -318,6 +322,24 @@ def test_large_bound_falls_back_to_the_exact_path_at_b9():
     assert 6.5e10 <= k < 6.6e10
     small, nine = [7, -7, 1, 0], [9, 0, -9, 1]
     assert _float_fundamental(J, [(small, small), (nine, small), (small, nine)]) == [True, None, None]
+
+
+def test_arith_counts_the_samples_each_arithmetic_decided():
+    assert fundamental_formula_samples(split_albert(ZZ), samples=40).details["arith"] == {"float64": 40, "exact": 0}
+    assert fundamental_formula_samples(structure("hat(quadratic(Q))"), samples=20).details["arith"] == {
+        "float64": 0,
+        "exact": 20,
+    }
+    # hat(diag(1, 1000, -7)) admits |x_i|, |y_i| <= 7: a sample with an 8 or 9 is exact
+    J = ZZ_STRUCTURES["hat(diag(1, 1000, -7))"]()
+    assert J._u_tensors["reach"] == 7
+    rng = random.Random(DEFAULT_SEED)
+    exact = sum(max(abs(ZZ.rand(rng)) for _ in range(2 * J.dim)) > 7 for _ in range(200))
+    assert 0 < exact < 200
+    assert fundamental_formula_samples(J, samples=200).details["arith"] == {"float64": 200 - exact, "exact": exact}
+    # on Fails, the samples up to the failing trial
+    v = fundamental_formula_samples(corrupted(J, first_cross_pair(J), 0, 1), samples=200)
+    assert not v.holds and sum(v.details["arith"].values()) == v.details["trial"] + 1
 
 
 def test_large_constants_take_the_exact_path():
@@ -358,16 +380,16 @@ def one_by_one(J, samples, seed):
 
 
 def zero_outside(trials, dim):
-    """A ZZ.rand that draws from the stream as usual but returns 0 outside
-    the given trials (2 dim draws each); x = 0 passes the formula."""
-    calls = itertools.count()
-    draw = type(ZZ).rand
+    """ZZ.rand and ZZ.rand_vec that draw from the stream as usual but return
+    0 outside the given trials (2 dim draws each, counted across calls);
+    x = 0 passes the formula."""
+    draws = itertools.count()
+    rand, rand_vec = type(ZZ).rand, type(ZZ).rand_vec
 
-    def rand(rng):
-        value = draw(ZZ, rng)
-        return value if next(calls) // (2 * dim) in trials else 0
+    def keep(value):
+        return value if next(draws) // (2 * dim) in trials else 0
 
-    return rand
+    return (lambda rng: keep(rand(ZZ, rng))), (lambda rng, count: [keep(v) for v in rand_vec(ZZ, rng, count)])
 
 
 @pytest.mark.parametrize(
@@ -387,14 +409,15 @@ def test_batches_report_the_first_failure_of_a_one_by_one_loop(monkeypatch, name
     samples (|x_i| <= 7) with exact ones."""
     J = ZZ_STRUCTURES[name]()
     bad = corrupted(J, first_cross_pair(J), 0, 1)
-    monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim))
+    # the batches draw through the bulk kernel, the loop one coordinate at a time
+    monkeypatch.setattr(ZZ, "rand_vec", zero_outside(trials, J.dim)[1])
     v = fundamental_formula_samples(bad, samples=40, seed=5)
-    monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim))
+    monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim)[0])
     want = one_by_one(bad, 40, seed=5)
     assert want is not None and want[0] == min(trials)
     assert not v.holds
     assert (v.details["trial"], v.witness) == want
-    monkeypatch.setattr(ZZ, "rand", zero_outside(set(), J.dim))
+    monkeypatch.setattr(ZZ, "rand_vec", zero_outside(set(), J.dim)[1])
     assert fundamental_formula_samples(bad, samples=40, seed=5).holds
 
 

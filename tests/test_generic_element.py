@@ -34,7 +34,7 @@ from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import TRACE_LAW, CubicAssocInput, mat3, split_albert, tits
 from octad.zorn import zorn_algebra
 from dense_layout import conic_table, cubic_fields, dense_cubic, table_products
-from reference_paths import build_cubic_by_inclusion_exclusion, strict_identity_check_by_subsets
+from reference_paths import build_cubic_by_inclusion_exclusion, exponents, strict_identity_check_by_subsets
 from test_construction_laws import corrupted_inputs
 from test_cubic_kernels import Unchecked
 
@@ -244,7 +244,7 @@ def reference_coordinate(J, witness):
         x[i] = L.var(t)
     exps = tuple(witness.count(i) for i in support)
     rows = _adjoint_id(J, L, [x])
-    return min(k for k, poly in enumerate(rows) if any(L.exponents(key) == exps for key in poly))
+    return min(k for k, poly in enumerate(rows) if any(exponents(L, key) == exps for key in poly))
 
 
 ADJOINT_RINGS = ["ZZ", "QQ", "GF(2)", "GF(3)"]

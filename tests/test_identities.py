@@ -16,7 +16,9 @@ from octad.identities import (
     strict_identity_check,
 )
 from octad.extensions import PolyExt
-from octad.scalars import GF, QQ, ZZ
+from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
+from octad.zorn import zorn_algebra
+from reference_paths import exponents, sampled_identity_check_by_coordinates
 
 
 def test_associative_algebras_pass_everything():
@@ -153,7 +155,7 @@ def test_witness_order_on_values_that_are_not_multihomogeneous():
         found = []
         for k, c in enumerate(rows):
             for key in c:
-                exps = L.exponents(key)
+                exps = exponents(L, key)
                 slots = [[i for i in range(n) for _ in range(exps[n * v + i])] for v in range(len(vectors))]
                 found.append((tuple(map(tuple, slots)), k))
         return min(found)
@@ -167,3 +169,23 @@ def test_witness_order_on_values_that_are_not_multihomogeneous():
     for name, value in values.items():
         ident = IdentitySpec(name, (1, 1, 1), lambda alg, L, vs, value=value: value(L, *vs))
         assert smallest_failure(A, ident) == by_every_monomial(ident), name
+
+
+# fails where x_0 = y_(n-1): about one point in |R|, so failures come at varied trials
+RARE = IdentitySpec("rare", (1, 1), lambda alg, L, vs: L.one if L.eq(vs[0][0], vs[1][-1]) else L.zero, scalar=True)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), Zmod(6), product_ring(ZZ, GF(3))], ids=repr)
+def test_sampled_check_draws_the_stream_of_one_rand_per_coordinate(ring):
+    """The bulk draws of sampled_identity_check give the trial and witness
+    of drawing each coordinate on its own."""
+    A = zorn_algebra(ring)
+    trials = []
+    for ident in (RARE, "associative", "commutative"):
+        for seed in range(6):
+            v = sampled_identity_check(A, ident, seed=seed)
+            want = sampled_identity_check_by_coordinates(A, ident, seed=seed)
+            assert not want.holds
+            assert v.to_dict() == want.to_dict()
+            trials.append(v.details["trial"])
+    assert max(trials) > 0

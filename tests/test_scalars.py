@@ -10,9 +10,14 @@ from octad.scalars import (
     QQ,
     ZZ,
     DualNumbers,
+    IntegerRing,
+    ModularRing,
+    PrimeField,
     ProductRing,
+    RationalField,
     RingMismatch,
     Zmod,
+    draw_below,
     product_ring,
     ring_op,
 )
@@ -202,3 +207,54 @@ def test_integral_fraction_and_int_are_equal_and_hash_equal():
     y = H.element([2, Fraction(2, 4), Fraction(0), -2])
     assert x == y and hash(x) == hash(y)
     assert len({x, y}) == 1
+
+
+# -- the bulk draw kernel against CPython's randrange ------------------------------
+
+DRAW_RINGS = [
+    ZZ,
+    QQ,
+    GF(2),
+    GF(7),
+    GF(2**32 + 15),  # the least prime above 2^32: one draw at a time
+    Zmod(6),
+    Zmod(2**33 + 1),
+    product_ring(Zmod(6), Zmod(6)),
+    DualNumbers(ZZ),
+]
+DRAW_COUNTS = [0, 1, 63, 64, 65, 3001]
+
+
+def reference_rand(R, rng):
+    """The draw each ring made through the random module's own API."""
+    if isinstance(R, (IntegerRing, RationalField)):
+        return rng.randint(-9, 9)
+    if isinstance(R, PrimeField):
+        return rng.randrange(R.p)
+    if isinstance(R, ModularRing):
+        return rng.randrange(R.n)
+    if isinstance(R, ProductRing):
+        return (reference_rand(R.left, rng), reference_rand(R.right, rng))
+    return (reference_rand(R.base, rng), reference_rand(R.base, rng))
+
+
+@pytest.mark.parametrize("ring", DRAW_RINGS, ids=repr)
+def test_rand_and_rand_vec_draw_the_random_module_stream(ring):
+    for seed in range(4):
+        for count in DRAW_COUNTS:
+            bulk, single, ref = random.Random(seed), random.Random(seed), random.Random(seed)
+            assert ring.rand_vec(bulk, count) == [ring.rand(single) for _ in range(count)]
+            assert [ring.rand(single) for _ in range(5)] == [ring.rand(bulk) for _ in range(5)]
+            ref_values = [reference_rand(ring, ref) for _ in range(count + 5)]
+            single = random.Random(seed)
+            assert [ring.rand(single) for _ in range(count + 5)] == ref_values
+            assert bulk.random() == single.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 19, 36, 216, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3])
+def test_draw_below_is_randrange(n):
+    for seed in range(6):
+        for count in DRAW_COUNTS:
+            bulk, ref = random.Random(seed), random.Random(seed)
+            assert draw_below(bulk, n, count) == [ref.randrange(n) for _ in range(count)]
+            assert bulk.random() == ref.random()
