@@ -42,6 +42,7 @@ import itertools
 import json
 import random
 
+from .conic import NOT_INVERTIBLE
 from .extensions import DualExt, PolyExt, lift_vec
 from .identities import (
     CostGuardError,
@@ -67,8 +68,6 @@ from .linalg import (
     vec_is_zero,
 )
 from .scalars import QQ, ZZ, PrimeField
-
-NOT_INVERTIBLE = "NotInvertible"
 
 
 class CubicData:
@@ -842,8 +841,7 @@ def _float_fundamental(data, pairs):
         return out
     xs = pairs[keep, 0].astype(np.float64)
     ys = pairs[keep, 1].astype(np.float64)
-    U = _u_batch(ctx, np.concatenate([xs, ys]))
-    Ux, Uy = U[: len(keep)], U[len(keep) :]
+    Ux, Uy = _u_batch(ctx, xs), _u_batch(ctx, ys)
     lhs = _u_batch(ctx, (Ux @ ys[:, :, None])[:, :, 0])
     same = (lhs == Ux @ Uy @ Ux).all(axis=(1, 2))
     for s, ok in zip(keep.tolist(), same.tolist()):

@@ -1,17 +1,44 @@
-"""Internal scalar extensions used by the evaluation machinery.
+"""The ring-like protocol and the scalar extensions of the evaluators.
 
-These are not first-class rings of the scalar tower: they implement just
-enough of the ring protocol (zero/one/add/neg/mul/is_zero/from_base) for
-the strict identity checker and the dual-number derivative trick to
-evaluate structure-constant formulas over R[eps] or a truncated
-polynomial extension R[t1..tm].  The first-class ring scalars.DualNumbers
-takes its arithmetic from DualExt.
+A ring-like is anything with payload arithmetic zero, one, add, neg,
+mul, is_zero and from_base.  RingLike is the protocol's base: it derives
+sub, eq, sum and dot from those, and every ring of the scalar tower
+(scalars.Ring) and both extensions below inherit them; a class keeps its
+own version only where it has a faster one.
+
+DualExt and PolyExt are not first-class rings of the tower: they let the
+strict identity checker and the dual-number derivative trick evaluate
+structure-constant formulas over R[eps] or a truncated polynomial
+extension R[t1..tm].  The first-class ring scalars.DualNumbers takes its
+arithmetic from DualExt.
 """
 
 from __future__ import annotations
 
 
-class DualExt:
+class RingLike:
+    """The derived operations of a ring-like."""
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def eq(self, a, b):
+        return self.is_zero(self.sub(a, b))
+
+    def sum(self, items):
+        acc = self.zero
+        for it in items:
+            acc = self.add(acc, it)
+        return acc
+
+    def dot(self, xs, ys):
+        acc = self.zero
+        for a, b in zip(xs, ys):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
+
+class DualExt(RingLike):
     """R[eps], eps^2 = 0, over any ring-like R; payloads (a, b)."""
 
     def __init__(self, base):
@@ -41,21 +68,12 @@ class DualExt:
     def is_zero(self, a):
         return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
 
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
-
-    def sum(self, items):
-        acc = self.zero
-        for it in items:
-            acc = self.add(acc, it)
-        return acc
-
     def var(self):
         """The element eps."""
         return (self.base.zero, self.base.one)
 
 
-class PolyExt:
+class PolyExt(RingLike):
     """Truncated polynomial extension R[t_0..t_{m-1}] of a ring-like R.
 
     Payloads are dicts {key: base_payload} that never store a zero
@@ -185,15 +203,6 @@ class PolyExt:
 
     def is_zero(self, a):
         return not a
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
-
-    def sum(self, items):
-        acc = {}
-        for it in items:
-            acc = self.add(acc, it)
-        return acc
 
 
 def lift_vec(L, vec):

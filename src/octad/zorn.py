@@ -95,18 +95,14 @@ def _cross(R, u, v):
     )
 
 
-def _dot(R, u, v):
-    return R.add(R.add(R.mul(u[0], v[0]), R.mul(u[1], v[1])), R.mul(u[2], v[2]))
-
-
 _Entries = namedtuple("_Entries", "a1 u2 u1 a2")
 
 
 def _product(R, x, y):
     """The Zorn product over any ring-like R of two ZornElements or _Entries
     (payload entries a1, u2, u1, a2)."""
-    a1 = R.sub(R.mul(x.a1, y.a1), _dot(R, x.u2, y.u1))
-    a2 = R.sub(R.mul(x.a2, y.a2), _dot(R, x.u1, y.u2))
+    a1 = R.sub(R.mul(x.a1, y.a1), R.dot(x.u2, y.u1))
+    a2 = R.sub(R.mul(x.a2, y.a2), R.dot(x.u1, y.u2))
     cx1 = _cross(R, x.u1, y.u1)
     cx2 = _cross(R, x.u2, y.u2)
     top = [R.add(R.add(R.mul(x.a1, y.u2[i]), R.mul(y.a2, x.u2[i])), cx1[i]) for i in range(3)]
@@ -169,7 +165,7 @@ def zorn_algebra(ring):
 
     def norm_fn(L, x):
         z = _from_coords(L, x)
-        return L.add(L.mul(z.a1, z.a2), _dot(L, z.u2, z.u1))
+        return L.add(L.mul(z.a1, z.a2), L.dot(z.u2, z.u1))
 
     return build_conic(ring, 8, _to_coords(ring, zorn_unit(ring)), mul_fn, norm_fn, name="zorn")
 

@@ -1,12 +1,13 @@
-"""The packed-key PolyExt against a naive truncated product keyed by
-exponent tuples."""
+"""The packed-key PolyExt, and RingLike's derived operations on both
+extensions, against a naive truncated product keyed by exponent
+tuples."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from octad.extensions import PolyExt
+from octad.extensions import DualExt, PolyExt
 from octad.scalars import GF, QQ, ZZ, Zmod
 from reference_paths import exponents
 
@@ -119,3 +120,40 @@ def test_zero_divisors_cancel_over_z6():
     assert L.add(pack(L, {(0, 0): 2}), pack(L, {(0, 0): 4})) == {}
     assert L.mul(pack(L, {(0, 0): 2}), pack(L, {(0, 0): 3})) == {}
     assert L.from_int(6) == {} and L.is_zero(L.from_int(12))
+
+
+RING_LIKES = [DualExt(ZZ), DualExt(Zmod(6)), PolyExt(GF(3), 2, 3)]
+
+
+def naive(L, x):
+    """A payload as {exponent tuple: coefficient}; DualExt(R) is R[t]
+    truncated above degree 1, with t = eps."""
+    if isinstance(L, PolyExt):
+        return unpack(L, x)
+    return {(i,): c for i, c in enumerate(x) if not L.base.is_zero(c)}
+
+
+def random_payload(L, rng):
+    if isinstance(L, PolyExt):
+        return pack(L, random_poly(L.base, rng, L.nvars, L.cap))
+    return (random_coeff(L.base, rng), random_coeff(L.base, rng))
+
+
+@pytest.mark.parametrize("L", RING_LIKES, ids=["DualExt(ZZ)", "DualExt(Z/6)", "PolyExt(GF(3),2,3)"])
+def test_ringlike_dot_sum_eq_match_explicit_loops(L):
+    R, cap = L.base, L.cap if isinstance(L, PolyExt) else 1
+    rng = random.Random(20240615)
+    for _ in range(100):
+        k = rng.randint(0, 5)
+        xs = [random_payload(L, rng) for _ in range(k)]
+        ys = [random_payload(L, rng) for _ in range(k)]
+        dot, total = {}, {}
+        for x, y in zip(xs, ys):
+            dot = naive_add(R, dot, naive_mul(R, cap, naive(L, x), naive(L, y)))
+            total = naive_add(R, total, naive(L, x))
+        assert naive(L, L.dot(xs, ys)) == dot
+        assert naive(L, L.sum(xs)) == total
+        assert L.eq(L.sum(xs), L.sum(reversed(xs)))
+        for x, y in zip(xs, ys):
+            for b in (x, y, L.add(x, L.from_int(6))):
+                assert L.eq(x, b) == (naive(L, x) == naive(L, b))

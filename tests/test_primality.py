@@ -42,11 +42,12 @@ def test_integer_roots():
 
 def test_nilpotents_of_zmod_against_brute_force():
     # a is nilpotent mod n iff every prime factor of n divides a
-    for n in range(2, 300):
+    rings = [*(Zmod(n) for n in range(2, 300)), *(GF(p) for p in (2, 3, 5, 7))]
+    for R in rings:
+        n = R.n
         radical = math.prod(p for p in range(2, n + 1) if n % p == 0 and trial_division(p))
-        R = Zmod(n)
         for a in range(-n, n):
-            assert R.is_nilpotent(a) == (a % radical == 0), (n, a)
+            assert R.is_nilpotent(a) == (a % radical == 0), (R, a)
     R = Zmod(2**61 * 3**5)
     assert R.is_nilpotent(6) and R.is_nilpotent(-6) and not R.is_nilpotent(2**70) and not R.is_nilpotent(3**9)
 

@@ -61,8 +61,8 @@ def test_invert_examples():
 
 
 def test_invert_modular_brute_force_oracle():
-    for n in (6, 8, 9, 12):
-        R = Zmod(n)
+    for R in (*(Zmod(n) for n in (6, 8, 9, 12)), *(GF(p) for p in (2, 3, 5, 7))):
+        n = R.n
         for a in range(n):
             got = R.scalar(a).try_invert()
             solutions = [b for b in range(n) if (a * b) % n == 1]
@@ -119,6 +119,23 @@ def test_dual_product_second_component():
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatch):
         ZZ.scalar(1) + QQ.scalar(1)
+
+
+def test_gf_and_zmod_of_one_prime_stay_distinct_rings():
+    for p in (2, 3, 5, 7):
+        F, Z = GF(p), Zmod(p)
+        assert F != Z and Z != F and not F == Z and hash(F) != hash(Z)
+        with pytest.raises(RingMismatch):
+            F.scalar(1) + Z.scalar(1)
+        with pytest.raises(RingMismatch):
+            Z.coerce(F.scalar(1))
+        assert F.scalar(1) != Z.scalar(1)
+        assert (F.is_field, F.is_connected, Z.is_field, Z.is_connected) == (True, True, False, True)
+        for a in range(-p, 2 * p):
+            assert F.render(a) == Z.render(a) and F.parse(F.render(a)) == Z.parse(Z.render(a))
+        for seed in range(3):
+            rf, rz = random.Random(seed), random.Random(seed)
+            assert F.rand_vec(rf, 100) == Z.rand_vec(rz, 100) and rf.random() == rz.random()
 
 
 def test_prime_field_rejects_composite():
