@@ -15,6 +15,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .scalars import GF, QQ, ZZ, Zmod
 from . import conic, identities, zorn, zorders
@@ -323,13 +324,14 @@ def _emit(report, as_json):
             print(f"{k}: {v}")
 
 
+@cache
 def build_parser():
+    """The process's one parser: it keeps no per-call state."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("OCTAD_SEED", DEFAULT_SEED)),
         help="seed for sampled checks (env OCTAD_SEED overrides the default)",
     )
 
@@ -372,13 +374,22 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
+def _default_seed():
+    text = os.environ.get("OCTAD_SEED", str(DEFAULT_SEED))
     try:
-        args = parser.parse_args(argv)
+        return int(text)
+    except ValueError:
+        raise ValueError(f"OCTAD_SEED {text!r} is not an integer") from None
+
+
+def main(argv=None):
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except CostGuardError as exc:
         print(f"cost guard: {exc}", file=sys.stderr)

@@ -114,6 +114,9 @@ def draw_one(rng, n):
     return r
 
 
+_BULK_MIN = 32  # a bulk round of draw_below draws more words than this
+
+
 def draw_below(rng, n, count):
     """[rng.randrange(n) for _ in range(count)] for a random.Random rng
     and n >= 1, leaving rng in the same state, drawn in bulk.
@@ -125,22 +128,24 @@ def draw_below(rng, n, count):
     word after word and keep w >> (32 - k) for each word w < n << (32 - k).
     Drawing need words at once, need being the number of values still
     missing, consumes words the sequential calls would consume too, since
-    each of those words yields at most one value.  For k > 32 each value
-    is drawn on its own (draw_one).  tests/test_scalars.py checks the
-    equality against randrange itself.
+    each of those words yields at most one value.  A bulk round has a
+    fixed cost of some 32 draw_one calls, so once at most _BULK_MIN values
+    are missing, they are drawn one at a time by draw_one, which also reads
+    one word per value; for k > 32 every value is.  tests/test_scalars.py
+    checks the equality against randrange itself.
     """
     k = n.bit_length()
-    if k > 32:
-        return [draw_one(rng, n) for _ in range(count)]
-    shift = 32 - k
-    limit = n << shift
     out = []
-    while len(out) < count:
-        need = count - len(out)
-        words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
-        if sys.byteorder == "big":  # the words arrive little-endian
-            words.byteswap()
-        out += [w >> shift for w in words if w < limit]
+    if k <= 32:
+        shift = 32 - k
+        limit = n << shift
+        while count - len(out) > _BULK_MIN:
+            need = count - len(out)
+            words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+            if sys.byteorder == "big":  # the words arrive little-endian
+                words.byteswap()
+            out += [w >> shift for w in words if w < limit]
+    out += [draw_one(rng, n) for _ in range(count - len(out))]
     return out
 
 

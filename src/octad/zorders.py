@@ -7,6 +7,13 @@ determinant.  Unit enumeration is exact Fincke-Pohst on integers: the
 rational LDL^T data are scaled once to ints, each level's window is exact,
 and elements, membership and the half-norm split use integer matrices with
 one common denominator.  No floating point anywhere.
+
+NAMED_LATTICES maps the CLI's lattice names to zero-argument builders.
+Each builds its lattice once per process, on first use, and then returns
+that same ZLattice: a ZLattice is never changed after construction except
+for the derived _basis_T_inv, which any caller may share.  The public
+constructors gaussian(), hurwitz(), dickson_coxeter() and kirmse() build
+a fresh lattice on every call.
 """
 
 from __future__ import annotations
@@ -430,8 +437,8 @@ def unit_type_split(lattice, units):
 
 
 NAMED_LATTICES = {
-    "gaussian": lambda: gaussian(cayley_dickson(ground_algebra(QQ), -1)),
-    "hurwitz": hurwitz,
-    "dico": dickson_coxeter,
-    "kirmse": kirmse,
+    "gaussian": cache(lambda: gaussian(cayley_dickson(ground_algebra(QQ), -1))),
+    "hurwitz": cache(hurwitz),
+    "dico": cache(dickson_coxeter),
+    "kirmse": cache(kirmse),
 }

@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from octad import cli
 from octad.cli import main, parse_algebra
+from octad.identities import DEFAULT_SEED
 
 
 def run(capsys, *argv):
@@ -115,6 +118,62 @@ def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("OCTAD_SEED", "12345")
     _, blob = run_json(capsys, "count", "zorn-units", "--p", "2", "--json")
     assert blob["seed"] == 12345
+
+
+def test_bad_seed_env_gives_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("OCTAD_SEED", "abc")
+    code = main(["count", "zorn-units", "--p", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: OCTAD_SEED 'abc' is not an integer\n"
+    # an explicit --seed does not read the environment
+    _, blob = run_json(capsys, "count", "zorn-units", "--p", "2", "--json", "--seed", "3")
+    assert blob["seed"] == 3
+
+
+# one process's calls, interleaving every subcommand: (OCTAD_SEED or None, argv)
+REUSED_PARSER_CALLS = [
+    (None, ("identities", "cay(Q;-1,-1)", "alternative", "--mode", "sampled", "--json", "--seed", "5")),
+    (None, ("identities", "cay(Q;-1,-1)", "alternative", "--mode", "sampled", "--json")),
+    ("12345", ("count", "zorn-units", "--p", "2", "--json")),
+    ("77", ("count", "zorn-units", "--p", "2", "--json")),
+    ("77", ("lattice", "disc", "nosuch", "--json")),  # usage error: argparse exits
+    ("77", ("table", "cs-octonions")),
+    (None, ("lattice", "member", "hurwitz", "-1/2", "1/2", "1/2", "1/2", "--json")),
+    (None, ("count", "--help")),
+    (None, ("lattice", "units", "hurwitz")),
+    ("abc", ("count", "her3-rank1", "--coeff", "f2", "--json")),
+    ("abc", ("count", "lattice-units", "--lattice", "dico", "--json", "--seed", "9")),
+    (None, ("identities", "cay(Q;-1,-1,-1,-1)", "norm-comp", "--json")),
+    (None, ("table", "her3(f2)", "--json")),
+    (None, ("lattice", "closure", "kirmse", "--json")),
+]
+MILLIS = re.compile(r'(?<="millis": )\d+|(?<=millis: )\d+|\d+(?= ms\])')
+
+
+def _run_calls(capsys, monkeypatch):
+    results = []
+    for env, argv in REUSED_PARSER_CALLS:
+        if env is None:
+            monkeypatch.delenv("OCTAD_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OCTAD_SEED", env)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        results.append((code, MILLIS.sub("0", captured.out), captured.err))
+    return results
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    reused = _run_calls(capsys, monkeypatch)
+    seeds = [json.loads(out)["seed"] for _, out, _ in reused[:4]]
+    assert seeds == [5, DEFAULT_SEED, 12345, 77]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 2, 0, 2]
+    # the same calls, each parsed by a newly built parser
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _run_calls(capsys, monkeypatch) == reused
 
 
 def test_usage_error_exit_code(capsys):

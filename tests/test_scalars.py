@@ -239,7 +239,7 @@ DRAW_RINGS = [
     product_ring(Zmod(6), Zmod(6)),
     DualNumbers(ZZ),
 ]
-DRAW_COUNTS = [0, 1, 63, 64, 65, 3001]
+DRAW_COUNTS = [0, 1, 8, 24, 27, 54, 63, 64, 65, 3001]
 
 
 def reference_rand(R, rng):

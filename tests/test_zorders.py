@@ -238,3 +238,40 @@ def test_element_rejects_wrong_coordinate_count():
     for coords in ([1], [1, 0, 0, 0, 5]):
         with pytest.raises(ValueError):
             H.element(coords)
+
+
+def _lattice_answers(lat):
+    closure = lat.closed_under_mul()
+    return (
+        lat.gram,
+        lat.disc,
+        lat.integral,
+        lat.to_json(),
+        [u.coords for u in lat.enumerate_units()],
+        (closure.holds, closure.witness, closure.mode, closure.details),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_LATTICES))
+def test_named_lattice_is_built_once_and_answers_like_a_fresh_one(name):
+    import random
+
+    shared = NAMED_LATTICES[name]()
+    assert NAMED_LATTICES[name]() is shared
+    fresh = NAMED_LATTICES[name].__wrapped__()
+    assert fresh is not shared
+    answers = _lattice_answers(shared)
+    assert answers == _lattice_answers(fresh)
+    # membership and coordinates fill the shared, derived _basis_T_inv
+    rng = random.Random(5)
+    points = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(shared.ambient.dim)] for _ in range(30)]
+    assert [shared.contains(x) for x in points] == [fresh.contains(x) for x in points]
+    assert [shared.coords_of(x) for x in points] == [fresh.coords_of(x) for x in points]
+    assert shared._basis_T_inv is not None
+    assert _lattice_answers(shared) == answers
+
+
+def test_public_lattice_constructors_build_fresh_lattices():
+    for make in (hurwitz, dickson_coxeter, kirmse, gaussian_complex):
+        assert make() is not make()
+    assert hurwitz() is not NAMED_LATTICES["hurwitz"]()
