@@ -81,10 +81,12 @@ def parse_algebra(spec):
         inner = spec[5:-1]
         if not inner.startswith("mat3("):
             raise ValueError("tits() expects mat3(ring) input")
-        close = inner.index(")")
-        ring = _parse_ring(inner[5:close])
-        mu = _parse_param(ring, inner[close + 1 :].lstrip(",").strip() or "1")
-        return tits(mat3(ring), mu)
+        # mat3(ring), then at most one parameter
+        m = re.fullmatch(r"mat3\(([^()]*)\),?([^,]*)", inner)
+        if m is None:
+            raise ValueError(f"cannot parse algebra spec {spec!r}")
+        ring = _parse_ring(m[1])
+        return tits(mat3(ring), _parse_param(ring, m[2].strip() or "1"))
     raise ValueError(f"cannot parse algebra spec {spec!r}")
 
 

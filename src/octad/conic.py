@@ -38,7 +38,7 @@ class ConicAlgebra:
         self.unit = [ring.coerce(c) for c in unit]
         self.norm = norm
         self.name = name
-        tvec = [norm.bilin_payload(self.unit, basis(ring, dim, i)) for i in range(dim)]
+        tvec = norm.bilin_row(self.unit)
         self._trace = TermMap(ring, {(i,): t for i, t in enumerate(tvec)}, 1)
         # conj(e_i) = t(e_i) 1 - e_i
         support = [(k, u) for k, u in enumerate(self.unit) if not ring.is_zero(u)]

@@ -14,16 +14,17 @@ layout (adjoints of basis vectors and pairs, N(e_i), N(e_i; e_j),
 N(e_i, e_j, e_l)) is only written by to_json and read by from_json.
 
 Traces are always derived, never stored: T(y) = N(1; y), S(x) = T(x#),
-T(x, y) = T(x)T(y) - T(x x y), U_x y = T(x, y) x - x# x y.  Directional
-norm coefficients come from the dual-number trick.
+T(x, y) = T(x)T(y) - T(x x y), U_x y = T(x, y) x - x# x y.  N(x; y) and
+T(e_m) = N(1; e_m) are read from the norm's gradient x -> (N(x; e_m))_m,
+built from the norm terms once, at construction.
 
 One kernel, linalg.TermMap, evaluates every stored form: the adjoint
-(x# its value, x x y its polar), the norm, the trace T(x) = sum T(e_i)
-x_i and the trace form, as the map x -> (T(x, e_j))_j given by the Gram
-matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j), whose terms are read
-from the adjoint terms once, at construction.  The kernel coerces each
-constant once, applies 1 and -1 by add and sub and sums a term only
-when all its factors are nonzero.
+(x# its value, x x y its polar), the norm and its gradient, the trace
+T(x) = sum T(e_i) x_i and the trace form, as the map x -> (T(x, e_j))_j
+given by the Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j),
+whose terms are read from the adjoint terms once, at construction.  The
+kernel coerces each constant once, applies 1 and -1 by add and sub and
+sums a term only when all its factors are nonzero.
 
 u_matrix(x) gives the columns U_x e_j = T(x, e_j) x - x# x e_j, with x#,
 the row T(x, e_.) and the columns x# x e_j each computed in one pass.
@@ -43,7 +44,7 @@ import json
 import random
 
 from .conic import NOT_INVERTIBLE
-from .extensions import DualExt, PolyExt, lift_vec
+from .extensions import PolyExt, lift_vec
 from .identities import (
     CostGuardError,
     DEFAULT_SEED,
@@ -85,23 +86,21 @@ class CubicData:
         self.norm_terms = self._norm.terms
         if any(i > j for i, j, _ in self.sharp_terms) or any(not i <= j <= l for i, j, l in self.norm_terms):
             raise ValueError(f"{name}: term keys must be sorted index tuples")
-        self.tvec = self._base_trace()
+        self._grad = self._norm_gradient()
+        self.tvec = self._grad.value(self.basepoint)
         self._trace = TermMap(ring, {(i,): t for i, t in enumerate(self.tvec)}, 1)
         self._trace_form = self._trace_gram()
         self._consistency()
 
-    def _base_trace(self):
-        """[T(e_0), ..., T(e_{dim-1})] in one pass over the norm terms:
-        T(e_i) = N(1; e_i), and the derivative of x_a x_b x_l at 1 in the
-        direction e_i sums, over the factors equal to i, the product of the
-        other two at 1."""
-        R, p = self.ring, self.basepoint
-        t = [R.zero] * self.dim
+    def _norm_gradient(self):
+        """x -> (N(x; e_m))_m as a degree-2 map: c x_a x_b x_l (a <= b <= l)
+        adds c x_b x_l, c x_a x_l and c x_a x_b to coordinates a, b and l."""
+        R = self.ring
+        grad = {}
         for (a, b, l), c in self.norm_terms.items():
-            for i, u, v in ((a, b, l), (b, a, l), (l, a, b)):
-                if not (R.is_zero(p[u]) or R.is_zero(p[v])):
-                    t[i] = R.add(t[i], R.mul(c, R.mul(p[u], p[v])))
-        return t
+            for key in ((b, l, a), (a, l, b), (a, b, l)):
+                grad[key] = R.add(grad.get(key, R.zero), c)
+        return TermMap(R, grad, 2, self.dim)
 
     def _trace_gram(self):
         """The trace form as the map x -> (T(x, e_j))_j, from the Gram matrix
@@ -139,10 +138,9 @@ class CubicData:
         return self._norm.value(x, L)
 
     def norm_dir_payload(self, x, y, L=None):
-        """N(x; y): the eps-part of N(x + eps y), exact in every characteristic."""
+        """N(x; y) = sum_m N(x; e_m) y_m, exact in every characteristic."""
         R = L if L is not None else self.ring
-        D = DualExt(R)
-        return self.norm_payload(list(zip(x, y)), D)[1]
+        return R.dot(self._grad.value(x, L), y)
 
     def trace_lin(self, x, L=None):
         return self._trace.value(x, L)

@@ -6,11 +6,11 @@ sub, eq, sum and dot from those, and every ring of the scalar tower
 (scalars.Ring) and both extensions below inherit them; a class keeps its
 own version only where it has a faster one.
 
-DualExt and PolyExt are not first-class rings of the tower: they let the
-strict identity checker and the dual-number derivative trick evaluate
-structure-constant formulas over R[eps] or a truncated polynomial
-extension R[t1..tm].  The first-class ring scalars.DualNumbers takes its
-arithmetic from DualExt.
+DualExt and PolyExt are not first-class rings of the tower.  PolyExt
+lets the strict identity checker evaluate structure-constant formulas
+over a truncated polynomial extension R[t1..tm].  DualExt, R[eps], gives
+the first-class ring scalars.DualNumbers its arithmetic, and the tests
+use it as an independent reference for derivatives.
 """
 
 from __future__ import annotations

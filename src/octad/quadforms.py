@@ -36,17 +36,13 @@ class QuadraticForm:
         """Dq(x, y) = q(x+y) - q(x) - q(y)."""
         return self._form.polar(x, y, L)
 
+    def bilin_row(self, x, L=None):
+        """[Dq(x, e_0), ..., Dq(x, e_{dim-1})] in one pass."""
+        return self._form.polar_columns(x, L)
+
     def bilinearize(self):
-        R = self.ring
-        n = self.dim
-        gram = [[R.zero] * n for _ in range(n)]
-        for (i, j), c in self.coeffs.items():
-            if i == j:
-                gram[i][i] = R.add(gram[i][i], R.add(c, c))
-            else:
-                gram[i][j] = R.add(gram[i][j], c)
-                gram[j][i] = R.add(gram[j][i], c)
-        return BilinearForm(R, n, gram)
+        R, n = self.ring, self.dim
+        return BilinearForm(R, n, [self.bilin_row(linalg.basis(R, n, i)) for i in range(n)])
 
     def is_regular(self):
         """det of the bilinearized Gram is a unit (over ZZ: +-1)."""

@@ -162,10 +162,8 @@ class ZLattice:
             raise ValueError(f"lattice file lacks the field(s) {', '.join(missing)}")
         if blob["ambient_dim"] != ambient.dim:
             raise ValueError("ambient dimension mismatch")
-        basis = [[Fraction(c) for c in row] for row in blob["basis"]]
-        lat = ZLattice(ambient, basis, name=name)
-        want_gram = [[Fraction(c) for c in row] for row in blob["gram"]]
-        if lat.gram != want_gram or lat.disc != Fraction(blob["disc"]):
+        lat = ZLattice(ambient, _json_rows(blob, "basis"), name=name)
+        if lat.gram != _json_rows(blob, "gram") or lat.disc != _json_fraction(blob["disc"], "disc"):
             raise ValueError("recorded Gram data disagrees with the basis")
         if lat.integral != blob["integral"]:
             raise ValueError("recorded integrality flag disagrees")
@@ -173,6 +171,21 @@ class ZLattice:
 
     def __repr__(self):
         return f"{self.name}(rank={self.rank}, disc={self.disc})"
+
+
+def _json_fraction(value, field):
+    """A lattice file's number (int or "p/q" string) as a Fraction."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"lattice file: {field} value {value!r} is not a rational number") from None
+
+
+def _json_rows(blob, field):
+    rows = blob[field]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"lattice file: {field} is not a list of rows")
+    return [[_json_fraction(c, field) for c in row] for row in rows]
 
 
 def _over_common_den(rows):

@@ -214,6 +214,8 @@ NAMED_ERRORS = {
     ("identities", "cay(Q;-1)", "axioms"): "error: unknown identity 'axioms'",
     ("identities", "cay(FQ;1)", "moufang"): "error: cannot parse ring 'FQ'",
     ("identities", "cay(Z/x;1)", "moufang"): "error: cannot parse ring 'Z/x'",
+    ("identities", "tits(mat3(Z)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z)'",
+    ("identities", "tits(mat3(Z),1,2)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z),1,2)'",
 }
 
 
@@ -235,6 +237,30 @@ def test_bad_input_gives_one_error_line(capsys, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(NAMED_ERRORS.get(argv, "error:"))
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("basis", "1/2", "error: lattice file: basis is not a list of rows"),
+        ("basis", [1, 0, 0, 0], "error: lattice file: basis is not a list of rows"),
+        ("gram", 4, "error: lattice file: gram is not a list of rows"),
+        ("basis", [[None, 0, 0, 0]], "error: lattice file: basis value None is not a rational number"),
+        ("gram", [[None]], "error: lattice file: gram value None is not a rational number"),
+        ("disc", "1/0", "error: lattice file: disc value '1/0' is not a rational number"),
+        ("disc", ["4"], "error: lattice file: disc value ['4'] is not a rational number"),
+    ],
+)
+def test_malformed_lattice_file_gives_one_error_line(capsys, tmp_path, field, value, message):
+    code, blob = run_json(capsys, "lattice", "export", "hurwitz", "--json")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(blob["lattice"], **{field: value})))
+    code = main(["lattice", "disc", "hurwitz", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
     assert "Traceback" not in captured.err
 
 

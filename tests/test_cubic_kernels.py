@@ -208,6 +208,23 @@ def test_trace_and_trace_form_match_definitions(name):
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_norm_gradient_matches_the_dual_number_derivative(name):
+    """N(x; y) and T(e_i) = N(1; e_i), read from the stored gradient, against
+    the eps part of the all-triples norm at x + eps y over L[eps]."""
+    J = structure(name)
+    R = J.ring
+    D = DualExt(R)
+    for i in range(J.dim):
+        assert R.eq(J.tvec[i], ref_norm(J, D, list(zip(J.basepoint, basis(R, J.dim, i))))[1])
+    rng = random.Random(25)
+    xs = list(plain_vectors(J, rng))
+    for x, y in zip(xs, reversed(xs)):
+        assert R.eq(J.norm_dir_payload(x, y), ref_norm(J, D, list(zip(x, y)))[1])
+    for (L, x), (_, y) in zip(poly_vectors(J, rng), poly_vectors(J, rng)):
+        assert L.eq(J.norm_dir_payload(x, y, L), ref_norm(J, DualExt(L), list(zip(x, y)))[1])
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_sharp_and_cross_match_all_pairs(name):
     J = structure(name)
     R = J.ring

@@ -9,7 +9,9 @@ from octad.quadforms import (
     block_det_oracle,
     is_positive_definite,
 )
-from octad.scalars import GF, QQ, ZZ
+from octad.extensions import PolyExt
+from octad.linalg import basis
+from octad.scalars import GF, QQ, ZZ, Zmod
 
 
 def hyperbolic_plane(ring):
@@ -124,3 +126,18 @@ def test_eval_and_bilin_with_unit_coefficients_match_naive_sums():
             xy = [R.add(a, b) for a, b in zip(x, y)]
             polar = R.sub(R.sub(q.eval_payload(xy), q.eval_payload(x)), q.eval_payload(y))
             assert R.eq(q.bilin_payload(x, y), polar)
+
+
+def test_bilin_row_is_the_polar_against_each_basis_vector():
+    rng = random.Random(19)
+    for R in (ZZ, QQ, GF(2), GF(3), Zmod(6)):
+        q = QuadraticForm(R, 5, {(0, 0): 1, (0, 1): -1, (1, 3): 2, (2, 2): 3, (2, 4): 1, (4, 4): -1})
+        L = PolyExt(R, 2, 3)
+        for _ in range(10):
+            x = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(5)]
+            row = q.bilin_row(x)
+            assert all(R.eq(row[j], q.bilin_payload(x, basis(R, 5, j))) for j in range(5))
+            xl = [L.add(L.from_base(c), L.var(t % 2)) if t < 2 else L.from_base(c) for t, c in enumerate(x)]
+            row = q.bilin_row(xl, L)
+            assert all(L.eq(row[j], q.bilin_payload(xl, basis(L, 5, j), L)) for j in range(5))
+        assert q.bilinearize().gram == [q.bilin_row(basis(R, 5, i)) for i in range(5)]
