@@ -19,7 +19,7 @@ from functools import cache
 
 from .scalars import GF, QQ, ZZ, Zmod
 from . import conic, identities, zorn, zorders
-from .cayley import iterated_cayley_dickson
+from .cayley import ground_algebra, iterated_cayley_dickson
 from .identities import DEFAULT_SEED, CostGuardError
 
 
@@ -42,52 +42,48 @@ def parse_algebra(spec):
     if spec == "cs-octonions":
         return conic.cartan_schouten(QQ)
     if spec.startswith("cay(") and spec.endswith(")"):
-        inner = spec[4:-1]
-        ring_s, _, mus_s = inner.partition(";")
+        ring_s, _, mus_s = spec[4:-1].partition(";")
         ring = _parse_ring(ring_s)
-        mus = [_parse_param(ring, m) for m in mus_s.split(",") if m.strip()]
-        if not mus:
+        if not mus_s.strip():
             raise ValueError("cay() needs at least one parameter")
-        return iterated_cayley_dickson(ring, mus)
+        return iterated_cayley_dickson(ring, [_parse_param(ring, m) for m in _split_args(spec, mus_s)])
     if spec.startswith("zorn(") and spec.endswith(")"):
         return zorn.zorn_algebra(_parse_ring(spec[5:-1]))
     if spec.startswith("her3(") and spec.endswith(")"):
         from .her3 import Gamma, her3
 
-        inner = spec[5:-1]
-        depth = 0
-        parts, cur = [], []
-        for ch in inner:
-            depth += ch == "("
-            depth -= ch == ")"
-            if ch == "," and depth == 0:
-                parts.append("".join(cur).strip())
-                cur = []
-            else:
-                cur.append(ch)
-        parts.append("".join(cur).strip())
-        coeff = _parse_coeff(parts[0])
-        gamma = None
-        if len(parts) == 2:
-            gamma = Gamma(coeff.ring, [_parse_param(coeff.ring, parts[1])] * 3)
-        elif len(parts) == 4:
-            gamma = Gamma(coeff.ring, [_parse_param(coeff.ring, p) for p in parts[1:4]])
-        elif len(parts) != 1:
+        coeff_s, *gammas = _split_args(spec, spec[5:-1])
+        coeff = _parse_coeff(coeff_s)
+        if len(gammas) not in (0, 1, 3):
             raise ValueError("her3() takes a coefficient algebra and 1 or 3 gammas")
-        return her3(coeff, gamma)
+        gammas = [_parse_param(coeff.ring, g) for g in gammas] * (3 if len(gammas) == 1 else 1)
+        return her3(coeff, Gamma(coeff.ring, gammas) if gammas else None)
     if spec.startswith("tits(") and spec.endswith(")"):
         from .tits import mat3, tits
 
-        inner = spec[5:-1]
-        if not inner.startswith("mat3("):
-            raise ValueError("tits() expects mat3(ring) input")
         # mat3(ring), then at most one parameter
-        m = re.fullmatch(r"mat3\(([^()]*)\),?([^,]*)", inner)
-        if m is None:
+        args = _split_args(spec, spec[5:-1])
+        m = re.fullmatch(r"mat3\(([^()]*)\)", args[0])
+        if m is None or len(args) > 2:
             raise ValueError(f"cannot parse algebra spec {spec!r}")
         ring = _parse_ring(m[1])
-        return tits(mat3(ring), _parse_param(ring, m[2].strip() or "1"))
+        return tits(mat3(ring), _parse_param(ring, args[1] if len(args) == 2 else "1"))
     raise ValueError(f"cannot parse algebra spec {spec!r}")
+
+
+def _split_args(spec, text):
+    """The arguments in text, split at the commas outside parentheses; an
+    empty argument makes spec unparseable."""
+    args, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            args.append(text[start:i].strip())
+            start = i + 1
+    args.append(text[start:].strip())
+    if "" in args:
+        raise ValueError(f"cannot parse algebra spec {spec!r}")
+    return args
 
 
 def _parse_param(ring, text):
@@ -105,7 +101,7 @@ def _parse_param(ring, text):
 def _parse_coeff(text):
     text = text.strip()
     if text == "f2":
-        return _coeff_field(GF(2))
+        return ground_algebra(GF(2))
     if text == "f2xf2":
         return conic.split_etale(GF(2))
     if text.startswith("zorn(") and text.endswith(")"):
@@ -116,12 +112,6 @@ def _parse_coeff(text):
         ring = _parse_ring(text)
     except ValueError:
         raise ValueError(f"cannot parse coefficient algebra {text!r}")
-    return _coeff_field(ring)
-
-
-def _coeff_field(ring):
-    from .cayley import ground_algebra
-
     return ground_algebra(ring)
 
 

@@ -11,7 +11,9 @@ Every polynomial map the library stores by its coefficients (conic
 products, traces and conjugations, quadratic forms, linear maps, cubic
 adjoints, norms and traces) is a TermMap: its nonzero terms, evaluated
 over the base ring or any ring-like extension by the loops of that one
-class.
+class.  Polarization has no loop of its own: for a degree-2 map with
+bilinear part B, f(x + y) - f(x) - f(y) = B(x, y) + B(y, x), two
+bilinear passes.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ class TermMap:
     with a zero factor.  A degree-2 map with unsorted keys (a, b, k) is
     the bilinear map (x, y) -> sum c x_a y_b e_k: as conic.build_conic
     reads a product, (a, b, k) is the degree-2 term (a, dim + b, k) of
-    the pair (x, y).
+    the pair (x, y).  With sorted keys, bilinear is the map's bilinear
+    part B, and polar(x, y) is the two passes B(x, y) + B(y, x).
     """
 
     def __init__(self, ring, terms, degree, out_dim=None):
@@ -156,38 +159,10 @@ class TermMap:
         return out[0] if self._scalar else out
 
     def polar(self, x, y, L=None, acc=None):
-        """f(x + y) - f(x) - f(y) at degree 2: a term (i, j) contributes
-        c (x_i y_j + x_j y_i), each product only when its factors are
-        nonzero, and (i, i) contributes 2 c x_i y_i."""
-        R = L if L is not None else self.ring
-        out = [R.zero] * self._size if acc is None else [acc] if self._scalar else list(acc)
-        zx = [R.is_zero(c) for c in x]
-        zy = [R.is_zero(c) for c in y]
-        for i, row in self._index:
-            if zx[i] and zy[i]:
-                continue
-            for j, leaves in row:
-                if i == j:
-                    if zx[i] or zy[i]:
-                        continue
-                    m = R.mul(x[i], y[i])
-                    m = R.add(m, m)
-                else:
-                    ij = not (zx[i] or zy[j])
-                    ji = not (zx[j] or zy[i])
-                    if ij and ji:
-                        m = R.add(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
-                    elif ij:
-                        m = R.mul(x[i], y[j])
-                    elif ji:
-                        m = R.mul(x[j], y[i])
-                    else:
-                        continue
-                    if R.is_zero(m):
-                        continue
-                for k, c, sign in leaves:
-                    out[k] = add_term(R, out[k], m, c, sign)
-        return out[0] if self._scalar else out
+        """f(x + y) - f(x) - f(y) at degree 2, which is bilinear(x, y) +
+        bilinear(y, x): a term (i, j) gives c (x_i y_j + x_j y_i), and
+        (i, i) gives 2 c x_i y_i, in every characteristic."""
+        return self.bilinear(y, x, L, self.bilinear(x, y, L, acc))
 
     def polar_columns(self, x, L=None, acc=None):
         """[polar(x, e_j) for each coordinate j of x] in one pass, added

@@ -316,11 +316,7 @@ def cs_ambient():
 
 
 def eps_to_ambient(eps_coords):
-    out = [Fraction(0)] * 8
-    for c, row in zip(eps_coords, _EPS_TO_U):
-        for k in range(8):
-            out[k] += Fraction(c) * row[k]
-    return out
+    return linalg.cols_vec(QQ, _EPS_TO_U, eps_coords)
 
 
 @cache
@@ -373,32 +369,24 @@ def kirmse():
     The build fails loudly unless the result is integral unimodular.
     """
     amb = cs_ambient()
-    F = Fraction
-    one = [F(1), 0, 0, 0, 0, 0, 0, 0]
     u = partial(linalg.basis, QQ, 8)
-
-    def comb(*terms):
-        out = [F(0)] * 8
-        for c, vec in terms:
-            for k in range(8):
-                out[k] += F(c) * vec[k]
-        return out
-
-    v1 = comb((F(1, 2), one), (F(1, 2), u(1)), (F(1, 2), u(2)), (F(1, 2), u(4)))
-    v4 = comb((F(1, 2), one), (F(1, 2), u(2)), (F(1, 2), u(3)), (F(1, 2), u(5)))
-    v3 = comb((F(1, 2), one), (F(1, 2), u(1)), (F(1, 2), u(3)), (F(-1, 2), u(7)))
-    v2 = comb((F(1, 2), u(3)), (F(1, 2), u(5)), (F(-1, 2), u(7)), (F(-1, 2), u(6)))
+    comb = partial(linalg.cols_vec, QQ)  # comb(vectors, coefficients)
+    h = Fraction(1, 2)
+    v1 = comb([u(0), u(1), u(2), u(4)], [h, h, h, h])
+    v4 = comb([u(0), u(2), u(3), u(5)], [h, h, h, h])
+    v3 = comb([u(0), u(1), u(3), u(7)], [h, h, h, -h])
+    v2 = comb([u(3), u(5), u(7), u(6)], [h, h, -h, -h])
     # re-derive the u's from the relations as a guard against drift
     checks = [
-        (comb((2, v1), (-1, one), (-1, u(1)), (-1, u(2))), u(4)),
-        (comb((2, v4), (-1, one), (-1, u(2)), (-1, u(3))), u(5)),
-        (comb((-2, v3), (1, one), (1, u(1)), (1, u(3))), u(7)),
-        (comb((-2, v2), (1, u(3)), (1, u(5)), (-1, u(7))), u(6)),
+        (comb([v1, u(0), u(1), u(2)], [2, -1, -1, -1]), u(4)),
+        (comb([v4, u(0), u(2), u(3)], [2, -1, -1, -1]), u(5)),
+        (comb([v3, u(0), u(1), u(3)], [-2, 1, 1, 1]), u(7)),
+        (comb([v2, u(3), u(5), u(7)], [-2, 1, 1, -1]), u(6)),
     ]
     for got, want in checks:
         if got != want:
             raise AssertionError("Kirmse relations drifted")
-    basis = [one, u(1), u(2), u(3), v1, v2, v3, v4]
+    basis = [u(0), u(1), u(2), u(3), v1, v2, v3, v4]
     lat = ZLattice(amb, basis, name="kirmse")
     if not lat.integral or lat.disc != 1:
         raise AssertionError("Kirmse lattice must be integral unimodular")

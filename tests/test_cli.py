@@ -216,6 +216,12 @@ NAMED_ERRORS = {
     ("identities", "cay(Z/x;1)", "moufang"): "error: cannot parse ring 'Z/x'",
     ("identities", "tits(mat3(Z)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z)'",
     ("identities", "tits(mat3(Z),1,2)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z),1,2)'",
+    # each argument list is split at its top-level commas, and no argument may be empty
+    ("identities", "tits(mat3(Z)1)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z)1)'",
+    ("identities", "tits(mat3(Z)-1)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z)-1)'",
+    ("identities", "tits(mat3(Z),)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z),)'",
+    ("identities", "cay(Q;-1,,-1)", "moufang"): "error: cannot parse algebra spec 'cay(Q;-1,,-1)'",
+    ("identities", "cay(Q;-1,)", "moufang"): "error: cannot parse algebra spec 'cay(Q;-1,)'",
 }
 
 

@@ -128,7 +128,11 @@ def test_term_map_matches_naive_dense_evaluation(R):
             assert same(L, out_dim, f.value(x, L, acc), want)
             if degree != 2:
                 continue
-            assert same(L, out_dim, f.polar(x, y, L), naive_polar(R, L, terms, out_dim, x, y))
+            polar = naive_polar(R, L, terms, out_dim, x, y)
+            assert same(L, out_dim, f.polar(x, y, L), polar)
+            # the acc path, which cubic._bilinear_adjoint_id takes
+            want = L.add(polar, acc) if out_dim is None else [L.add(a, b) for a, b in zip(polar, acc)]
+            assert same(L, out_dim, f.polar(x, y, L, acc), want)
             cols = f.polar_columns(x, L)
             for j in range(n):
                 ej = [L.one if i == j else L.zero for i in range(n)]
