@@ -306,6 +306,8 @@ def _parse_frac(text, what):
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{what} {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not a rational number") from None
 
 
 def _emit(report, as_json):

@@ -613,8 +613,8 @@ def _bilinear_adjoint_id(data, L, vs):
     t1 = data.trace_bilin(sx, y, L)
     t2 = data.trace_bilin(x, sy, L)
     rhs = [L.neg(L.add(L.mul(t1, b), L.mul(t2, a))) for a, b in zip(x, y)]
-    # each term is added onto the running difference, where it largely
-    # cancels: this keeps one large vector alive, not two
+    # each map adds the running difference, its acc, once at the end,
+    # where the two largely cancel
     lhs = data.sharp_vec(data.cross_vec(x, y, L), L, rhs)
     return data.cross_vec(sx, sy, L, lhs)
 

@@ -2,9 +2,17 @@
 
 A ring-like is anything with payload arithmetic zero, one, add, neg,
 mul, is_zero and from_base.  RingLike is the protocol's base: it derives
-sub, eq, sum and dot from those, and every ring of the scalar tower
-(scalars.Ring) and both extensions below inherit them; a class keeps its
-own version only where it has a faster one.
+sub, eq, sum, dot and the fused addmul from those, and every ring of the
+scalar tower (scalars.Ring) and both extensions below inherit them; a
+class keeps its own version only where it has a faster one.
+
+addmul(acc, a, b, c, sign) is acc + c*a*b for a constant c of the base
+ring, the one operation linalg.TermMap runs per stored term.  Its
+ownership rule: a faster addmul may build its result in acc's storage,
+so acc must be the zero (which PolyExt.addmul replaces with a fresh
+dict, never filling the shared PolyExt.zero) or a value addmul returned
+to the same caller.  A running value from anywhere else is added once,
+with add, which never mutates its arguments.
 
 DualExt and PolyExt are not first-class rings of the tower.  PolyExt
 lets the strict identity checker evaluate structure-constant formulas
@@ -36,6 +44,17 @@ class RingLike:
         for a, b in zip(xs, ys):
             acc = self.add(acc, self.mul(a, b))
         return acc
+
+    def addmul(self, acc, a, b, c, sign):
+        """acc + c*a*b for a base-ring constant c with sign =
+        linalg.unit_sign(base ring, c): a unit sign adds or subtracts a*b
+        instead of multiplying it by the lifted c."""
+        m = self.mul(a, b)
+        if sign == 1:
+            return self.add(acc, m)
+        if sign == -1:
+            return self.sub(acc, m)
+        return self.add(acc, self.mul(m, self.from_base(c)))
 
 
 class DualExt(RingLike):
@@ -179,27 +198,44 @@ class PolyExt(RingLike):
         return out
 
     def mul(self, a, b):
+        return self.addmul(self.zero, a, b, self.base.one, 1)
+
+    def addmul(self, acc, a, b, c, sign):
+        """acc + c*a*b with every monomial added straight into acc: no
+        product dict, no copy, the same truncation and no zero stored.  acc
+        follows RingLike's ownership rule; an empty one is replaced by a
+        fresh dict."""
         if not a or not b:
-            return {}
+            return acc
+        if not acc:
+            acc = {}
         B = self.base
         bmul, badd, bzero = B.mul, B.add, B.is_zero
         bound = self._bound
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        if len(a) > len(b):
+            a, b = b, a
+        # c goes into the shorter factor's coefficients once, unless it is one
+        if sign == 1:
+            a = a.items()
+        else:
+            k = B.from_base(c)
+            a = [(e, m) for e, c1 in a.items() if not bzero(m := bmul(c1, k))]
+        b = b.items()
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 if e >= bound:
                     continue
-                c = bmul(c1, c2)
-                if e in out:
-                    s = badd(out[e], c)
+                m = bmul(c1, c2)
+                if e in acc:
+                    s = badd(acc[e], m)
                     if bzero(s):
-                        del out[e]
+                        del acc[e]
                     else:
-                        out[e] = s
-                elif not bzero(c):
-                    out[e] = c
-        return out
+                        acc[e] = s
+                elif not bzero(m):
+                    acc[e] = m
+        return acc
 
     def is_zero(self, a):
         return not a

@@ -11,7 +11,8 @@ Every polynomial map the library stores by its coefficients (conic
 products, traces and conjugations, quadratic forms, linear maps, cubic
 adjoints, norms and traces) is a TermMap: its nonzero terms, evaluated
 over the base ring or any ring-like extension by the loops of that one
-class.  Polarization has no loop of its own: for a degree-2 map with
+class, each of which costs one fused ring-like addmul (acc + c*a*b) per
+term.  Polarization has no loop of its own: for a degree-2 map with
 bilinear part B, f(x + y) - f(x) - f(y) = B(x, y) + B(y, x), two
 bilinear passes.
 """
@@ -55,23 +56,13 @@ def vec_is_zero(R, x):
 def unit_sign(R, c):
     """1 if the payload c is one in R, -1 if it is minus one, else 0.
 
-    Stored with a constant, it lets add_term add or subtract a product
+    Stored with a constant, it lets addmul add or subtract a product
     instead of multiplying it by the lifted constant."""
     if R.eq(c, R.one):
         return 1
     if R.eq(c, R.neg(R.one)):
         return -1
     return 0
-
-
-def add_term(L, acc, x, c, sign):
-    """acc + c*x over the ring-like L, for a base-ring constant c with
-    sign = unit_sign(base ring, c)."""
-    if sign == 1:
-        return L.add(acc, x)
-    if sign == -1:
-        return L.sub(acc, x)
-    return L.add(acc, L.mul(x, L.from_base(c)))
 
 
 class TermMap:
@@ -82,12 +73,16 @@ class TermMap:
     of a scalar form (out_dim None) have no k.  Each constant is coerced
     into ring once and kept with its unit_sign, and self.terms is the one
     stored copy, in key order.  Every evaluation runs over the ring or
-    any ring-like L, adds onto acc when one is given and skips a term
-    with a zero factor.  A degree-2 map with unsorted keys (a, b, k) is
-    the bilinear map (x, y) -> sum c x_a y_b e_k: as conic.build_conic
-    reads a product, (a, b, k) is the degree-2 term (a, dim + b, k) of
-    the pair (x, y).  With sorted keys, bilinear is the map's bilinear
-    part B, and polar(x, y) is the two passes B(x, y) + B(y, x).
+    any ring-like L and skips a term with a zero factor.  Each term costs
+    one L.addmul into a coordinate that starts at L.zero, so by the
+    protocol's ownership rule (see extensions) the coordinates are the
+    kernel's own to add into in place; an acc given by the caller is added
+    once per coordinate at the end and never mutated.  A degree-2 map
+    with unsorted keys (a, b, k) is the bilinear map (x, y) -> sum c x_a
+    y_b e_k: as conic.build_conic reads a product, (a, b, k) is the
+    degree-2 term (a, dim + b, k) of the pair (x, y).  With sorted keys,
+    bilinear is the map's bilinear part B, and polar(x, y) is the two
+    passes B(x, y) + B(y, x).
     """
 
     def __init__(self, ring, terms, degree, out_dim=None):
@@ -113,19 +108,26 @@ class TermMap:
                 node = node[-1][1]
             node.append((0 if self._scalar else key[degree], c, unit_sign(ring, c)))
 
+    def _result(self, R, out, acc):
+        """out, plus the caller's acc when one is given, in the map's shape."""
+        if self._scalar:
+            return out[0] if acc is None else R.add(acc, out[0])
+        return out if acc is None else [R.add(a, v) for a, v in zip(acc, out)]
+
     def value(self, x, L=None, acc=None):
         """f(x) at degree 1, 2 or 3."""
         if self.degree == 2:
             return self.bilinear(x, x, L, acc)
         R = L if L is not None else self.ring
-        out = [R.zero] * self._size if acc is None else [acc] if self._scalar else list(acc)
+        addmul, out = R.addmul, [R.zero] * self._size
         if self.degree == 1:
+            one = R.one
             for i, leaves in self._index:
                 xi = x[i]
                 if not R.is_zero(xi):
                     for k, c, sign in leaves:
-                        out[k] = add_term(R, out[k], xi, c, sign)
-            return out[0] if self._scalar else out
+                        out[k] = addmul(out[k], xi, one, c, sign)
+            return self._result(R, out, acc)
         z = [R.is_zero(c) for c in x]
         for i, rows in self._index:
             if z[i]:
@@ -136,15 +138,15 @@ class TermMap:
                 xij = R.mul(x[i], x[j])
                 for l, leaves in row:
                     if not z[l]:
-                        m = R.mul(xij, x[l])
+                        xl = x[l]
                         for k, c, sign in leaves:
-                            out[k] = add_term(R, out[k], m, c, sign)
-        return out[0] if self._scalar else out
+                            out[k] = addmul(out[k], xij, xl, c, sign)
+        return self._result(R, out, acc)
 
     def bilinear(self, x, y, L=None, acc=None):
         """sum c x_a y_b (e_k) over the degree-2 terms (a, b[, k])."""
         R = L if L is not None else self.ring
-        out = [R.zero] * self._size if acc is None else [acc] if self._scalar else list(acc)
+        addmul, out = R.addmul, [R.zero] * self._size
         zy = [R.is_zero(c) for c in y]
         zx = zy if x is y else [R.is_zero(c) for c in x]
         for i, row in self._index:
@@ -153,10 +155,10 @@ class TermMap:
             xi = x[i]
             for j, leaves in row:
                 if not zy[j]:
-                    m = R.mul(xi, y[j])
+                    yj = y[j]
                     for k, c, sign in leaves:
-                        out[k] = add_term(R, out[k], m, c, sign)
-        return out[0] if self._scalar else out
+                        out[k] = addmul(out[k], xi, yj, c, sign)
+        return self._result(R, out, acc)
 
     def polar(self, x, y, L=None, acc=None):
         """f(x + y) - f(x) - f(y) at degree 2, which is bilinear(x, y) +
@@ -168,15 +170,14 @@ class TermMap:
         """[polar(x, e_j) for each coordinate j of x] in one pass, added
         onto the columns acc when they are given."""
         R = L if L is not None else self.ring
-        if acc is None:
-            cols = [[R.zero] * self._size for _ in x]
-        else:
-            cols = [[c] if self._scalar else list(c) for c in acc]
+        addmul, one = R.addmul, R.one
+        two = R.add(one, one)
+        cols = [[R.zero] * self._size for _ in x]
         z = [R.is_zero(c) for c in x]
 
-        def add(col, m, leaves):
+        def add(col, a, b, leaves):
             for k, c, sign in leaves:
-                col[k] = add_term(R, col[k], m, c, sign)
+                col[k] = addmul(col[k], a, b, c, sign)
 
         for i, row in self._index:
             for j, leaves in row:
@@ -184,13 +185,14 @@ class TermMap:
                 # or 2 c x_i when i = j
                 if i == j:
                     if not z[i]:
-                        add(cols[i], R.add(x[i], x[i]), leaves)
+                        add(cols[i], x[i], two, leaves)
                     continue
                 if not z[i]:
-                    add(cols[j], x[i], leaves)
+                    add(cols[j], x[i], one, leaves)
                 if not z[j]:
-                    add(cols[i], x[j], leaves)
-        return [col[0] for col in cols] if self._scalar else cols
+                    add(cols[i], x[j], one, leaves)
+        accs = [None] * len(cols) if acc is None else acc
+        return [self._result(R, col, a) for col, a in zip(cols, accs)]
 
 
 class ModuleElement:

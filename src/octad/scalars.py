@@ -15,8 +15,9 @@ value and a reduced Fraction for every other one (never a float).
 GF(p) is Z/p with a modulus proven prime (PrimeField subclasses
 ModularRing and shares all its arithmetic); it is still a ring of its
 own, unequal to Z/p, that answers is_field.  The derived operations
-sub, eq, sum and dot come from extensions.RingLike, except where a ring
-has a faster form of one.
+sub, eq, sum, dot and addmul come from extensions.RingLike, except where
+a ring has a faster form of one: ZZ, QQ and Z/n (so GF(p)) each compute
+addmul in native arithmetic with one canonicalization.
 
 Random draws go through one kernel, draw_below(rng, n, count): the
 values rng.randrange(n) would return count times, taken from the stream
@@ -228,6 +229,9 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    def addmul(self, acc, a, b, c, sign):
+        return acc + c * a * b
+
     def is_zero(self, a):
         return a == 0
 
@@ -309,6 +313,13 @@ class RationalField(Ring):
             return c
         return c.numerator
 
+    def addmul(self, acc, a, b, c, sign):
+        # a unit sign spares a Fraction product
+        s = acc + a * b if sign == 1 else acc - a * b if sign == -1 else acc + c * a * b
+        if s.__class__ is int or s.denominator != 1:
+            return s
+        return s.numerator
+
     def is_zero(self, a):
         return not a
 
@@ -379,6 +390,9 @@ class ModularRing(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.n
+
+    def addmul(self, acc, a, b, c, sign):
+        return (acc + c * a * b) % self.n
 
     def is_zero(self, a):
         return a % self.n == 0

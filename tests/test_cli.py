@@ -222,6 +222,11 @@ NAMED_ERRORS = {
     ("identities", "tits(mat3(Z),)", "adjoint"): "error: cannot parse algebra spec 'tits(mat3(Z),)'",
     ("identities", "cay(Q;-1,,-1)", "moufang"): "error: cannot parse algebra spec 'cay(Q;-1,,-1)'",
     ("identities", "cay(Q;-1,)", "moufang"): "error: cannot parse algebra spec 'cay(Q;-1,)'",
+    # a parameter or coordinate that is no fraction is named, not passed to Fraction's message
+    ("identities", "tits(mat3(Z),x)", "adjoint"): "error: parameter 'x' is not a rational number",
+    ("identities", "her3(Z,x)", "axioms"): "error: parameter 'x' is not a rational number",
+    ("identities", "cay(Q;x)", "moufang"): "error: parameter 'x' is not a rational number",
+    ("lattice", "member", "hurwitz", "x", "0", "0", "0"): "error: coordinate 'x' is not a rational number",
 }
 
 

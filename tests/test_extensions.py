@@ -1,13 +1,15 @@
 """The packed-key PolyExt, and RingLike's derived operations on both
 extensions, against a naive truncated product keyed by exponent
-tuples."""
+tuples; every fast addmul against RingLike's default."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from octad.extensions import DualExt, PolyExt
+from octad.extensions import DualExt, PolyExt, RingLike
+from octad.linalg import unit_sign
 from octad.scalars import GF, QQ, ZZ, Zmod
 from reference_paths import exponents
 
@@ -157,3 +159,49 @@ def test_ringlike_dot_sum_eq_match_explicit_loops(L):
         for x, y in zip(xs, ys):
             for b in (x, y, L.add(x, L.from_int(6))):
                 assert L.eq(x, b) == (naive(L, x) == naive(L, b))
+
+
+FAST_ADDMUL = [ZZ, QQ, GF(2), GF(7), Zmod(6), PolyExt(ZZ, 3, 3), PolyExt(GF(3), 3, 3), PolyExt(Zmod(6), 3, 3)]
+
+
+@pytest.mark.parametrize("L", FAST_ADDMUL, ids=lambda L: f"PolyExt({L.base!r},3,3)" if isinstance(L, PolyExt) else repr(L))
+def test_fast_addmul_matches_default(L):
+    """Each override of addmul equals RingLike.addmul for constants of the
+    signs 1, -1 and 0: onto a random acc, onto the shared zero and onto
+    minus the product, where the sum cancels.  It returns canonical
+    payloads, mutates neither factor, and never stores a zero coefficient
+    or fills the shared zero."""
+    assert type(L).addmul is not RingLike.addmul
+    poly = isinstance(L, PolyExt)
+    R = L.base if poly else L
+    rng = random.Random(20241019)
+    truncated = 0
+    for _ in range(200):
+        if poly:
+            raw = [random_poly(R, rng, L.nvars, L.cap) for _ in range(3)]
+            a, b, acc = (pack(L, p) for p in raw)
+            truncated += naive_mul(R, L.cap, raw[0], raw[1]) != naive_mul(R, 2 * L.cap, raw[0], raw[1])
+        else:
+            a, b, acc = (random_coeff(R, rng) for _ in range(3))
+        c = random_coeff(R, rng)
+        while unit_sign(R, c) != 0:
+            c = random_coeff(R, rng)
+        # GF(2) has no constant of sign -1: there -1 is 1
+        for c in dict.fromkeys((R.one, R.neg(R.one), c)):
+            sign = unit_sign(R, c)
+            want = RingLike.addmul(L, acc, a, b, c, sign)
+            prod = RingLike.addmul(L, L.zero, a, b, c, sign)
+            for start, total in ((acc, want), (L.zero, prod), (L.neg(prod), L.zero)):
+                held = copy.deepcopy((a, b))
+                # the fast addmul may add into a start of its own in place
+                got = L.addmul(start if start is L.zero else copy.deepcopy(start), a, b, c, sign)
+                assert got == total and type(got) is type(total)
+                assert (a, b) == held
+                if poly:
+                    # PolyExt.mul is addmul onto zero, so the default shares its
+                    # code; the exponent-tuple model does not
+                    scaled = {e: R.mul(v, c) for e, v in naive_mul(R, L.cap, raw[0], raw[1]).items()}
+                    assert unpack(L, got) == naive_add(R, unpack(L, start), scaled)
+                    assert L.zero == {} and not any(R.is_zero(v) for v in got.values())
+    # products above the cap were dropped, not only products below it
+    assert truncated or not poly

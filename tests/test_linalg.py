@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 import sympy
 
 from octad import linalg
+from octad.extensions import PolyExt
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
 
 
@@ -108,6 +110,29 @@ def same(L, out_dim, a, b):
     return L.eq(a, b) if out_dim is None else all(L.eq(u, v) for u, v in zip(a, b))
 
 
+def dicts(v):
+    """The PolyExt payloads in a payload, a vector or a list of columns."""
+    return [v] if isinstance(v, dict) else [d for u in v for d in dicts(u)]
+
+
+def check_owned(L, call, held):
+    """call() over PolyExt leaves held (its x, y and acc) and L.zero as they
+    were, and owns its result: no nonzero payload of one result is a dict of
+    another result or of held, so adding into it in place, as addmul does,
+    changes neither another result nor a later call.  An empty coordinate
+    may be L.zero itself, the shared zero that nothing ever fills."""
+    before = copy.deepcopy(held)
+    first, second = call(), call()
+    assert held == before and L.zero == {}
+    own = [d for d in dicts(first) if d]
+    foreign = {id(d) for d in dicts(second) + dicts(held)}
+    assert len({id(d) for d in own}) == len(own) and not foreign & {id(d) for d in own}
+    want = copy.deepcopy(second)
+    for d in own:
+        d[-1] = L.base.one  # no packed key is negative
+    assert second == want and call() == want and held == before and L.zero == {}
+
+
 @pytest.mark.parametrize("R", [ZZ, QQ, GF(2), GF(3), Zmod(6)], ids=repr)
 def test_term_map_matches_naive_dense_evaluation(R):
     rng = random.Random(41)
@@ -126,6 +151,10 @@ def test_term_map_matches_naive_dense_evaluation(R):
             want = naive_value(R, L, terms, degree, out_dim, (x,) * degree)
             want = L.add(want, acc) if out_dim is None else [L.add(a, b) for a, b in zip(want, acc)]
             assert same(L, out_dim, f.value(x, L, acc), want)
+            owned = isinstance(L, PolyExt)
+            if owned:
+                check_owned(L, lambda: f.value(x, L), (x,))
+                check_owned(L, lambda: f.value(x, L, acc), (x, acc))
             if degree != 2:
                 continue
             polar = naive_polar(R, L, terms, out_dim, x, y)
@@ -137,11 +166,20 @@ def test_term_map_matches_naive_dense_evaluation(R):
             for j in range(n):
                 ej = [L.one if i == j else L.zero for i in range(n)]
                 assert same(L, out_dim, cols[j], naive_polar(R, L, terms, out_dim, x, ej))
+            # the acc path of polar_columns, which cubic.CubicData.u_matrix takes
+            cols_acc = [acc] * n
+            assert all(same(L, out_dim, got, L.add(acc, col) if out_dim is None else linalg.add_vec(L, acc, col))
+                       for got, col in zip(f.polar_columns(x, L, cols_acc), cols))
             # unsorted keys (a, b[, k]) are read bilinearly
             bterms = random_terms(R, rng, n, 2, out_dim, sort=False)
             b = linalg.TermMap(R, bterms, 2, out_dim)
             assert same(L, out_dim, b.bilinear(x, y, L), naive_value(R, L, bterms, 2, out_dim, (x, y)))
-    # both add_term branches ran, as far as the ring has such constants
+            if owned:
+                check_owned(L, lambda: b.bilinear(x, y, L), (x, y))
+                check_owned(L, lambda: b.bilinear(x, y, L, acc), (x, y, acc))
+                check_owned(L, lambda: f.polar(x, y, L, acc), (x, y, acc))
+                check_owned(L, lambda: f.polar_columns(x, L, cols_acc), (x, cols_acc))
+    # addmul ran with every sign of a constant the ring has: 1, -1 and a non-unit
     assert signs == {linalg.unit_sign(R, R.from_int(c)) for c in (1, -1, 2) if not R.is_zero(R.from_int(c))}
 
 
