@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .conic import NOT_INVERTIBLE, ConicAlgebra, ConicElement, build_conic, cartan_schouten
 from .extensions import lift_vec
-from .identities import CONIC_IDENTITIES, IdentitySpec, strict_identity_check
+from .identities import IdentitySpec, associator, strict_identity_check
 from .linalg import LinearMap, add_vec, basis, scale_vec, sub_vec, vec_eq
 from .quadforms import QuadraticForm
 from .scalars import QQ, ZZ
@@ -90,11 +90,7 @@ def composition_defect_formula(x, y):
     R = alg.ring
     u1, v1 = x.coords[: base.dim], x.coords[base.dim :]
     u2, v2 = y.coords[: base.dim], y.coords[base.dim :]
-    assoc = sub_vec(
-        R,
-        base.mul_vec(base.mul_vec(v2, u1), u2),
-        base.mul_vec(v2, base.mul_vec(u1, u2)),
-    )
+    assoc = associator(base, R, v2, u1, u2)
     val = R.neg(R.mul(alg.cd_mu, base.norm_bilin_payload(assoc, v1)))
     return R.scalar(val)
 
@@ -143,12 +139,11 @@ NORM_LAW = IdentitySpec("n'(f(x)) = n(x)", (2,), _norm_law, scalar=True)
 def nucleus_law(a):
     """[x, y, a], [x, a, y] and [a, x, y], stacked: they all vanish as a
     law iff the payload vector a lies in the nucleus."""
-    assoc = CONIC_IDENTITIES["associative"].evaluate
 
     def evaluate(alg, L, vs):
         x, y = vs
         a_l = lift_vec(L, a)
-        return assoc(alg, L, (x, y, a_l)) + assoc(alg, L, (x, a_l, y)) + assoc(alg, L, (a_l, x, y))
+        return associator(alg, L, x, y, a_l) + associator(alg, L, x, a_l, y) + associator(alg, L, a_l, x, y)
 
     return IdentitySpec("nucleus", (1, 1), evaluate)
 

@@ -178,6 +178,9 @@ def _run_count(args):
         report["params"]["coeff"] = args.coeff
         report["count"] = census_f2(coeff, what)
     elif target == "lattice-units":
+        if args.lattice not in zorders.NAMED_LATTICES:
+            known = ", ".join(sorted(zorders.NAMED_LATTICES))
+            raise ValueError(f"unknown lattice {args.lattice!r}; known lattices: {known}")
         lat = zorders.NAMED_LATTICES[args.lattice]()
         units = lat.enumerate_units()
         report["params"]["lattice"] = args.lattice
@@ -266,8 +269,7 @@ def _run_lattice(args):
     if args.action == "gram":
         report["gram"] = json.loads(lat.to_json())["gram"]
     elif args.action == "disc":
-        d = lat.disc
-        report["disc"] = str(d.numerator) if d.denominator == 1 else f"{d.numerator}/{d.denominator}"
+        report["disc"] = QQ.render(lat.disc)
     elif args.action == "closure":
         v = lat.closed_under_mul()
         report["verdict"] = "Holds" if v.holds else "Fails"

@@ -334,25 +334,13 @@ class CubicData:
             ]
             for i in range(n)
         ]
-        # verify idempotence, orthogonality and completeness
-        def check(A, B, expect_eq):
+        # verify idempotence and orthogonality: E_a E_b is E_a if a = b, else 0
+        for A, B in itertools.product((E2, E1, E0), repeat=2):
             prod = mat_mul(R, A, B)
-            target = A if expect_eq else None
             for i in range(n):
                 for j in range(n):
-                    want = target[i][j] if target is not None else R.zero
-                    if not R.eq(prod[i][j], want):
+                    if not R.eq(prod[i][j], A[i][j] if A is B else R.zero):
                         raise AssertionError("Peirce projections are inconsistent")
-
-        check(E2, E2, True)
-        check(E0, E0, True)
-        check(E1, E1, True)
-        check(E2, E0, False)
-        check(E0, E2, False)
-        check(E2, E1, False)
-        check(E1, E2, False)
-        check(E0, E1, False)
-        check(E1, E0, False)
         return E2, E1, E0
 
     def random_element(self, rng):
@@ -493,29 +481,22 @@ def hat_pointed(q, e):
     """Rank 1 + dim(q): N((r, u)) = r q(u), (a, u)# = (q(u), a conj(u)).
 
     (M, q, e) must be a pointed quadratic module: q(e) = 1.  Conjugation
-    is u -> Dq(e, u) e - u.
+    is PointedQuadraticJordan's, u -> Dq(u, e) e - u.
     """
     ring = q.ring
-    e = [ring.coerce(c) for c in e]
-    if not ring.eq(q.eval_payload(e), ring.one):
-        raise ValueError("base point must have q(e) = 1")
+    pointed = PointedQuadraticJordan(q, e)
     m = q.dim
-
-    def conj(L, u):
-        le = lift_vec(L, e)
-        t = q.bilin_payload(u, le, L)
-        return [L.sub(L.mul(t, c), a) for c, a in zip(le, u)]
 
     def sharp_fn(L, v):
         r, u = v[0], v[1:]
         qu = q.eval_payload(u, L)
-        cu = conj(L, u)
+        cu = pointed.conj_vec(u, L)
         return [qu] + [L.mul(r, c) for c in cu]
 
     def norm_fn(L, v):
         return L.mul(v[0], q.eval_payload(v[1:], L))
 
-    basepoint = [ring.one] + list(e)
+    basepoint = [ring.one] + pointed.e
     return build_cubic(ring, 1 + m, basepoint, sharp_fn, norm_fn, name="hat_pointed")
 
 
@@ -539,10 +520,12 @@ class PointedQuadraticJordan:
         if not q.ring.eq(q.eval_payload(self.e), q.ring.one):
             raise ValueError("base point must have q(e) = 1")
 
-    def conj_vec(self, x):
-        R = self.ring
-        t = self.q.bilin_payload(self.e, x)
-        return [R.sub(R.mul(t, c), a) for c, a in zip(self.e, x)]
+    def conj_vec(self, x, L=None):
+        """conj(x) = Dq(x, e) e - x, optionally over ring-like L."""
+        R = L if L is not None else self.ring
+        e = lift_vec(R, self.e)
+        t = self.q.bilin_payload(x, e, L)
+        return [R.sub(R.mul(t, c), a) for c, a in zip(e, x)]
 
     def u_op(self, x, y):
         R = self.ring

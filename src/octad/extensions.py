@@ -74,9 +74,6 @@ class DualExt(RingLike):
     def add(self, a, b):
         return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
 
-    def sub(self, a, b):
-        return (self.base.sub(a[0], b[0]), self.base.sub(a[1], b[1]))
-
     def neg(self, a):
         return (self.base.neg(a[0]), self.base.neg(a[1]))
 
@@ -160,6 +157,9 @@ class PolyExt(RingLike):
             yield idx, c
 
     def add(self, a, b):
+        """A new dict: b's terms merged into a copy of a, a sum that cancels
+        deleted.  sub is RingLike's add(a, neg(b)), so this is the one merge
+        loop of both."""
         if not a:
             return dict(b)
         if not b:
@@ -180,22 +180,6 @@ class PolyExt(RingLike):
     def neg(self, a):
         B = self.base
         return {e: B.neg(c) for e, c in a.items()}
-
-    def sub(self, a, b):
-        if not b:
-            return dict(a)
-        B = self.base
-        out = dict(a)
-        for e, c in b.items():
-            if e in out:
-                s = B.sub(out[e], c)
-                if B.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = B.neg(c)
-        return out
 
     def mul(self, a, b):
         return self.addmul(self.zero, a, b, self.base.one, 1)

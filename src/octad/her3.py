@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .cubic import build_cubic, verify_cubic_iso
+from .identities import associator
 from .scalars import GF
 
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -150,18 +151,17 @@ def associator_defect(x):
     sharp = data.element(data.sharp_vec(x.coords))
     M = matrix_mul(C, as_matrix(sharp), as_matrix(x))
     nx = data.norm_payload(x.coords)
-    # associator [u1, u2, u3] = (u1 u2) u3 - u1 (u2 u3)
-    a = C.mul(C.mul(us[0], us[1]), us[2]) - C.mul(us[0], C.mul(us[1], us[2]))
+    a = associator(C, R, *(u.coords for u in us))
     ggg = R.mul(R.mul(g[0], g[1]), g[2])
     expected_diag = C.element(
-        [R.add(R.mul(nx, e), R.mul(ggg, c)) for e, c in zip(C.unit, a.coords)]
+        [R.add(R.mul(nx, e), R.mul(ggg, c)) for e, c in zip(C.unit, a)]
     )
     for i in range(3):
         for j in range(3):
             want = expected_diag if i == j else C.zero()
             if M[i][j] != want:
                 raise AssertionError("matrix identity for x# x failed")
-    return C.element([R.mul(ggg, c) for c in a.coords])
+    return C.element([R.mul(ggg, c) for c in a])
 
 
 def census_f2(C, what):

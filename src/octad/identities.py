@@ -227,6 +227,18 @@ def _mul(alg, L, x, y):
     return alg.mul_vec(x, y, L)
 
 
+def associator(alg, L, x, y, z):
+    """[x, y, z] = (xy)z - x(yz) over the ring-like L.  The catalog's
+    flexible, left- and right-alternative and associative laws are its
+    vanishing at [x, y, x], [x, x, y], [y, x, x] and [x, y, z]."""
+    return sub_vec(L, _mul(alg, L, _mul(alg, L, x, y), z), _mul(alg, L, x, _mul(alg, L, y, z)))
+
+
+def _associator_law(a, b, c):
+    """The evaluator of [v_a, v_b, v_c] for the variables v_0, v_1, v_2."""
+    return lambda alg, L, vs: associator(alg, L, vs[a], vs[b], vs[c])
+
+
 def _degree2(alg, L, vs):
     (x,) = vs
     sq = _mul(alg, L, x, x)
@@ -234,21 +246,6 @@ def _degree2(alg, L, vs):
     nx = alg.norm_payload(x, L)
     out = sub_vec(L, sq, scale_vec(L, t, x))
     return add_vec(L, out, scale_vec(L, nx, lift_vec(L, alg.unit)))
-
-
-def _flexible(alg, L, vs):
-    x, y = vs
-    return sub_vec(L, _mul(alg, L, _mul(alg, L, x, y), x), _mul(alg, L, x, _mul(alg, L, y, x)))
-
-
-def _left_alt(alg, L, vs):
-    x, y = vs
-    return sub_vec(L, _mul(alg, L, x, _mul(alg, L, x, y)), _mul(alg, L, _mul(alg, L, x, x), y))
-
-
-def _right_alt(alg, L, vs):
-    x, y = vs
-    return sub_vec(L, _mul(alg, L, _mul(alg, L, y, x), x), _mul(alg, L, y, _mul(alg, L, x, x)))
 
 
 def _moufang_left(alg, L, vs):
@@ -299,11 +296,6 @@ def _norm_assoc(alg, L, vs):
     return L.sub(lhs, rhs)
 
 
-def _associative(alg, L, vs):
-    x, y, z = vs
-    return sub_vec(L, _mul(alg, L, _mul(alg, L, x, y), z), _mul(alg, L, x, _mul(alg, L, y, z)))
-
-
 def _commutative(alg, L, vs):
     x, y = vs
     return sub_vec(L, _mul(alg, L, x, y), _mul(alg, L, y, x))
@@ -318,9 +310,9 @@ def _conj_antihom(alg, L, vs):
 
 CONIC_IDENTITIES = {
     "degree2": IdentitySpec("degree2", (2,), _degree2),
-    "flexible": IdentitySpec("flexible", (2, 1), _flexible),
-    "left-alternative": IdentitySpec("left-alternative", (2, 1), _left_alt),
-    "right-alternative": IdentitySpec("right-alternative", (2, 1), _right_alt),
+    "flexible": IdentitySpec("flexible", (2, 1), _associator_law(0, 1, 0)),
+    "left-alternative": IdentitySpec("left-alternative", (2, 1), _associator_law(0, 0, 1)),
+    "right-alternative": IdentitySpec("right-alternative", (2, 1), _associator_law(1, 0, 0)),
     "moufang-left": IdentitySpec("moufang-left", (2, 1, 1), _moufang_left),
     "moufang-middle": IdentitySpec("moufang-middle", (2, 1, 1), _moufang_middle),
     "moufang-right": IdentitySpec("moufang-right", (2, 1, 1), _moufang_right),
@@ -328,7 +320,7 @@ CONIC_IDENTITIES = {
     "kirmse-left": IdentitySpec("kirmse-left", (2, 1), _kirmse_left),
     "norm-comp": IdentitySpec("norm-comp", (2, 2), _norm_comp, scalar=True),
     "norm-assoc": IdentitySpec("norm-assoc", (1, 1, 1), _norm_assoc, scalar=True),
-    "associative": IdentitySpec("associative", (1, 1, 1), _associative),
+    "associative": IdentitySpec("associative", (1, 1, 1), _associator_law(0, 1, 2)),
     "commutative": IdentitySpec("commutative", (1, 1), _commutative),
     "conj-antihom": IdentitySpec("conj-antihom", (1, 1), _conj_antihom),
 }

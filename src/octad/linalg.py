@@ -271,10 +271,6 @@ class LinearMap:
 # -- matrices ----------------------------------------------------------------------
 
 
-def identity(R, n):
-    return [[R.one if i == j else R.zero for j in range(n)] for i in range(n)]
-
-
 def mat_mul(R, A, B):
     n, m, p = len(A), len(B), len(B[0])
     return [

@@ -187,9 +187,6 @@ class Ring(RingLike):
         same state; rings with int payloads draw them in bulk."""
         return [self.rand(rng) for _ in range(count)]
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def scalar(self, value):
         """Coerce value (int, Fraction, payload, Scalar) to a Scalar here."""
         return Scalar(self, self.coerce(value))

@@ -98,21 +98,8 @@ def mat3(ring):
         return out
 
     def norm_fn(L, v):
-        def m(i, j):
-            return v[idx(i, j)]
-
-        acc = L.zero
-        for (a, b, c), sign in (
-            ((0, 1, 2), 1),
-            ((1, 2, 0), 1),
-            ((2, 0, 1), 1),
-            ((0, 2, 1), -1),
-            ((1, 0, 2), -1),
-            ((2, 1, 0), -1),
-        ):
-            term = L.mul(L.mul(m(0, a), m(1, b)), m(2, c))
-            acc = L.add(acc, term) if sign > 0 else L.sub(acc, term)
-        return acc
+        # cofactor expansion along row 0: det M = sum_j M_0j adj(M)_j0
+        return L.dot(v[:3], sharp_fn(L, v)[::3])
 
     basepoint = [ring.one if i in (0, 4, 8) else ring.zero for i in range(9)]
     data = build_cubic(ring, 9, basepoint, sharp_fn, norm_fn, name="mat3")

@@ -137,15 +137,12 @@ class ZLattice:
 
     # -- serialization ---------------------------------------------------------------
     def to_json(self):
-        def frac(x):
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
         return json.dumps(
             {
                 "ambient_dim": self.ambient.dim,
-                "basis": [[frac(c) for c in row] for row in self.basis],
-                "gram": [[frac(c) for c in row] for row in self.gram],
-                "disc": frac(self.disc),
+                "basis": [[QQ.render(c) for c in row] for row in self.basis],
+                "gram": [[QQ.render(c) for c in row] for row in self.gram],
+                "disc": QQ.render(self.disc),
                 "integral": self.integral,
             },
             sort_keys=True,

@@ -227,6 +227,10 @@ NAMED_ERRORS = {
     ("identities", "her3(Z,x)", "axioms"): "error: parameter 'x' is not a rational number",
     ("identities", "cay(Q;x)", "moufang"): "error: parameter 'x' is not a rational number",
     ("lattice", "member", "hurwitz", "x", "0", "0", "0"): "error: coordinate 'x' is not a rational number",
+    # an unknown lattice name is named together with the known ones
+    ("count", "lattice-units", "--lattice", "nosuch", "--json"): (
+        "error: unknown lattice 'nosuch'; known lattices: dico, gaussian, hurwitz, kirmse"
+    ),
 }
 
 

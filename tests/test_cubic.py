@@ -22,6 +22,7 @@ from octad.cubic import (
     validate_axioms,
     verify_cubic_iso,
 )
+from octad.extensions import PolyExt
 from octad.her3 import her3
 from octad.identities import sampled_identity_check
 from octad.linalg import add_vec, sub_vec, vec_eq
@@ -187,6 +188,21 @@ def test_pointed_quadratic_jordan():
     inv = J.try_inverse(x)
     assert J.u_op(x, inv) == x
     assert J.try_inverse([Fraction(1), Fraction(0)]) is NOT_INVERTIBLE
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, GF(2), Zmod(6)], ids=repr)
+def test_pointed_conjugation_over_polyext_matches_the_base_ring(R):
+    """conj_vec at the generic element over PolyExt, a linear polynomial per
+    coordinate, takes at seeded points the value conj_vec has over R."""
+    q = QuadraticForm(R, 3, {(0, 0): 1, (0, 1): 2, (1, 2): -1, (2, 2): 3})
+    J = PointedQuadraticJordan(q, [1, 0, 0])
+    L = PolyExt(R, 3, 1)
+    generic = J.conj_vec([L.var(i) for i in range(3)], L)
+    rng = random.Random(20241020)
+    for _ in range(20):
+        x = R.rand_vec(rng, 3)
+        at_x = [R.sum(R.mul(c, x[i]) for (i,), c in L.terms(poly, 1, "conj")) for poly in generic]
+        assert at_x == J.conj_vec(x)
 
 
 def test_validate_axioms_strict_small():

@@ -3,6 +3,7 @@ extensions, against a naive truncated product keyed by exponent
 tuples; every fast addmul against RingLike's default."""
 
 import copy
+import itertools
 import random
 from fractions import Fraction
 
@@ -122,6 +123,40 @@ def test_zero_divisors_cancel_over_z6():
     assert L.add(pack(L, {(0, 0): 2}), pack(L, {(0, 0): 4})) == {}
     assert L.mul(pack(L, {(0, 0): 2}), pack(L, {(0, 0): 3})) == {}
     assert L.from_int(6) == {} and L.is_zero(L.from_int(12))
+
+
+@pytest.mark.parametrize("R", [ZZ, GF(2), Zmod(6), QQ], ids=repr)
+def test_polyext_add_and_sub_match_the_model_without_mutating(R):
+    """add and sub share one merge loop: each equals the exponent-tuple
+    model, with empty operands on either side and sums that cancel to
+    zero, returns a new dict and leaves both arguments unchanged."""
+    rng = random.Random(20241020)
+    L = PolyExt(R, 3, 3)
+    for _ in range(100):
+        raw = [random_poly(R, rng, 3, 3) for _ in range(2)]
+        raw.append({e: R.neg(c) for e, c in raw[0].items()})  # cancels raw[0]
+        raw.append({})
+        for a, b in itertools.product(raw, repeat=2):
+            pa, pb = pack(L, a), pack(L, b)
+            held = copy.deepcopy((pa, pb))
+            for op, sign in ((L.add, 1), (L.sub, -1)):
+                got = op(pa, pb)
+                assert unpack(L, got) == naive_add(R, a, b, sign)
+                assert not any(R.is_zero(c) for c in got.values())
+                assert got is not pa and got is not pb and got is not L.zero
+                assert (pa, pb) == held
+    assert L.zero == {}
+
+
+def test_polyext_add_and_sub_cancel_zero_divisors_over_z6():
+    R = Zmod(6)
+    L = PolyExt(R, 2, 2)
+    a = pack(L, {(1, 0): 2, (0, 1): 3, (1, 1): 1})
+    assert unpack(L, L.add(a, pack(L, {(1, 0): 4, (0, 1): 3}))) == {(1, 1): 1}
+    assert unpack(L, L.sub(a, pack(L, {(1, 0): 2, (1, 1): 1}))) == {(0, 1): 3}
+    assert L.add(a, L.neg(a)) == {} and L.sub(a, a) == {}
+    assert unpack(L, L.sub({}, a)) == {(1, 0): 4, (0, 1): 3, (1, 1): 5}
+    assert L.add({}, {}) == {} and L.sub({}, {}) == {}
 
 
 RING_LIKES = [DualExt(ZZ), DualExt(Zmod(6)), PolyExt(GF(3), 2, 3)]

@@ -1,10 +1,13 @@
 """The strict checker decides polynomial-law vanishing, not set-map vanishing."""
 
+import random
+
 import pytest
 
 from octad.cayley import octonions, quaternions, sedenions
 from octad.conic import cartan_schouten, split_etale
 from octad.identities import (
+    CONIC_IDENTITIES,
     DEFAULT_SEED,
     PRESAMPLES,
     CostGuardError,
@@ -16,6 +19,7 @@ from octad.identities import (
     strict_identity_check,
 )
 from octad.extensions import PolyExt
+from octad.linalg import TermMap, sub_vec
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
 from octad.zorn import zorn_algebra
 from reference_paths import exponents, sampled_identity_check_by_coordinates
@@ -189,3 +193,86 @@ def test_sampled_check_draws_the_stream_of_one_rand_per_coordinate(ring):
             assert v.to_dict() == want.to_dict()
             trials.append(v.details["trial"])
     assert max(trials) > 0
+
+
+# -- the associator laws against their explicit formulas ----------------------------
+
+
+def _m(alg, L, x, y):
+    return alg.mul_vec(x, y, L)
+
+
+def _flexible(alg, L, vs):
+    x, y = vs
+    return sub_vec(L, _m(alg, L, _m(alg, L, x, y), x), _m(alg, L, x, _m(alg, L, y, x)))
+
+
+def _left_alternative(alg, L, vs):
+    x, y = vs
+    return sub_vec(L, _m(alg, L, x, _m(alg, L, x, y)), _m(alg, L, _m(alg, L, x, x), y))
+
+
+def _right_alternative(alg, L, vs):
+    x, y = vs
+    return sub_vec(L, _m(alg, L, _m(alg, L, y, x), x), _m(alg, L, y, _m(alg, L, x, x)))
+
+
+def _associative(alg, L, vs):
+    x, y, z = vs
+    return sub_vec(L, _m(alg, L, _m(alg, L, x, y), z), _m(alg, L, x, _m(alg, L, y, z)))
+
+
+EXPLICIT_LAWS = {
+    "flexible": IdentitySpec("flexible", (2, 1), _flexible),
+    "left-alternative": IdentitySpec("left-alternative", (2, 1), _left_alternative),
+    "right-alternative": IdentitySpec("right-alternative", (2, 1), _right_alternative),
+    "associative": IdentitySpec("associative", (1, 1, 1), _associative),
+}
+
+
+class TableAlgebra:
+    """A bare algebra given by its structure constants {(a, b, k): c}."""
+
+    def __init__(self, ring, dim, products):
+        self.ring, self.dim = ring, dim
+        self._product = TermMap(ring, products, 2, dim)
+
+    def mul_vec(self, x, y, L=None):
+        return self._product.bilinear(x, y, L)
+
+
+def _random_table_algebra(ring, dim, seed):
+    rng = random.Random(seed)
+    products = {(a, b, k): rng.choice((-1, 0, 0, 1, 2)) for a in range(dim) for b in range(dim) for k in range(dim)}
+    return TableAlgebra(ring, dim, products)
+
+
+# name -> (an algebra where the law holds, one where it fails)
+ASSOCIATOR_CASES = {
+    "flexible": (lambda: sedenions(QQ), lambda: _random_table_algebra(ZZ, 3, 11)),
+    "left-alternative": (lambda: octonions(QQ), lambda: sedenions(QQ)),
+    "right-alternative": (lambda: cartan_schouten(Zmod(6)), lambda: sedenions(QQ)),
+    "associative": (lambda: quaternions(QQ), lambda: octonions(QQ)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSOCIATOR_CASES))
+def test_associator_laws_match_their_explicit_formulas(name):
+    """Each law is one associator: the same strict verdict and witness as
+    its written-out formula where it holds and where it fails."""
+    holds, fails = (make() for make in ASSOCIATOR_CASES[name])
+    for alg, want in ((holds, True), (fails, False)):
+        v = strict_identity_check(alg, CONIC_IDENTITIES[name])
+        ref = strict_identity_check(alg, EXPLICIT_LAWS[name])
+        assert (v.holds, v.witness) == (ref.holds, ref.witness)
+        assert v.holds is want
+        assert v.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("name", ["flexible", "left-alternative"])
+def test_sampled_associator_failure_matches_the_explicit_formula(name):
+    alg = _random_table_algebra(ZZ, 3, 11) if name == "flexible" else sedenions(QQ)
+    v = sampled_identity_check(alg, CONIC_IDENTITIES[name], seed=5)
+    ref = sampled_identity_check(alg, EXPLICIT_LAWS[name], seed=5)
+    assert not v.holds and v.mode == "sampled"
+    assert v.to_dict() == ref.to_dict()

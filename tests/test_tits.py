@@ -7,11 +7,12 @@ from octad.cubic import (
     CUBIC_IDENTITIES,
     CubicData,
     adjoint_identity_strict,
+    build_cubic,
     fundamental_formula_samples,
     validate_axioms,
 )
 from octad.identities import strict_identity_check
-from octad.scalars import GF, QQ, ZZ
+from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import (
     CubicAssocInput,
     char3_nilpotence_demo,
@@ -32,6 +33,32 @@ def test_tits_over_ground_ring_norm():
         n = J.norm(J.element([a, b, c]))
         assert n == ZZ.scalar(a**3 + b**3 + c**3 - 3 * a * b * c)
     assert J.norm(J.element([1, 1, 1])) == ZZ.scalar(0)
+
+
+def _six_term_det(L, v):
+    """det of the 3x3 matrix v (row major) as the sum over the six permutations."""
+    acc = L.zero
+    for (a, b, c), sign in (
+        ((0, 1, 2), 1),
+        ((1, 2, 0), 1),
+        ((2, 0, 1), 1),
+        ((0, 2, 1), -1),
+        ((1, 0, 2), -1),
+        ((2, 1, 0), -1),
+    ):
+        term = L.mul(L.mul(v[a], v[3 + b]), v[6 + c])
+        acc = L.add(acc, term) if sign > 0 else L.sub(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("R", [ZZ, GF(2), GF(3), Zmod(6), QQ], ids=repr)
+def test_mat3_norm_terms_are_the_six_term_determinant(R):
+    """mat3's norm, the cofactor expansion of its adjoint, has the stored
+    terms of the permutation sum, both read through build_cubic."""
+    data = mat3(R).data
+    ref = build_cubic(R, 9, data.basepoint, lambda L, v: data.sharp_vec(v, L), _six_term_det, name="det")
+    assert list(data.norm_terms.items()) == list(ref.norm_terms.items())
+    assert len(data.norm_terms) == 6
 
 
 def test_tits_basepoint():
