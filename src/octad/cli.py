@@ -1,9 +1,15 @@
 """octad: command-line front end.
 
 Subcommands: identities, count, table, lattice.  Exit codes: 0 for
-success/Holds, 2 for a verified Fails, 1 for usage or cost-guard errors.
-Reports are deterministic for a fixed command and seed (the millis field
-necessarily varies run to run).
+success/Holds, 2 for a verified Fails, 1 for usage or cost-guard errors,
+each reported as one line on stderr.  Reports are deterministic for a
+fixed command and seed (the millis field necessarily varies run to run).
+
+Calls of main in one process share the argument parser, the named
+lattices and the structure of each algebra spec: parse_algebra builds and
+validates a spec once, and every check, sample and witness is computed
+again on every call.  So the millis of a repeated spec no longer include
+the construction.
 """
 
 from __future__ import annotations
@@ -35,9 +41,13 @@ def _parse_ring(text):
     return GF(int(m[2])) if m[1] == "F" else Zmod(int(m[2]))
 
 
+@cache
 def parse_algebra(spec):
     """Mini-grammar: cay(ring; mu, ...), zorn(ring), cs-octonions,
-    her3(coeff, gamma-list), tits(mat3(ring), mu)."""
+    her3(coeff, gamma-list), tits(mat3(ring), mu).
+
+    Built once per spec and process: no structure is changed after it is
+    built.  A refused spec raises again on every call."""
     spec = spec.strip()
     if spec == "cs-octonions":
         return conic.cartan_schouten(QQ)
@@ -320,6 +330,15 @@ def _emit(report, as_json):
             print(f"{k}: {v}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, which main
+    prints as one error line, instead of printing the usage and exiting 2;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @cache
 def build_parser():
     """The process's one parser: it keeps no per-call state."""
@@ -331,7 +350,7 @@ def build_parser():
         help="seed for sampled checks (env OCTAD_SEED overrides the default)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="octad",
         description="exact composition algebras, integral lattices and cubic Jordan algebras",
     )
@@ -381,12 +400,11 @@ def _default_seed():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
         if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
+    except SystemExit:  # only --help exits, after printing the help
+        return 0
     except CostGuardError as exc:
         print(f"cost guard: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .cubic import build_cubic, verify_cubic_iso
-from .identities import associator
+from .identities import CostGuardError, associator
 from .scalars import GF
 
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -174,7 +174,7 @@ def census_f2(C, what):
         raise ValueError("census requires coefficients over GF(2)")
     n = data.dim
     if n > 12:
-        raise ValueError("cost guard: dimension must be <= 12")
+        raise CostGuardError("dimension must be <= 12")
     count = 0
     for bits in itertools.product((0, 1), repeat=n):
         x = data.element(list(bits))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .conic import build_conic
-from .identities import Verdict
+from .identities import CostGuardError, Verdict
 from .scalars import GF
 
 
@@ -214,7 +214,7 @@ def count_field(p, what):
     Cost guard: p <= 7.
     """
     if p > 7:
-        raise ValueError("cost guard: p must be <= 7")
+        raise CostGuardError("p must be <= 7")
     GF(p)  # rejects a composite p
     if what not in _CENSUS:
         raise ValueError(f"unknown census {what!r}")

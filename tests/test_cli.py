@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octad import cli
+from octad import cli, identities
 from octad.cli import main, parse_algebra
 from octad.identities import DEFAULT_SEED
 
@@ -152,9 +153,9 @@ REUSED_PARSER_CALLS = [
 MILLIS = re.compile(r'(?<="millis": )\d+|(?<=millis: )\d+|\d+(?= ms\])')
 
 
-def _run_calls(capsys, monkeypatch):
+def _run_calls(capsys, monkeypatch, calls=REUSED_PARSER_CALLS):
     results = []
-    for env, argv in REUSED_PARSER_CALLS:
+    for env, argv in calls:
         if env is None:
             monkeypatch.delenv("OCTAD_SEED", raising=False)
         else:
@@ -189,6 +190,73 @@ def test_parse_algebra_specs():
     assert parse_algebra("tits(mat3(Z),1)").dim == 27
     with pytest.raises(ValueError):
         parse_algebra("cay(Q)")
+
+
+def test_parse_algebra_builds_each_spec_once():
+    for spec in ("cay(Q;-1,-1)", "zorn(F3)", "cs-octonions", "her3(f2)", "tits(mat3(Z),1)"):
+        assert parse_algebra(spec) is parse_algebra(spec)
+
+
+def test_refused_spec_is_refused_on_every_call():
+    size = parse_algebra.cache_info().currsize
+    for spec, message in (("cay(Z/6;2)", "mu must be a unit"), ("cay(Q)", "cay() needs at least one parameter")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_algebra(spec)
+    assert parse_algebra.cache_info().currsize == size
+
+
+# one request per constructor family: strict, sampled, Fails and refused checks
+CACHED_SPEC_CALLS = [
+    ("identities", "cay(Q;-1,-1)", "alternative", "--json"),
+    ("identities", "cay(Z;-1,-1,-1)", "moufang", "--mode", "sampled", "--json"),
+    ("identities", "cay(Q;-1,-1,-1,-1)", "norm-comp", "--json"),
+    ("identities", "cay(Q;-1,-1,-1)", "associative", "--mode", "sampled", "--json"),
+    ("identities", "zorn(F3)", "moufang", "--json"),
+    ("identities", "zorn(Z/6)", "alternative", "--mode", "sampled", "--json"),
+    ("identities", "cs-octonions", "kirmse", "--json"),
+    ("identities", "her3(f2)", "axioms", "--json"),
+    ("identities", "her3(Z/6)", "axioms", "--mode", "sampled", "--json"),
+    ("identities", "her3(zorn(Z),1)", "adjoint", "--json"),
+    ("identities", "tits(mat3(F2),1)", "adjoint", "--json"),
+    ("identities", "tits(mat3(Z/6),1)", "adjoint", "--json"),  # cost guard, exit 1
+    ("table", "cs-octonions"),
+    ("table", "tits(mat3(Z),1)", "--json"),
+]
+
+
+def test_cached_structures_answer_like_fresh_ones(capsys, monkeypatch):
+    calls = [(None, argv) for argv in CACHED_SPEC_CALLS]
+    first = _run_calls(capsys, monkeypatch, calls)
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert _run_calls(capsys, monkeypatch, calls) == first
+    # the same calls, each on a newly built structure
+    monkeypatch.setattr(cli, "parse_algebra", cli.parse_algebra.__wrapped__)
+    assert _run_calls(capsys, monkeypatch, calls) == first
+
+
+STRUCTURE_FIELDS = ("products", "sharp_terms", "norm_terms", "unit", "basepoint")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cay(Q;-1,-1,-1)", "zorn(Z/6)", "cs-octonions", "her3(Z/6)", "her3(Q,1/2)", "tits(mat3(F2),1)"],
+)
+def test_checks_leave_a_cached_structure_unchanged(capsys, spec):
+    alg = parse_algebra(spec)
+    fields = [name for name in STRUCTURE_FIELDS if hasattr(alg, name)]
+    before = copy.deepcopy({name: getattr(alg, name) for name in fields})
+    if spec.startswith(("her3", "tits")):
+        suites = sorted(cli.CUBIC_SUITES)
+    else:
+        suites = [*identities.SUITES, *identities.CONIC_IDENTITIES]
+    for suite in suites:
+        for mode in ("strict", "sampled"):
+            assert main(["identities", spec, suite, "--mode", mode, "--json"]) in (0, 2)
+    main(["table", spec, "--json"])
+    capsys.readouterr()
+    assert parse_algebra(spec) is alg
+    assert {name: getattr(alg, name) for name in fields} == before
 
 
 def test_identities_her3_single_gamma_form(capsys):
@@ -231,6 +299,15 @@ NAMED_ERRORS = {
     ("count", "lattice-units", "--lattice", "nosuch", "--json"): (
         "error: unknown lattice 'nosuch'; known lattices: dico, gaussian, hurwitz, kirmse"
     ),
+    # a usage error names the subcommand, without the usage block
+    ("lattice", "disc", "nosuch", "--json"): "error: octad lattice: argument name: invalid choice: 'nosuch'",
+    ("count", "zorn-units", "--p", "Z/6"): "error: octad count: argument --p: invalid int value: 'Z/6'",
+    ("identities", "cay(Q;-1)", "flexible", "--seed", "abc"): (
+        "error: octad identities: argument --seed: invalid int value: 'abc'"
+    ),
+    # the censuses' cost guards read like the identity checker's
+    ("count", "zorn-units", "--p", "11"): "cost guard: p must be <= 7",
+    ("count", "her3-elid", "--coeff", "zorn(F2)"): "cost guard: dimension must be <= 12",
 }
 
 
@@ -386,13 +463,17 @@ def cli_argv(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(cli_argv())
 def test_cli_fuzz_exits_cleanly(argv):
-    """Any input answers or exits with a usage or one-line error: exit code
-    0, 1 or 2, no exception escapes main and no traceback is printed."""
+    """Any input answers or exits with a one-line error: exit code 0, 1 or
+    2, no exception escapes main, and exit 1 prints exactly one line, an
+    error or a cost guard, on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("error:", "cost guard:"))
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
