@@ -6,6 +6,8 @@ checker decides: f(xy) = f(x)f(y), n'(f(x)) = n(x) and the nucleus.
 
 from __future__ import annotations
 
+import functools
+
 from .conic import NOT_INVERTIBLE, ConicAlgebra, ConicElement, build_conic, cartan_schouten
 from .extensions import lift_vec
 from .identities import IdentitySpec, associator, strict_identity_check
@@ -14,12 +16,14 @@ from .quadforms import QuadraticForm
 from .scalars import QQ, ZZ
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def ground_algebra(ring):
     """The ring itself as a rank-1 conic algebra with norm x^2."""
     norm = QuadraticForm(ring, 1, {(0, 0): ring.one})
     return ConicAlgebra(ring, 1, {(0, 0, 0): ring.one}, [ring.one], norm, name="ground")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def cayley_dickson(base, mu):
     """Cay(B, mu) on coordinates (u, v) ~ u + v*j, read by build_conic from
     one evaluation of these formulas at the generic element:

@@ -9,7 +9,10 @@ Calls of main in one process share the argument parser, the named
 lattices and the structure of each algebra spec: parse_algebra builds and
 validates a spec once, and every check, sample and witness is computed
 again on every call.  So the millis of a repeated spec no longer include
-the construction.
+the construction.  The library constructors that parse_algebra and the
+censuses call (ground_algebra, cayley_dickson, split_etale,
+cartan_schouten, zorn_algebra, her3, mat3, tits, ...) are built once per
+process as well, so two specs with the same coefficient algebra share it.
 """
 
 from __future__ import annotations
@@ -46,8 +49,10 @@ def parse_algebra(spec):
     """Mini-grammar: cay(ring; mu, ...), zorn(ring), cs-octonions,
     her3(coeff, gamma-list), tits(mat3(ring), mu).
 
-    Built once per spec and process: no structure is changed after it is
-    built.  A refused spec raises again on every call."""
+    Built once per spec and process, from constructors that are built
+    once per argument and process: no structure is changed after it is
+    built, and checks run on every call.  A refused spec raises again on
+    every call."""
     spec = spec.strip()
     if spec == "cs-octonions":
         return conic.cartan_schouten(QQ)
@@ -379,7 +384,8 @@ def build_parser():
     p_lat = sub.add_parser("lattice", parents=[common], help="lattice audits")
     p_lat.add_argument("action", choices=("gram", "disc", "closure", "units", "member", "export"))
     p_lat.add_argument("name", choices=sorted(zorders.NAMED_LATTICES))
-    p_lat.add_argument("coords", nargs="*", help="coordinates for the member action")
+    # a default makes argparse stop listing coords among the required arguments
+    p_lat.add_argument("coords", nargs="*", default=[], help="coordinates for the member action")
     p_lat.add_argument("--file", help="read the lattice from an exported JSON file")
     p_lat.set_defaults(func=_run_lattice)
     # argparse reads an argument as a positional only if it looks like a

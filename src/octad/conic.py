@@ -10,6 +10,7 @@ cubic.build_cubic.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .extensions import PolyExt, lift_vec
@@ -245,6 +246,7 @@ def build_conic(ring, dim, unit, mul_fn, norm_fn, name="conic"):
 # -- constructors ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def split_etale(ring):
     """k x k with componentwise product and hyperbolic norm."""
     products = {(0, 0, 0): ring.one, (1, 1, 1): ring.one}
@@ -252,6 +254,7 @@ def split_etale(ring):
     return ConicAlgebra(ring, 2, products, [ring.one, ring.one], norm, name="split_etale")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def quadratic(ring, alpha, beta):
     """k[t]/(t^2 - alpha t + beta) on basis (1, t)."""
     a = ring.coerce(alpha)
@@ -287,6 +290,7 @@ def _cs_product_rules():
     return rules
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def cartan_schouten(ring):
     """Octonions on the orthonormal basis (1, u_1..u_7), Fano-plane table."""
     one, minus = ring.one, ring.neg(ring.one)

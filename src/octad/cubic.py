@@ -441,6 +441,7 @@ def build_cubic(ring, dim, basepoint, sharp_fn, norm_fn, name="cubic"):
 # -- constructors ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def k_cubic(ring):
     """Rank 1: sharp is squaring, the norm is the cube."""
 
@@ -453,6 +454,7 @@ def k_cubic(ring):
     return build_cubic(ring, 1, [ring.one], sharp_fn, norm_fn, name="k_cubic")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def split_cubic_etale(ring):
     """k^3 with componentwise complementary-product adjoint and product norm."""
 
@@ -465,6 +467,7 @@ def split_cubic_etale(ring):
     return build_cubic(ring, 3, [ring.one] * 3, sharp_fn, norm_fn, name="split_cubic_etale")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def kk_cubic(ring):
     """Rank 2 with norm x1 x2^2 and adjoint (x2^2, x1 x2)."""
 
@@ -500,6 +503,7 @@ def hat_pointed(q, e):
     return build_cubic(ring, 1 + m, basepoint, sharp_fn, norm_fn, name="hat_pointed")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def hat_of_conic(C):
     """The hat construction over a conic algebra's norm and unit."""
     return hat_pointed(C.norm, C.unit)

@@ -13,6 +13,7 @@ hermitian matrix with diagonal xi_i and, for each cyclic triple (i j l),
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .cubic import build_cubic, verify_cubic_iso
@@ -23,11 +24,14 @@ _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 class Gamma:
+    """The diagonal twist diag(gamma_1, gamma_2, gamma_3) of units; equal
+    by value, so that equal twists share one cached her3 structure."""
+
     def __init__(self, ring, entries):
         if len(entries) != 3:
             raise ValueError("Gamma needs three entries")
         self.ring = ring
-        self.entries = [ring.coerce(e) for e in entries]
+        self.entries = tuple(ring.coerce(e) for e in entries)
         for e in self.entries:
             if ring.inv(e) is None:
                 raise ValueError("Gamma entries must be units")
@@ -35,10 +39,17 @@ class Gamma:
     def __getitem__(self, i):
         return self.entries[i]
 
+    def __eq__(self, other):
+        return isinstance(other, Gamma) and (other.ring, other.entries) == (self.ring, self.entries)
+
+    def __hash__(self):
+        return hash((self.ring, self.entries))
+
     def __repr__(self):
         return "diag(" + ", ".join(self.ring.render(e) for e in self.entries) + ")"
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def her3(C, gamma=None, validate=True):
     """Her_3(C, Gamma) as a CubicData instance.
 
@@ -167,14 +178,15 @@ def associator_defect(x):
 def census_f2(C, what):
     """Exhaustive rank-1 / elementary-idempotent counts over GF(2).
 
-    Cost guard: total dimension at most 12.
+    Cost guard: total dimension 3 + 3 dim(C) at most 12, decided before
+    her3(C) is built.
     """
-    data = her3(C)
-    if data.ring != GF(2):
+    if C.ring != GF(2):
         raise ValueError("census requires coefficients over GF(2)")
-    n = data.dim
+    n = 3 + 3 * C.dim
     if n > 12:
         raise CostGuardError("dimension must be <= 12")
+    data = her3(C)
     count = 0
     for bits in itertools.product((0, 1), repeat=n):
         x = data.element(list(bits))

@@ -15,6 +15,7 @@ agrees with the multiplication trace, T(x, y) = T(xy).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .conic import UNIT_LAW, ConicAlgebra
@@ -67,12 +68,14 @@ ADJOINT_LAW = IdentitySpec("adjoint-compat", (3,), _adjoint_law)
 TRACE_LAW = IdentitySpec("trace-compat", (1, 1), _trace_law, scalar=True)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def k_assoc(ring):
     """The ring itself as associative cubic input (norm = cube)."""
     data = k_cubic(ring)
     return CubicAssocInput(data, {(0, 0, 0): ring.one}, name="k_assoc")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def mat3(ring):
     """Mat_3(k) with determinant norm and classical-adjoint sharp."""
     n = 9
@@ -108,6 +111,7 @@ def mat3(ring):
     return CubicAssocInput(data, products, name="mat3")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def tits(A, mu):
     """J(A, mu) on A^3; mu must be a unit."""
     R = A.ring

@@ -16,6 +16,7 @@ basis E, 1-E, X_i, E X_i through conic.build_conic.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .conic import build_conic
@@ -156,6 +157,7 @@ def _to_coords(R, z):
     return [z.a1, z.a2, x1, x2, x3, R.sub(R.neg(t1), x1), R.sub(R.neg(t2), x2), R.sub(t3, x3)]
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def zorn_algebra(ring):
     """Zorn(k) as an 8-dimensional conic algebra, read by build_conic from
     one evaluation of the Zorn product and norm at the generic element."""

@@ -1,5 +1,5 @@
 import contextlib
-import copy
+import importlib
 import io
 import json
 import re
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from octad import cli, identities
 from octad.cli import main, parse_algebra
 from octad.identities import DEFAULT_SEED
+from test_constructor_cache import structure_state, uncached_constructors
 
 
 def run(capsys, *argv):
@@ -230,12 +231,10 @@ def test_cached_structures_answer_like_fresh_ones(capsys, monkeypatch):
     first = _run_calls(capsys, monkeypatch, calls)
     assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
     assert _run_calls(capsys, monkeypatch, calls) == first
-    # the same calls, each on a newly built structure
+    # the same calls, each on a newly built structure, its parts built afresh too
     monkeypatch.setattr(cli, "parse_algebra", cli.parse_algebra.__wrapped__)
+    uncached_constructors(monkeypatch)
     assert _run_calls(capsys, monkeypatch, calls) == first
-
-
-STRUCTURE_FIELDS = ("products", "sharp_terms", "norm_terms", "unit", "basepoint")
 
 
 @pytest.mark.parametrize(
@@ -243,9 +242,11 @@ STRUCTURE_FIELDS = ("products", "sharp_terms", "norm_terms", "unit", "basepoint"
     ["cay(Q;-1,-1,-1)", "zorn(Z/6)", "cs-octonions", "her3(Z/6)", "her3(Q,1/2)", "tits(mat3(F2),1)"],
 )
 def test_checks_leave_a_cached_structure_unchanged(capsys, spec):
+    """Every suite, strict and sampled, and table leave what a cached
+    structure stores, and what it was built from, unchanged; see
+    test_constructor_cache for the library's criterion-style uses."""
     alg = parse_algebra(spec)
-    fields = [name for name in STRUCTURE_FIELDS if hasattr(alg, name)]
-    before = copy.deepcopy({name: getattr(alg, name) for name in fields})
+    before = structure_state(alg)
     if spec.startswith(("her3", "tits")):
         suites = sorted(cli.CUBIC_SUITES)
     else:
@@ -256,7 +257,7 @@ def test_checks_leave_a_cached_structure_unchanged(capsys, spec):
     main(["table", spec, "--json"])
     capsys.readouterr()
     assert parse_algebra(spec) is alg
-    assert {name: getattr(alg, name) for name in fields} == before
+    assert structure_state(alg) == before
 
 
 def test_identities_her3_single_gamma_form(capsys):
@@ -308,6 +309,8 @@ NAMED_ERRORS = {
     # the censuses' cost guards read like the identity checker's
     ("count", "zorn-units", "--p", "11"): "cost guard: p must be <= 7",
     ("count", "her3-elid", "--coeff", "zorn(F2)"): "cost guard: dimension must be <= 12",
+    # only the arguments that are really required are named: coords may be empty
+    ("lattice",): "error: octad lattice: the following arguments are required: action, name",
 }
 
 
@@ -330,6 +333,24 @@ def test_bad_input_gives_one_error_line(capsys, tmp_path, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(NAMED_ERRORS.get(argv, "error:"))
     assert "Traceback" not in captured.err
+
+
+def test_bare_lattice_does_not_name_its_optional_coords(capsys):
+    assert main(["lattice"]) == 1
+    assert capsys.readouterr().err == "error: octad lattice: the following arguments are required: action, name\n"
+
+
+def test_refused_census_builds_no_structure(capsys, monkeypatch):
+    her3_module = importlib.import_module("octad.her3")  # the package's her3 is the function
+    real, built = her3_module.her3, []
+    monkeypatch.setattr(her3_module, "her3", lambda *args: built.append(args) or real(*args))
+    size = real.cache_info().currsize
+    for _ in range(2):
+        assert main(["count", "her3-elid", "--coeff", "zorn(F2)"]) == 1
+        assert capsys.readouterr().err == "cost guard: dimension must be <= 12\n"
+        assert main(["count", "her3-rank1", "--coeff", "F3"]) == 1
+        assert capsys.readouterr().err == "error: census requires coefficients over GF(2)\n"
+    assert built == [] and real.cache_info().currsize == size
 
 
 @pytest.mark.parametrize(
@@ -414,8 +435,16 @@ def test_refused_rational_parameters_give_one_line(capsys, argv, message):
 
 # -- grammar-driven fuzzing of the spec and argument parsers ---------------------------
 
-RINGS = ("Q", "Z", "F2", "F3", "F5", "Z/6", "Z/4", "F4", "Z/1", "F", "R", "")
-PARAMS = ("-1", "1", "2", "-2", "1/2", "-3/2", "0", "1/0", "x", "", " 1 ")
+RINGS = (
+    "Q", "Z", "F2", "F3", "F5", "Z/6", "Z/4", "F4", "Z/1", "F", "R", "",
+    "F0", "F1", "Z/0", "Z/-3", "F1000000007",
+    "Z/10000000000000000000000000331",  # 29 digits, a probable prime above the proven Miller-Rabin bound
+)
+PARAMS = (
+    "-1", "1", "2", "-2", "1/2", "-3/2", "0", "1/0", "x", "", " 1 ",
+    "1e3", "1/-2",
+    "\u0663",  # ARABIC-INDIC DIGIT THREE
+)
 SUITES = (
     "degree2", "flexible", "moufang", "alternative", "kirmse", "norm-comp", "norm-assoc",
     "associative", "commutative", "conj-antihom", "adjoint", "axioms", "nope", "",
@@ -466,6 +495,23 @@ def test_cli_fuzz_exits_cleanly(argv):
     """Any input answers or exits with a one-line error: exit code 0, 1 or
     2, no exception escapes main, and exit 1 prints exactly one line, an
     error or a cost guard, on stderr."""
+    assert_clean_exit(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["identities", f"zorn({ring})", "flexible"] for ring in RINGS),
+        *(["identities", f"cay(Q;{param})", "flexible"] for param in PARAMS),
+    ],
+)
+def test_every_ring_and_parameter_of_the_fuzz_grammar_exits_cleanly(argv):
+    """The fuzz draws only some of the grammar's rings and parameters; each
+    one is tried here once."""
+    assert_clean_exit(argv)
+
+
+def assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -10,6 +10,7 @@ verdicts, witnesses and extracted data, also on corrupted structures.
 import functools
 import importlib
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from octad.zorn import zorn_algebra
 from dense_layout import conic_table, cubic_fields, dense_cubic, table_products
 from reference_paths import build_cubic_by_inclusion_exclusion, exponents, strict_identity_check_by_subsets
 from test_construction_laws import corrupted_inputs
+from test_constructor_cache import uncached_constructors
 from test_cubic_kernels import Unchecked
 
 RINGS = {"ZZ": ZZ, "GF(2)": GF(2), "GF(3)": GF(3), "Z/6": Zmod(6), "QQ": QQ}
@@ -272,10 +274,11 @@ def test_tensor_adjoint_gate():
 
 # -- structure extraction ------------------------------------------------------------------
 
+# each looks its constructors up when called, so that they can be swapped for uncached ones
 CONSTRUCTORS = {
-    "k_cubic": k_cubic,
-    "kk_cubic": kk_cubic,
-    "split_cubic_etale": split_cubic_etale,
+    "k_cubic": lambda R: k_cubic(R),
+    "kk_cubic": lambda R: kk_cubic(R),
+    "split_cubic_etale": lambda R: split_cubic_etale(R),
     "hat_of_conic": lambda R: hat_of_conic(quadratic(R, 1, -1)),
     "hat_of_conic(zorn)": lambda R: hat_of_conic(zorn_algebra(R)),
     "her3(ground)": lambda R: her3(ground_algebra(R)),
@@ -304,9 +307,12 @@ def extracted(J):
 @pytest.mark.parametrize("name, ring", EXTRACTION_CASES)
 def test_build_cubic_matches_inclusion_exclusion(monkeypatch, name, ring):
     J = CONSTRUCTORS[name](RINGS[ring])
+    # the reference is built afresh, not taken from the constructors' caches
+    uncached_constructors(monkeypatch, sys.modules[__name__])
     for module in ("octad.cubic", "octad.her3", "octad.tits"):
         monkeypatch.setattr(importlib.import_module(module), "build_cubic", build_cubic_by_inclusion_exclusion)
     ref = CONSTRUCTORS[name](RINGS[ring])
+    assert ref is not J
     assert extracted(J) == extracted(ref)
     assert J.to_json() == ref.to_json()
 
