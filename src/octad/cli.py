@@ -6,13 +6,13 @@ each reported as one line on stderr.  Reports are deterministic for a
 fixed command and seed (the millis field necessarily varies run to run).
 
 Calls of main in one process share the argument parser, the named
-lattices and the structure of each algebra spec: parse_algebra builds and
-validates a spec once, and every check, sample and witness is computed
-again on every call.  So the millis of a repeated spec no longer include
-the construction.  The library constructors that parse_algebra and the
-censuses call (ground_algebra, cayley_dickson, split_etale,
-cartan_schouten, zorn_algebra, her3, mat3, tits, ...) are built once per
-process as well, so two specs with the same coefficient algebra share it.
+lattices and the structure of each algebra spec, through the caches of
+the constructors that parse_algebra and the censuses call
+(ground_algebra, cayley_dickson, split_etale, cartan_schouten,
+zorn_algebra, her3, mat3, tits, ...): each structure is built and
+validated once per process, and equal parts are shared.  Every check,
+sample and witness is computed on every call, so the millis of a
+repeated spec no longer include the construction.
 """
 
 from __future__ import annotations
@@ -44,15 +44,14 @@ def _parse_ring(text):
     return GF(int(m[2])) if m[1] == "F" else Zmod(int(m[2]))
 
 
-@cache
 def parse_algebra(spec):
     """Mini-grammar: cay(ring; mu, ...), zorn(ring), cs-octonions,
     her3(coeff, gamma-list), tits(mat3(ring), mu).
 
-    Built once per spec and process, from constructors that are built
-    once per argument and process: no structure is changed after it is
-    built, and checks run on every call.  A refused spec raises again on
-    every call."""
+    Each branch returns a structure of a cached constructor, so equal
+    specs give the same structure, built once per process; no structure
+    is changed after it is built, and checks run on every call.  A
+    refused spec raises again on every call."""
     spec = spec.strip()
     if spec == "cs-octonions":
         return conic.cartan_schouten(QQ)
@@ -102,14 +101,17 @@ def _split_args(spec, text):
 
 
 def _parse_param(ring, text):
-    """A parameter literal n or p/q as an element of ring: an int when
-    integral, else p times the inverse of q, which the ring must have."""
-    value = _parse_frac(text.strip(), "parameter")
+    """A parameter literal n or p/q (ASCII digits, -n and -p allowed) as an
+    element of ring: an int when integral, else p times q^-1 in ring."""
+    text = text.strip()
+    if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text) is None:
+        raise ValueError(f"parameter {text!r} is not a rational number")
+    value = _parse_frac(text, "parameter")
     if value.denominator == 1:
         return value.numerator
     inv = ring.inv(ring.from_int(value.denominator))
     if inv is None:
-        raise ValueError(f"parameter {text.strip()!r} is not an element of {ring}")
+        raise ValueError(f"parameter {text!r} is not an element of {ring}")
     return ring.scalar(ring.mul(ring.from_int(value.numerator), inv))
 
 
@@ -131,6 +133,10 @@ def _parse_coeff(text):
 
 
 CUBIC_SUITES = {"adjoint", "axioms"}
+ZORN_COUNTS = {
+    "zorn-units": ("invertibles", zorn.invertibles_closed_form),
+    "zorn-norm1": ("norm_one", zorn.norm_one_closed_form),
+}
 
 
 def _run_identities(args):
@@ -175,16 +181,12 @@ def _run_count(args):
     t0 = time.monotonic()
     target = args.target
     report = {"command": "count", "params": {"target": target}, "seed": args.seed}
-    if target == "zorn-units":
-        count = zorn.count_field(args.p, "invertibles")
+    if target in ZORN_COUNTS:
+        what, closed_form = ZORN_COUNTS[target]
+        count = zorn.count_field(args.p, what)
         report["params"]["p"] = args.p
         report["count"] = count
-        report["formula"] = zorn.invertibles_closed_form(args.p)
-    elif target == "zorn-norm1":
-        count = zorn.count_field(args.p, "norm_one")
-        report["params"]["p"] = args.p
-        report["count"] = count
-        report["formula"] = zorn.norm_one_closed_form(args.p)
+        report["formula"] = closed_form(args.p)
     elif target in ("her3-rank1", "her3-elid"):
         from .her3 import census_f2
 

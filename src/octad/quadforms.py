@@ -131,15 +131,8 @@ def block_det_oracle(r, s, T1, T2):
     return ring.scalar(linalg._det_cofactor(ring, M))
 
 
-def leading_minors(q_form):
-    """Leading principal minors of the Gram of Dq (ordered rings only)."""
-    R = q_form.ring
-    g = q_form.bilinearize().gram
-    return [linalg.det(R, [row[: k + 1] for row in g[: k + 1]]) for k in range(q_form.dim)]
-
-
 def is_positive_definite(q_form):
-    R = q_form.ring
-    if not R.is_ordered:
+    """Whether the Gram of Dq has an LDL^T with positive pivots."""
+    if not q_form.ring.is_ordered:
         raise ValueError("positivity needs an ordered ring (ZZ or QQ)")
-    return all(R.sign(m) > 0 for m in leading_minors(q_form))
+    return linalg.ldl(q_form.bilinearize().gram) is not None

@@ -10,10 +10,10 @@ one common denominator.  No floating point anywhere.
 
 NAMED_LATTICES maps the CLI's lattice names to zero-argument builders.
 Each builds its lattice once per process, on first use, and then returns
-that same ZLattice: a ZLattice is never changed after construction except
-for the derived _basis_T_inv, which any caller may share.  The public
-constructors gaussian(), hurwitz(), dickson_coxeter() and kirmse() build
-a fresh lattice on every call.
+that same ZLattice, which any caller may share: a ZLattice is never
+changed after construction.  The public constructors gaussian(),
+hurwitz(), dickson_coxeter() and kirmse() build a fresh lattice on every
+call.
 """
 
 from __future__ import annotations
@@ -44,37 +44,25 @@ class ZLattice:
         self.rank = n
         self._basis_T = [list(col) for col in zip(*self.basis)]
         self._int_basis_T = _over_common_den(self._basis_T)
-        self._basis_T_inv = None  # (ints, den), computed by the first coords_of or contains call
-        if linalg.det(QQ, self._square_part()) == 0:
+        if n != ambient.dim:
+            raise ValueError("only full-rank lattices are supported")
+        inv = linalg.inverse_rational(self._basis_T)
+        if inv is None:
             raise ValueError("basis rows must be linearly independent")
+        self._basis_T_inv = _over_common_den(inv)
         self.gram = [
             [ambient.norm.bilin_payload(self.basis[i], self.basis[j]) for j in range(n)]
             for i in range(n)
         ]
         self.disc = linalg.det(QQ, self.gram)
-        self.integral = self._integral()
-
-    def _square_part(self):
-        if self.rank == self.ambient.dim:
-            return self.basis
-        raise ValueError("only full-rank lattices are supported")
-
-    def _integral(self):
-        for i in range(self.rank):
-            if self.ambient.norm.eval_payload(self.basis[i]).denominator != 1:
-                return False
-            for j in range(self.rank):
-                if self.gram[i][j].denominator != 1:
-                    return False
-        return True
+        norms = [ambient.norm.eval_payload(row) for row in self.basis]
+        self.integral = all(c.denominator == 1 for c in norms + [c for row in self.gram for c in row])
 
     # -- membership -----------------------------------------------------------
     def _coords_over_den(self, x):
         vec = x.coords if hasattr(x, "coords") else list(x)
         if len(vec) != self.ambient.dim:
             raise ValueError(f"expected {self.ambient.dim} coordinates, got {len(vec)}")
-        if self._basis_T_inv is None:
-            self._basis_T_inv = _over_common_den(linalg.inverse_rational(self._basis_T))
         return _mul_over_den(self._basis_T_inv, vec)
 
     def coords_of(self, x):
@@ -124,7 +112,7 @@ class ZLattice:
         Requires the norm to be positive definite on the lattice; the
         target in Gram terms is Dn(x, x) = 2.
         """
-        ldl = _ldl(self.gram)
+        ldl = linalg.ldl(self.gram)
         if ldl is None:
             raise ValueError("norm is not positive definite on this lattice")
         diag, low = ldl
@@ -197,28 +185,6 @@ def _mul_over_den(mat, vec):
     ints, den = mat
     (num,), vden = _over_common_den([vec])
     return [sum(map(mul, row, num)) for row in ints], den * vden
-
-
-def _ldl(gram):
-    """G = L D L^T with unit lower-triangular L; None unless G is pos. def."""
-    n = len(gram)
-    diag = [Fraction(0)] * n
-    low = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        low[i][i] = Fraction(1)
-    for i in range(n):
-        d = Fraction(gram[i][i])
-        for k in range(i):
-            d -= diag[k] * low[i][k] * low[i][k]
-        if d <= 0:
-            return None
-        diag[i] = d
-        for j in range(i + 1, n):
-            v = Fraction(gram[j][i])
-            for k in range(i):
-                v -= diag[k] * low[j][k] * low[i][k]
-            low[j][i] = v / d
-    return diag, low
 
 
 def _fincke_pohst(diag, low, target):
@@ -317,14 +283,13 @@ def eps_to_ambient(eps_coords):
 
 
 @cache
-def _eps_inverse():
-    """The inverse of the eps -> ambient map, as (ints, den)."""
-    return _over_common_den(linalg.inverse_rational([list(col) for col in zip(*_EPS_TO_U)]))
+def _eps_frame():
+    """The lattice on eps_1, ..., eps_8: its coordinates are the half-norm ones."""
+    return ZLattice(cs_ambient(), _EPS_TO_U, name="eps")
 
 
 def ambient_to_eps(vec):
-    num, den = _mul_over_den(_eps_inverse(), [Fraction(c) for c in vec])
-    return [Fraction(v, den) for v in num]
+    return _eps_frame().coords_of(vec)
 
 
 def eps_membership(eps_coords):
@@ -351,7 +316,7 @@ def dickson_coxeter():
     for row in _E8_EPS_BASIS:
         if not eps_membership([Fraction(c) for c in row]):
             raise AssertionError("basis row violates the defining characterization")
-    if abs(linalg.det(QQ, [[Fraction(c) for c in row] for row in _E8_EPS_BASIS])) != 1:
+    if abs(linalg.det(QQ, _E8_EPS_BASIS)) != 1:
         raise AssertionError("basis does not generate the full lattice")
     return lat
 
@@ -426,8 +391,7 @@ def unit_type_split(lattice, units):
     """Partition unit elements by integrality of their half-norm coordinates."""
     integer_type, half_type = [], []
     for e in units:
-        num, den = _mul_over_den(_eps_inverse(), e.coords)
-        if all(v % den == 0 for v in num):
+        if _eps_frame().contains(e):
             integer_type.append(e)
         else:
             half_type.append(e)

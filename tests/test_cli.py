@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from octad import cli, identities
 from octad.cli import main, parse_algebra
 from octad.identities import DEFAULT_SEED
-from test_constructor_cache import structure_state, uncached_constructors
+from test_constructor_cache import cache_sizes, structure_state, uncached_constructors
 
 
 def run(capsys, *argv):
@@ -199,12 +199,13 @@ def test_parse_algebra_builds_each_spec_once():
 
 
 def test_refused_spec_is_refused_on_every_call():
-    size = parse_algebra.cache_info().currsize
+    parse_algebra("cay(Z/6;-1)")  # builds ground_algebra(Z/6), a valid part of the first refused spec
+    sizes = cache_sizes()
     for spec, message in (("cay(Z/6;2)", "mu must be a unit"), ("cay(Q)", "cay() needs at least one parameter")):
         for _ in range(2):
             with pytest.raises(ValueError, match=re.escape(message)):
                 parse_algebra(spec)
-    assert parse_algebra.cache_info().currsize == size
+    assert cache_sizes() == sizes
 
 
 # one request per constructor family: strict, sampled, Fails and refused checks
@@ -232,7 +233,6 @@ def test_cached_structures_answer_like_fresh_ones(capsys, monkeypatch):
     assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
     assert _run_calls(capsys, monkeypatch, calls) == first
     # the same calls, each on a newly built structure, its parts built afresh too
-    monkeypatch.setattr(cli, "parse_algebra", cli.parse_algebra.__wrapped__)
     uncached_constructors(monkeypatch)
     assert _run_calls(capsys, monkeypatch, calls) == first
 
@@ -422,6 +422,11 @@ def test_rational_parameter_equal_to_an_integer_gives_the_same_checks(capsys):
         (("identities", "cay(Q;1/0)", "moufang"), "error: parameter '1/0' has a zero denominator"),
         # the data of J(Mat3(Q), 1/2) is not integral, and dim 27 is above the generic guard
         (("identities", "tits(mat3(Q),1/2)", "adjoint"), "cost guard: "),
+        # only ASCII -n and -p/q: no exponent, decimal point, plus sign or other digits
+        (("identities", "cay(Q;1e3)", "flexible"), "error: parameter '1e3' is not a rational number"),
+        (("identities", "cay(Q;1.5)", "flexible"), "error: parameter '1.5' is not a rational number"),
+        (("identities", "her3(Q,+3)", "axioms"), "error: parameter '+3' is not a rational number"),
+        (("identities", "tits(mat3(F5),\u0663)", "adjoint"), "error: parameter '\u0663' is not a rational number"),
     ],
 )
 def test_refused_rational_parameters_give_one_line(capsys, argv, message):

@@ -13,11 +13,11 @@ from math import lcm
 from hypothesis import assume, given, settings, strategies as st
 
 from octad.cayley import cayley_dickson, ground_algebra
+from octad.linalg import ldl
 from octad.scalars import QQ
 from octad.zorders import (
     NAMED_LATTICES,
     _fincke_pohst,
-    _ldl,
     alternative_dico,
     ambient_to_eps,
     dickson_coxeter,
@@ -70,7 +70,7 @@ def ldl_grams(draw):
 def test_integer_fincke_pohst_agrees_with_rational_and_box_scan(gram, t):
     target = Fraction(t)
     assume((2 * box_bound(gram, target) + 1) ** len(gram) <= 20000)
-    diag, low = _ldl(gram)
+    diag, low = ldl(gram)
     fast = sorted(_fincke_pohst(diag, low, target))
     assert fast == sorted(reference_paths._fincke_pohst(diag, low, target))
     assert fast == _box_scan(gram, target)
@@ -79,7 +79,7 @@ def test_integer_fincke_pohst_agrees_with_rational_and_box_scan(gram, t):
 def test_fincke_pohst_finds_points_on_rational_grams():
     # a Gram matrix with quarters, and targets that are not integers
     gram = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 2)]]
-    diag, low = _ldl(gram)
+    diag, low = ldl(gram)
     for t in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
         got = sorted(_fincke_pohst(diag, low, t))
         assert got and got == _box_scan(gram, t) == sorted(reference_paths._fincke_pohst(diag, low, t))
@@ -89,7 +89,7 @@ def test_integer_fincke_pohst_on_every_named_lattice():
     counts = {}
     for name, make in ALL_LATTICES.items():
         lat = make()
-        diag, low = _ldl(lat.gram)
+        diag, low = ldl(lat.gram)
         fast = sorted(_fincke_pohst(diag, low, Fraction(2)))
         assert fast == sorted(reference_paths._fincke_pohst(diag, low, Fraction(2))), name
         counts[name] = len(fast)
@@ -107,7 +107,7 @@ def test_element_agrees_with_the_fraction_sum():
     rng = random.Random(6)
     for name, make in ALL_LATTICES.items():
         lat = make()
-        diag, low = _ldl(lat.gram)
+        diag, low = ldl(lat.gram)
         points = _fincke_pohst(diag, low, Fraction(2))
         points += [[rng.randint(-5, 5) for _ in range(lat.rank)] for _ in range(30)]
         for c in points:

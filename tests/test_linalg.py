@@ -189,3 +189,119 @@ def test_term_map_coerces_each_constant_once():
     assert f.value([2, 3]) == (4 + 4 * 9) % 5
     g = linalg.TermMap(QQ, {(0,): Fraction(4, 2)}, 1)
     assert type(g.terms[(0,)]) is int
+
+
+# -- the one field elimination against sympy ---------------------------------------
+
+
+def _sympy_qq(A):
+    return sympy.Matrix([[sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in row] for row in A])
+
+
+def _qq(x):
+    """A sympy rational as a canonical QQ payload."""
+    return QQ.validate(Fraction(int(x.p), int(x.q)))
+
+
+def _rand_qq(rng, den):
+    return QQ.validate(Fraction(rng.randint(-9, 9), rng.randint(1, den)))
+
+
+def _plant_dependent_row(R, rng, A):
+    """Make A singular: a zero row when n is 1, else one row a combination
+    c1 r_i + c2 r_j of two others."""
+    n = len(A)
+    k = rng.randrange(n)
+    if n == 1:
+        A[k] = [R.zero]
+        return A
+    i, j = (rng.choice([r for r in range(n) if r != k]) for _ in range(2))
+    c1, c2 = R.rand(rng), R.rand(rng)
+    A[k] = [R.add(R.mul(c1, x), R.mul(c2, y)) for x, y in zip(A[i], A[j])]
+    return A
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inverse_and_solve_rational_against_sympy(n):
+    rng = random.Random(500 + n)
+    verdicts = set()
+    for trial in range(12):
+        A = [[_rand_qq(rng, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            _plant_dependent_row(QQ, rng, A)
+        b = [_rand_qq(rng, 3) for _ in range(n)]
+        before = copy.deepcopy(A)
+        M = _sympy_qq(A)
+        inv, x = linalg.inverse_rational(A), linalg.solve_rational(A, b)
+        assert A == before
+        verdicts.add(M.det() == 0)
+        if M.det() == 0:
+            assert inv is None and x is None
+            continue
+        assert inv == [[_qq(c) for c in M.inv().row(i)] for i in range(n)]
+        assert x == [_qq(c) for c in M.LUsolve(_sympy_qq([b]).T)]
+        # canonical payloads: an int for every integral value
+        assert all(type(c) is int for c in x + sum(inv, []) if Fraction(c).denominator == 1)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("R", [QQ, GF(2), GF(7)], ids=repr)
+def test_det_is_zero_on_planted_singular_matrices(R):
+    rng = random.Random(600)
+    for n in range(1, 8):
+        for _ in range(5):
+            A = _plant_dependent_row(R, rng, [[R.rand(rng) for _ in range(n)] for _ in range(n)])
+            assert R.is_zero(linalg.det(R, A)) and R.is_zero(linalg._det_cofactor(R, A))
+
+
+def _named_grams():
+    from octad.zorders import NAMED_LATTICES, alternative_dico
+
+    lattices = {name: make() for name, make in NAMED_LATTICES.items()}
+    lattices |= {f"alternative_dico_{v}": alternative_dico(v) for v in ("p_form", "q_form")}
+    return {name: lat.gram for name, lat in lattices.items()}
+
+
+def test_ldl_against_sympy_on_every_named_lattice():
+    for name, gram in _named_grams().items():
+        low_s, diag_s = _sympy_qq(gram).LDLdecomposition()
+        diag, low = linalg.ldl(gram)
+        n = len(gram)
+        assert diag == [Fraction(_qq(diag_s[i, i])) for i in range(n)], name
+        assert low == [[Fraction(_qq(low_s[i, j])) for j in range(n)] for i in range(n)], name
+        # Fractions, not canonical ints: _fincke_pohst divides d by an int square
+        assert all(type(c) is Fraction for c in diag + sum(low, [])), name
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[0, 1], [1, 0]],  # a zero pivot that a row swap would hide
+        [[1, 1], [1, 1]],
+        [[1, 2], [2, 1]],
+        [[2, 1, 0], [1, 2, 1], [0, 1, -1]],
+        [[0]],
+        [[-3]],
+        [[2, 0, 0], [0, 0, 0], [0, 0, 5]],
+        [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 2)]],
+        [[4, 2, 2], [2, 5, 3], [2, 3, 6]],
+    ],
+)
+def test_ldl_refuses_exactly_what_sympy_calls_not_positive_definite(gram):
+    assert (linalg.ldl(gram) is None) == (not _sympy_qq(gram).is_positive_definite)
+
+
+def test_ldl_verdict_against_sympy_on_random_symmetric_matrices():
+    rng = random.Random(700)
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = QQ.validate(Fraction(rng.randint(-2, 12), rng.randint(1, 2)))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = QQ.validate(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
+        pd = _sympy_qq(gram).is_positive_definite
+        verdicts.add(pd)
+        assert (linalg.ldl(gram) is not None) == pd
+    assert verdicts == {True, False}

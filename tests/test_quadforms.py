@@ -141,3 +141,24 @@ def test_bilin_row_is_the_polar_against_each_basis_vector():
             row = q.bilin_row(xl, L)
             assert all(L.eq(row[j], q.bilin_payload(xl, basis(L, 5, j), L)) for j in range(5))
         assert q.bilinearize().gram == [q.bilin_row(basis(R, 5, i)) for i in range(5)]
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ], ids=repr)
+def test_positive_definite_against_sympy(R):
+    import sympy
+
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        coeffs = {}
+        for i in range(n):
+            for j in range(i, n):
+                c = Fraction(rng.randint(-3, 3) if i < j else rng.randint(-1, 6), 1 if R == ZZ else rng.randint(1, 3))
+                coeffs[(i, j)] = QQ.validate(c)
+        q = QuadraticForm(R, n, coeffs)
+        gram = [[Fraction(c) for c in row] for row in q.bilinearize().gram]
+        want = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in gram]).is_positive_definite
+        verdicts.append(want)
+        assert is_positive_definite(q) == want
+    assert 20 < sum(verdicts) < 180

@@ -262,7 +262,7 @@ def test_named_lattice_is_built_once_and_answers_like_a_fresh_one(name):
     assert fresh is not shared
     answers = _lattice_answers(shared)
     assert answers == _lattice_answers(fresh)
-    # membership and coordinates fill the shared, derived _basis_T_inv
+    # membership and coordinates read the shared lattice's inverse basis, built with it
     rng = random.Random(5)
     points = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(shared.ambient.dim)] for _ in range(30)]
     assert [shared.contains(x) for x in points] == [fresh.contains(x) for x in points]
