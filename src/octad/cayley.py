@@ -152,7 +152,7 @@ def nucleus_law(a):
     return IdentitySpec("nucleus", (1, 1), evaluate)
 
 
-def scale_isomorphism(base, mu, a, nucleus_check=True):
+def scale_isomorphism(base, mu, a):
     """u + v j -> u + (a v) j as a map Cay(B, n_B(a) mu) -> Cay(B, mu).
 
     Requires n_B(a) a unit; for associative B any unit a works.  The map
@@ -163,7 +163,7 @@ def scale_isomorphism(base, mu, a, nucleus_check=True):
     na = base.norm.eval_payload(a.coords)
     if R.inv(na) is None:
         raise ValueError("a must have unit norm")
-    if nucleus_check and not strict_identity_check(base, nucleus_law(a.coords)).holds:
+    if not strict_identity_check(base, nucleus_law(a.coords)).holds:
         raise ValueError("a is not in the nucleus of the base algebra")
     mu_p = R.coerce(mu)
     dom = cayley_dickson(base, R.mul(na, mu_p))

@@ -29,7 +29,10 @@ from functools import cache
 from .scalars import GF, QQ, ZZ, Zmod
 from . import conic, identities, zorn, zorders
 from .cayley import ground_algebra, iterated_cayley_dickson
+from .cubic import CUBIC_IDENTITIES, CubicData, adjoint_identity_strict, validate_axioms
+from .her3 import Gamma, census_f2, her3
 from .identities import DEFAULT_SEED, CostGuardError
+from .tits import mat3, tits
 
 
 def _parse_ring(text):
@@ -64,8 +67,6 @@ def parse_algebra(spec):
     if spec.startswith("zorn(") and spec.endswith(")"):
         return zorn.zorn_algebra(_parse_ring(spec[5:-1]))
     if spec.startswith("her3(") and spec.endswith(")"):
-        from .her3 import Gamma, her3
-
         coeff_s, *gammas = _split_args(spec, spec[5:-1])
         coeff = _parse_coeff(coeff_s)
         if len(gammas) not in (0, 1, 3):
@@ -73,8 +74,6 @@ def parse_algebra(spec):
         gammas = [_parse_param(coeff.ring, g) for g in gammas] * (3 if len(gammas) == 1 else 1)
         return her3(coeff, Gamma(coeff.ring, gammas) if gammas else None)
     if spec.startswith("tits(") and spec.endswith(")"):
-        from .tits import mat3, tits
-
         # mat3(ring), then at most one parameter
         args = _split_args(spec, spec[5:-1])
         m = re.fullmatch(r"mat3\(([^()]*)\)", args[0])
@@ -106,6 +105,8 @@ def _parse_param(ring, text):
     text = text.strip()
     if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text) is None:
         raise ValueError(f"parameter {text!r} is not a rational number")
+    if "/" not in text:
+        return int(text)
     value = _parse_frac(text, "parameter")
     if value.denominator == 1:
         return value.numerator
@@ -149,20 +150,14 @@ def _run_identities(args):
         "params": {"algebra": args.algebra, "suite": suite, "mode": args.mode},
         "seed": seed,
     }
-    from .cubic import CubicData
-
     if isinstance(alg, CubicData):
         if suite == "adjoint":
-            from .cubic import CUBIC_IDENTITIES, adjoint_identity_strict
-
             if args.mode == "strict":
                 v = adjoint_identity_strict(alg)
             else:
                 v = identities.check_identity(alg, CUBIC_IDENTITIES["adjoint"], args.mode, seed)
             results = [("adjoint", v)]
         elif suite == "axioms":
-            from .cubic import validate_axioms
-
             v = validate_axioms(alg, mode=args.mode, seed=seed)
             results = [("axioms", v)]
         else:
@@ -188,8 +183,6 @@ def _run_count(args):
         report["count"] = count
         report["formula"] = closed_form(args.p)
     elif target in ("her3-rank1", "her3-elid"):
-        from .her3 import census_f2
-
         coeff = _parse_coeff(args.coeff)
         what = "rank1" if target == "her3-rank1" else "elementary_idempotents"
         report["params"]["coeff"] = args.coeff

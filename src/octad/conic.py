@@ -23,15 +23,12 @@ NOT_INVERTIBLE = "NotInvertible"
 
 
 class ConicAlgebra:
-    def __init__(self, ring, dim, products, unit, norm, name="conic", validate=True):
+    def __init__(self, ring, dim, products, unit, norm, name="conic"):
         """The structure constants are stored once, as the nonzero terms
         products {(a, b, k): c}: coordinate k of e_a e_b is c (absent keys
         are zero).  They are the terms of the bilinear linalg.TermMap that
         mul_vec evaluates, as the trace t(e_i) = Dn(1, e_i) and the
-        conjugation conj(e_i) = t(e_i) 1 - e_i are TermMaps of degree 1.
-        With validate, construction decides n(1) = 1 directly and the unit
-        law and the degree-2 identity x^2 - t(x)x + n(x)1 = 0 strictly,
-        as polynomial laws."""
+        conjugation conj(e_i) = t(e_i) 1 - e_i are TermMaps of degree 1."""
         self.ring = ring
         self.dim = dim
         self._product = TermMap(ring, products, 2, dim)
@@ -47,11 +44,12 @@ class ConicAlgebra:
         for i in range(dim):
             conj[(i, i)] = ring.sub(conj.get((i, i), ring.zero), ring.one)
         self._conj = TermMap(ring, conj, 1, dim)
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction checks -------------------------------------------------
     def _validate(self):
+        """n(1) = 1 directly, and the unit law and the degree-2 identity
+        x^2 - t(x)x + n(x)1 = 0 strictly, as polynomial laws."""
         R = self.ring
         if not R.eq(self.norm.eval_payload(self.unit), R.one):
             raise ValueError(f"{self.name}: norm(unit) != 1")

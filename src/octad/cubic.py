@@ -90,7 +90,7 @@ class CubicData:
         self.tvec = self._grad.value(self.basepoint)
         self._trace = TermMap(ring, {(i,): t for i, t in enumerate(self.tvec)}, 1)
         self._trace_form = self._trace_gram()
-        self._consistency()
+        self._validate()
 
     def _norm_gradient(self):
         """x -> (N(x; e_m))_m as a degree-2 map: c x_a x_b x_l (a <= b <= l)
@@ -124,7 +124,7 @@ class CubicData:
     def _u_tensors(self):
         return _float_u_tensors(self)
 
-    def _consistency(self):
+    def _validate(self):
         """N(1) = 1 and 1# = 1, and the gradient law as a polynomial law."""
         R = self.ring
         if not R.eq(self.norm_payload(self.basepoint), R.one):

@@ -50,7 +50,7 @@ class Gamma:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def her3(C, gamma=None, validate=True):
+def her3(C, gamma=None):
     """Her_3(C, Gamma) as a CubicData instance.
 
     C must be a multiplicative conic algebra (strict norm composition) of
@@ -61,7 +61,7 @@ def her3(C, gamma=None, validate=True):
         gamma = Gamma(R, [1, 1, 1])
     if C.dim not in (1, 2, 4, 8):
         raise ValueError("coefficient algebra must have dimension 1, 2, 4 or 8")
-    if validate and not C.is_multiplicative():
+    if not C.is_multiplicative():
         raise ValueError("coefficient algebra is not multiplicative")
     d = C.dim
     n = 3 + 3 * d
@@ -232,8 +232,8 @@ def diag_rescale(C, gamma, delta):
             for (i, j, l) in _CYCLES
         ],
     )
-    src = her3(C, gamma, validate=False)
-    dst = her3(C, new_gamma, validate=False)
+    src = her3(C, gamma)
+    dst = her3(C, new_gamma)
     d = C.dim
 
     def apply(x):

@@ -113,7 +113,7 @@ def strict_identity_check(algebra, ident):
     a tuple of basis-index multisets, one per variable.  Raises
     CostGuardError above STRICT_GUARD.
     """
-    ident = _resolve(algebra, ident)
+    ident = _resolve(ident)
     failure = smallest_failure(algebra, ident)
     details = {"identity": ident.name}
     if failure is None:
@@ -139,7 +139,7 @@ def smallest_failure(algebra, ident):
     is the smallest row of the value (0 for a scalar identity) where that
     monomial is nonzero.
     """
-    ident = _resolve(algebra, ident)
+    ident = _resolve(ident)
     n = algebra.dim
     size = multiset_count(n, ident.multidegree)
     if size > STRICT_GUARD:
@@ -183,7 +183,7 @@ def sampled_identity_check(algebra, ident, seed=DEFAULT_SEED, samples=200):
     coordinate, so an early failure draws no more than the trials before
     it.  A failure is definitive; a pass is probabilistic.
     """
-    ident = _resolve(algebra, ident)
+    ident = _resolve(ident)
     R = algebra.ring
     rng = random.Random(seed)
     n = algebra.dim
@@ -207,7 +207,7 @@ def sampled_identity_check(algebra, ident, seed=DEFAULT_SEED, samples=200):
 def check_identity(algebra, ident, mode="strict", seed=DEFAULT_SEED):
     """The identity's verdict in mode "strict" or "sampled", by the routing
     rule of the module docstring."""
-    ident = _resolve(algebra, ident)
+    ident = _resolve(ident)
     if mode == "strict":
         return strict_identity_check(algebra, ident)
     if multiset_count(algebra.dim, ident.multidegree) > STRICT_GUARD:
@@ -332,7 +332,7 @@ SUITES = {
 }
 
 
-def _resolve(algebra, ident):
+def _resolve(ident):
     if isinstance(ident, IdentitySpec):
         return ident
     if ident in CONIC_IDENTITIES:

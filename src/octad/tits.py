@@ -29,7 +29,7 @@ class CubicAssocInput:
     """A cubic norm structure together with an associative multiplication,
     given like a conic algebra's by its nonzero products {(a, b, k): c}."""
 
-    def __init__(self, data, products, name="assoc", validate=True):
+    def __init__(self, data, products, name="assoc"):
         self.data = data
         self.ring = data.ring
         self.dim = data.dim
@@ -37,8 +37,7 @@ class CubicAssocInput:
         self.unit = data.basepoint
         self._product = TermMap(self.ring, products, 2, self.dim)
         self.products = self._product.terms
-        if validate:
-            self._validate()
+        self._validate()
 
     # the same structure-constant product as a conic algebra's
     mul_vec = ConicAlgebra.mul_vec

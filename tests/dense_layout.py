@@ -14,10 +14,20 @@ them, in the dense layout the library used before:
   n_triple         {(i, j, l): N(e_i, e_j, e_l)}, i < j < l.
 
 These functions convert between the two, independently of the library's
-to_json and from_json.
+to_json and from_json.  A structure built with corrupted constants is
+refused by its class's construction check, _validate; unchecked(cls) is
+the one way the tests skip it.
 """
 
+import functools
 import itertools
+
+
+@functools.cache
+def unchecked(cls):
+    """cls with _validate overridden to do nothing, so that corrupted
+    structures reach the checkers."""
+    return type(f"Unchecked{cls.__name__}", (cls,), {"_validate": lambda self: None})
 
 
 def conic_table(alg):

@@ -42,7 +42,7 @@ def strict_identity_check_by_subsets(algebra, ident, cost_guard=10**6):
     Returns Holds, or Fails with the lexicographically smallest witness:
     a tuple of basis-index multisets, one per variable.
     """
-    ident = _resolve(algebra, ident)
+    ident = _resolve(ident)
     n = algebra.dim
     if ident.total_degree > 4 and n > 12:
         raise CostGuardError(
@@ -99,7 +99,7 @@ def strict_identity_check_by_subsets(algebra, ident, cost_guard=10**6):
 def sampled_identity_check_by_coordinates(algebra, ident, seed, samples=200):
     """Evaluate the identity at seeded random points, one R.rand call per
     coordinate; exact equality."""
-    ident = _resolve(algebra, ident)
+    ident = _resolve(ident)
     R = algebra.ring
     rng = random.Random(seed)
     n = algebra.dim

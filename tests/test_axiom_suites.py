@@ -21,6 +21,7 @@ from octad import cubic
 from octad.conic import quadratic
 from octad.cubic import (
     CUBIC_IDENTITIES,
+    CubicData,
     build_cubic,
     fundamental_formula_samples,
     hat_of_conic,
@@ -41,8 +42,7 @@ from octad.identities import (
     strict_identity_check,
 )
 from octad.scalars import GF, QQ, ZZ, Zmod
-from dense_layout import cubic_fields, dense_cubic
-from test_cubic_kernels import Unchecked
+from dense_layout import cubic_fields, dense_cubic, unchecked
 
 RINGS = {"ZZ": ZZ, "GF(2)": GF(2), "GF(3)": GF(3), "Z/6": Zmod(6), "QQ": QQ}
 
@@ -122,7 +122,7 @@ def structures(draw):
         else:
             key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
             n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
-    return dense_cubic(Unchecked, R, n, basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(unchecked(CubicData), R, n, basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 # -- the trace form ---------------------------------------------------------------------
@@ -193,7 +193,8 @@ def test_sampled_mode_and_failing_axioms_sample_the_formula():
     assert validate_axioms(J, mode="sampled").details["fundamental"] == "Holds (implied)"
     basepoint, sharp, cross, n_single, n_dir, n_triple = fields(J)
     cross[(3, 4)][0] += 1
-    v = validate_axioms(dense_cubic(Unchecked, ZZ, J.dim, basepoint, sharp, cross, n_single, n_dir, n_triple))
+    bad = dense_cubic(unchecked(CubicData), ZZ, J.dim, basepoint, sharp, cross, n_single, n_dir, n_triple)
+    v = validate_axioms(bad)
     assert not v.holds
     assert v.details["adjoint"] == "Fails (strict)"
     assert v.details["fundamental"].endswith("(sampled)")
@@ -208,7 +209,7 @@ def test_implied_needs_exactly_the_four_defining_axioms(monkeypatch, failing):
     adjoint identities."""
     J = small("her3(ground)", "ZZ")
     if failing == "basepoint":  # N(2) = 8
-        J = Unchecked(ZZ, J.dim, [2 * c for c in J.basepoint], J.sharp_terms, J.norm_terms)
+        J = unchecked(CubicData)(ZZ, J.dim, [2 * c for c in J.basepoint], J.sharp_terms, J.norm_terms)
     monkeypatch.setattr(cubic, "_axiom_verdict", lambda data, ident, mode, seed: Verdict(
         ident.name != failing, mode="strict"))
     v = validate_axioms(J)

@@ -28,7 +28,7 @@ from octad.linalg import basis
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
 from octad.zorn import zorn_algebra
-from dense_layout import table_products
+from dense_layout import table_products, unchecked
 from reference_paths import cayley_dickson_by_basis_pairs, zorn_algebra_by_basis_products
 
 RINGS = [ZZ, QQ, GF(2), GF(3), GF(5), Zmod(4), Zmod(6)]
@@ -159,9 +159,13 @@ def test_nucleus_law():
     assert not strict_identity_check(O, nucleus_law(O.basis_element(1).coords)).holds
     with pytest.raises(ValueError, match="not in the nucleus"):
         scale_isomorphism(O, -1, O.basis_element(1))
-    # without the nucleus check the map itself fails verification
-    with pytest.raises(ValueError, match="failed verification"):
-        scale_isomorphism(O, -1, O.basis_element(1), nucleus_check=False)
+    # without the nucleus check the map itself fails verification: the
+    # columns of u + v j -> u + (a v) j, with n(a) = 1 so that both sides
+    # are Cay(O, -1)
+    S, a = cayley_dickson(O, -1), O.basis_element(1).coords
+    columns = [basis(QQ, 8, i) + [0] * 8 for i in range(8)]
+    columns += [[0] * 8 + O.mul_vec(a, basis(QQ, 8, i)) for i in range(8)]
+    assert not AlgebraMap(S, S, columns).verify_homomorphism()
     # a central scalar a = 2 gives Cay(O, 4 mu) -> Cay(O, mu), checked on the sedenions
     fmap = scale_isomorphism(O, -1, O.element([2] + [0] * 7))
     assert fmap.domain.cd_mu == QQ.from_int(-4)
@@ -179,7 +183,7 @@ ONE_ASSOCIATOR_FAILS = [
 
 @pytest.mark.parametrize("which, table, a", ONE_ASSOCIATOR_FAILS, ids=["right", "middle", "left"])
 def test_nucleus_law_reads_each_associator(which, table, a):
-    A = ConicAlgebra(QQ, 2, table_products(table), [1, 0], QuadraticForm.diagonal(QQ, [1, 1]), validate=False)
+    A = unchecked(ConicAlgebra)(QQ, 2, table_products(table), [1, 0], QuadraticForm.diagonal(QQ, [1, 1]))
     assoc = CONIC_IDENTITIES["associative"].evaluate
     slots = {"[x, y, a]": (0, 1, None), "[x, a, y]": (0, None, 1), "[a, x, y]": (None, 0, 1)}
 

@@ -17,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from octad.cayley import quaternions
 from octad.conic import UNIT_LAW, ConicAlgebra, cartan_schouten, quadratic, split_etale
-from octad.cubic import k_cubic, kk_cubic, split_cubic_etale
+from octad.cubic import CubicData, k_cubic, kk_cubic, split_cubic_etale
 from octad.identities import CONIC_IDENTITIES, strict_identity_check
 from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import ADJOINT_LAW, TRACE_LAW, CubicAssocInput
-from dense_layout import conic_table, cubic_fields, dense_cubic, table_products
+from dense_layout import conic_table, cubic_fields, dense_cubic, table_products, unchecked
 from reference_paths import assoc_input_failures_on_grid, check_degree2_by_polarization
-from test_cubic_kernels import Unchecked
 
 
 def componentwise(R, n):
@@ -40,7 +39,7 @@ def cyclic_corruption(J):
     sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
     for key, c in {(0, 1): 1, (1, 0): -1, (1, 2): 1, (2, 1): -1, (2, 0): 1, (0, 2): -1}.items():
         n_dir[key] = R.add(n_dir.get(key, R.zero), R.from_int(c))
-    return dense_cubic(Unchecked, R, 3, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(unchecked(CubicData), R, 3, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 def test_adjoint_law_sees_a_term_zero_at_every_0_1_point():
@@ -55,7 +54,7 @@ def test_adjoint_law_sees_a_term_zero_at_every_0_1_point():
         assert bad.norm_payload(list(x)) == J.norm_payload(list(x))
     with pytest.raises(ValueError, match=r"x# x = x x# = N\(x\) 1"):
         CubicAssocInput(bad, k3)
-    assert assoc_input_failures_on_grid(CubicAssocInput(bad, k3, validate=False)) == ["adjoint"]
+    assert assoc_input_failures_on_grid(unchecked(CubicAssocInput)(bad, k3)) == ["adjoint"]
 
 
 # -- degree-2 identity against the polarization loop --------------------------------
@@ -89,17 +88,27 @@ def corrupted_conics(draw):
             key = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i, n)]))
             coeffs[key] = R.add(coeffs.get(key, R.zero), delta)
     norm = QuadraticForm(R, n, coeffs)
-    return ConicAlgebra(R, n, table_products(table), C.unit, norm, validate=False)
+    return unchecked(ConicAlgebra)(R, n, table_products(table), C.unit, norm)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(corrupted_conics())
 def test_degree2_strict_agrees_with_polarization(alg):
+    R = alg.ring
     strict = alg.check_degree2()
     assert strict.holds == check_degree2_by_polarization(alg).holds
-    if not strict.holds:
-        with pytest.raises(ValueError):
-            alg._validate()
+    # construction refuses the first failing law, in the validator's order
+    checks = {
+        "norm(unit) != 1": R.eq(alg.norm.eval_payload(alg.unit), R.one),
+        "unit law": strict_identity_check(alg, UNIT_LAW).holds,
+        "degree-2 identity": strict.holds,
+    }
+    failing = [phrase for phrase, holds in checks.items() if not holds]
+    if failing:
+        with pytest.raises(ValueError, match=re.escape(failing[0])):
+            ConicAlgebra(R, alg.dim, alg.products, alg.unit, alg.norm)
+    else:
+        ConicAlgebra(R, alg.dim, alg.products, alg.unit, alg.norm)
 
 
 # -- associative cubic inputs against the integer grid --------------------------------
@@ -153,7 +162,7 @@ def perturbed(table, f, g, k):
 def test_one_sided_failures_are_refused(table, first):
     J = split_cubic_etale(ZZ)
     products = table_products(table)
-    assert assoc_input_failures_on_grid(CubicAssocInput(J, products, validate=False))[0] == first
+    assert assoc_input_failures_on_grid(unchecked(CubicAssocInput)(J, products))[0] == first
     with pytest.raises(ValueError, match=re.escape(PHRASES[first])):
         CubicAssocInput(J, products)
 
@@ -194,18 +203,18 @@ def corrupted_inputs(draw):
             n_dir[key] = n_dir.get(key, 0) + delta
         else:
             n_triple[(0, 1, 2)] = n_triple.get((0, 1, 2), 0) + delta
-    data = dense_cubic(Unchecked, R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    data = dense_cubic(unchecked(CubicData), R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
     return data, table_products(table)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(corrupted_inputs())
 def test_assoc_input_laws_agree_with_the_grid(case):
-    A = CubicAssocInput(*case, validate=False)
+    A = unchecked(CubicAssocInput)(*case)
     want = assoc_input_failures_on_grid(A)
     assert [name for name, spec in LAWS.items() if not strict_identity_check(A, spec).holds] == want
     if want:
         with pytest.raises(ValueError, match=re.escape(PHRASES[want[0]])):
-            A._validate()
+            CubicAssocInput(*case)
     else:
-        A._validate()
+        CubicAssocInput(*case)

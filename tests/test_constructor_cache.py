@@ -200,6 +200,17 @@ def test_repeated_library_calls_add_no_cache_entry():
             assert again == first
 
 
+def test_diag_rescale_shares_her3_cache_entries():
+    H = quaternions(QQ)
+    gamma, delta = Gamma(QQ, [3, 5, 7]), Gamma(QQ, [2, 1, 1])
+    src = her3(H, gamma)
+    before = her3.cache_info().currsize
+    new_gamma, _, src2, dst = diag_rescale(H, gamma, delta)
+    assert her3(H, new_gamma) is dst and src2 is src
+    # one entry, for new_gamma: the rescale builds no copy of either side
+    assert her3.cache_info().currsize == before + 1
+
+
 def _u_tensor_state(J):
     import numpy as np
 

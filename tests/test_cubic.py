@@ -30,8 +30,7 @@ from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod, product_ring
 from octad.tits import mat3, split_albert, tits
 from octad.zorn import zorn_algebra
-from dense_layout import cubic_fields, dense_cubic
-from test_cubic_kernels import Unchecked
+from dense_layout import cubic_fields, dense_cubic, unchecked
 
 
 def test_k_cubic():
@@ -228,7 +227,7 @@ def test_corrupted_sharp_fails_adjoint():
     fields = (ZZ, J.dim, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
     with pytest.raises(ValueError, match=r"^cubic: 1# != 1$"):
         dense_cubic(CubicData, *fields)
-    v = adjoint_identity_strict(dense_cubic(Unchecked, *fields))
+    v = adjoint_identity_strict(dense_cubic(unchecked(CubicData), *fields))
     assert not v.holds
 
 

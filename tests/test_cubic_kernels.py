@@ -37,7 +37,7 @@ from octad.quadforms import QuadraticForm
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import split_albert
 from octad.zorn import zorn_algebra
-from dense_layout import cubic_fields, dense_cubic
+from dense_layout import cubic_fields, dense_cubic, unchecked
 
 BUILDERS = {
     "her3(zorn(Z))": lambda: her3(zorn_algebra(ZZ)),
@@ -55,20 +55,12 @@ def structure(name):
     return BUILDERS[name]()
 
 
-class Unchecked(CubicData):
-    """CubicData without the construction-time consistency check, so that
-    corrupted data reaches the checkers."""
-
-    def _consistency(self):
-        pass
-
-
 def corrupted(J, pair, k, delta):
     """J with delta added to coordinate k of e_i x e_j, (i, j) = pair."""
     R = J.ring
     sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
     cross[pair][k] = R.add(cross[pair][k], R.from_int(delta))
-    return dense_cubic(Unchecked, R, J.dim, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(unchecked(CubicData), R, J.dim, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 def first_cross_pair(J):
@@ -490,7 +482,7 @@ def corrupted_small(draw):
         else:
             key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
             n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
-    return dense_cubic(Unchecked, R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(unchecked(CubicData), R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

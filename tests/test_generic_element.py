@@ -20,6 +20,7 @@ from octad.cayley import ground_algebra, iterated_cayley_dickson
 from octad.conic import UNIT_LAW, ConicAlgebra, cartan_schouten, quadratic, split_etale
 from octad.cubic import (
     CUBIC_IDENTITIES,
+    CubicData,
     _adjoint_id,
     _try_fast_adjoint,
     build_cubic,
@@ -34,11 +35,10 @@ from octad.identities import CONIC_IDENTITIES, smallest_failure, strict_identity
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import TRACE_LAW, CubicAssocInput, mat3, split_albert, tits
 from octad.zorn import zorn_algebra
-from dense_layout import conic_table, cubic_fields, dense_cubic, table_products
+from dense_layout import conic_table, cubic_fields, dense_cubic, table_products, unchecked
 from reference_paths import build_cubic_by_inclusion_exclusion, exponents, strict_identity_check_by_subsets
 from test_construction_laws import corrupted_inputs
 from test_constructor_cache import uncached_constructors
-from test_cubic_kernels import Unchecked
 
 RINGS = {"ZZ": ZZ, "GF(2)": GF(2), "GF(3)": GF(3), "Z/6": Zmod(6), "QQ": QQ}
 
@@ -73,7 +73,7 @@ def conic_cases(draw):
         table = conic_table(A)
         a, b, k = (draw(st.integers(0, n - 1)) for _ in range(3))
         table[a][b][k] = R.add(table[a][b][k], R.from_int(draw(st.sampled_from([1, -1, 2]))))
-        A = ConicAlgebra(R, n, table_products(table), A.unit, A.norm, name="corrupted", validate=False)
+        A = unchecked(ConicAlgebra)(R, n, table_products(table), A.unit, A.norm, name="corrupted")
     names = sorted(CONIC_IDENTITIES)
     if n > 4:  # keep the per-subset reference quick on dimension 8
         names = [x for x in names if CONIC_IDENTITIES[x].total_degree <= 3]
@@ -111,7 +111,7 @@ def test_unit_law_matches_per_subset_reference(case):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(corrupted_inputs())
 def test_trace_law_matches_per_subset_reference(case):
-    A = CubicAssocInput(*case, validate=False)
+    A = unchecked(CubicAssocInput)(*case)
     assert same_verdict(strict_identity_check(A, TRACE_LAW), strict_identity_check_by_subsets(A, TRACE_LAW))
 
 
@@ -120,7 +120,7 @@ def test_trace_law_matches_per_subset_reference_on_a_corrupted_mat3(ring):
     M = mat3(RINGS[ring])
     table = conic_table(M)
     table[1][5][0] = M.ring.add(table[1][5][0], M.ring.one)  # e_1 e_5 gains a trace
-    A = CubicAssocInput(M.data, table_products(table), validate=False)
+    A = unchecked(CubicAssocInput)(M.data, table_products(table))
     fast = strict_identity_check(A, TRACE_LAW)
     assert not fast.holds
     assert same_verdict(fast, strict_identity_check_by_subsets(A, TRACE_LAW))
@@ -133,7 +133,7 @@ def corrupted_sedenions(ring, a, b, k):
     R = S.ring
     table = conic_table(S)
     table[a][b][k] = R.add(table[a][b][k], R.one)
-    return ConicAlgebra(R, S.dim, table_products(table), S.unit, S.norm, name="corrupted", validate=False)
+    return unchecked(ConicAlgebra)(R, S.dim, table_products(table), S.unit, S.norm, name="corrupted")
 
 
 SEDENION_CORRUPTIONS = [("QQ", 3, 9, 10), ("GF(2)", 7, 12, 5), ("Z/6", 15, 15, 0)]
@@ -221,7 +221,7 @@ def corrupted_cubics(draw, rings):
         else:
             key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
             n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
-    return dense_cubic(Unchecked, R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    return dense_cubic(unchecked(CubicData), R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

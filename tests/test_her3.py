@@ -187,7 +187,7 @@ def test_is_positive_definite():
 
 def test_positive_definite_requires_gamma_one():
     C = ground_algebra(QQ)
-    J = her3(C, Gamma(QQ, [2, 1, 1]), validate=False)
+    J = her3(C, Gamma(QQ, [2, 1, 1]))
     with pytest.raises(ValueError):
         is_positive_definite(J.one())
 

@@ -22,7 +22,7 @@ from octad.tits import (
     split_albert,
     tits,
 )
-from test_cubic_kernels import Unchecked
+from dense_layout import unchecked
 
 
 def test_tits_over_ground_ring_norm():
@@ -142,7 +142,7 @@ def test_construction_refuses_a_norm_term_the_gradient_law_rejects(albert_zz):
     norm_terms[(0, 1, 2)] = ZZ.add(norm_terms.get((0, 1, 2), ZZ.zero), ZZ.one)
     with pytest.raises(ValueError, match=re.escape("gradient law N(x; y) = T(x#, y) fails at ((0, 1), (2,))")):
         CubicData(ZZ, J.dim, J.basepoint, J.sharp_terms, norm_terms, name=J.name)
-    bad = Unchecked(ZZ, J.dim, J.basepoint, J.sharp_terms, norm_terms)
+    bad = unchecked(CubicData)(ZZ, J.dim, J.basepoint, J.sharp_terms, norm_terms)
     assert strict_identity_check(bad, CUBIC_IDENTITIES["gradient"]).witness == ((0, 1), (2,))
 
 
