@@ -16,7 +16,7 @@ from .scalars import (
     ring_op,
     try_invert,
 )
-from .quadforms import QuadraticForm, BilinearForm, block_det
+from .quadforms import QuadraticForm, block_det
 from .conic import ConicAlgebra, cartan_schouten, quadratic, split_etale
 from .identities import Verdict, strict_identity_check, sampled_identity_check
 from .cayley import (
@@ -29,7 +29,7 @@ from .cayley import (
     sedenion_zero_divisor_witness,
     sedenions,
 )
-from .zorn import ZornElement, count_field, presentation_suite, zorn_algebra, zorn_mul
+from .zorn import count_field, presentation_suite, zorn_algebra
 from .zorders import ZLattice, dickson_coxeter, gaussian, hurwitz, kirmse
 from .cubic import (
     CubicData,
@@ -41,7 +41,7 @@ from .cubic import (
     split_cubic_etale,
     validate_axioms,
 )
-from .her3 import Gamma, her3
-from .tits import char3_nilpotence_demo, mat3, split_albert, tits
+from .her3 import Gamma
+from .tits import char3_nilpotence_demo, mat3, split_albert
 
 __version__ = "0.1.0"

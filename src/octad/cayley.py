@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import functools
 
-from .conic import NOT_INVERTIBLE, ConicAlgebra, ConicElement, build_conic, cartan_schouten
+from .conic import ConicAlgebra, ConicElement, build_conic, cartan_schouten
 from .extensions import lift_vec
 from .identities import IdentitySpec, associator, strict_identity_check
 from .linalg import LinearMap, add_vec, basis, scale_vec, sub_vec, vec_eq
 from .quadforms import QuadraticForm
-from .scalars import QQ, ZZ
+from .scalars import NOT_A_UNIT, QQ, ZZ
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -188,6 +188,6 @@ def quat_rotate(v, s):
     if not R.is_zero(alg.trace_payload(s.coords)):
         raise ValueError("s must have trace zero")
     vinv = alg.try_inverse(v)
-    if vinv is NOT_INVERTIBLE:
+    if vinv is NOT_A_UNIT:
         raise ValueError("v must be invertible")
     return alg.mul(alg.mul(v, s), vinv)

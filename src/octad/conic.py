@@ -17,9 +17,7 @@ from .extensions import PolyExt, lift_vec
 from .identities import IdentitySpec, require_law, strict_identity_check
 from .linalg import ModuleElement, TermMap, basis, scale_vec, sub_vec, vec_eq, vec_is_zero
 from .quadforms import QuadraticForm
-from .scalars import Scalar, RingMismatch
-
-NOT_INVERTIBLE = "NotInvertible"
+from .scalars import NOT_A_UNIT, Scalar, RingMismatch
 
 
 class ConicAlgebra:
@@ -108,12 +106,12 @@ class ConicAlgebra:
         return self.ring.scalar(self.norm.eval_payload(x.coords))
 
     def try_inverse(self, x):
-        """n(x)^{-1} conj(x) when n(x) is a unit, else NOT_INVERTIBLE."""
+        """n(x)^{-1} conj(x) when n(x) is a unit, else NOT_A_UNIT."""
         R = self.ring
         n = self.norm.eval_payload(x.coords)
         ninv = R.inv(n)
         if ninv is None:
-            return NOT_INVERTIBLE
+            return NOT_A_UNIT
         return ConicElement(self, scale_vec(R, ninv, self.conj_vec(x.coords)))
 
     def classify_idempotent(self, c):

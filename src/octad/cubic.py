@@ -43,7 +43,6 @@ import itertools
 import json
 import random
 
-from .conic import NOT_INVERTIBLE
 from .extensions import PolyExt, lift_vec
 from .identities import (
     CostGuardError,
@@ -68,7 +67,7 @@ from .linalg import (
     vec_eq,
     vec_is_zero,
 )
-from .scalars import QQ, ZZ, PrimeField
+from .scalars import NOT_A_UNIT, QQ, ZZ, PrimeField
 
 
 class CubicData:
@@ -248,7 +247,7 @@ class CubicData:
         n = self.norm_payload(x.coords)
         ninv = R.inv(n)
         if ninv is None:
-            return NOT_INVERTIBLE
+            return NOT_A_UNIT
         return CubicElement(self, [R.mul(ninv, c) for c in self.sharp_vec(x.coords)])
 
     def rank(self, x):
@@ -542,7 +541,7 @@ class PointedQuadraticJordan:
         R = self.ring
         qi = R.inv(self.q.eval_payload(x))
         if qi is None:
-            return NOT_INVERTIBLE
+            return NOT_A_UNIT
         return [R.mul(qi, c) for c in self.conj_vec(x)]
 
 

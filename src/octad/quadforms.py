@@ -1,4 +1,5 @@
-"""Quadratic and symmetric bilinear forms on free modules.
+"""Quadratic forms on free modules and the Gram rows of their
+bilinearizations.
 
 Forms are stored by upper-triangular coefficients so that
 characteristic-2 base rings are represented faithfully (the form and its
@@ -41,36 +42,18 @@ class QuadraticForm:
         return self._form.polar_columns(x, L)
 
     def bilinearize(self):
+        """The Gram rows of Dq: row i is bilin_row(e_i)."""
         R, n = self.ring, self.dim
-        return BilinearForm(R, n, [self.bilin_row(linalg.basis(R, n, i)) for i in range(n)])
+        return [self.bilin_row(linalg.basis(R, n, i)) for i in range(n)]
 
     def is_regular(self):
         """det of the bilinearized Gram is a unit (over ZZ: +-1)."""
-        g = self.bilinearize().gram
-        d = linalg.det(self.ring, g)
-        return self.ring.is_unit(d)
+        return self.ring.is_unit(linalg.det(self.ring, self.bilinearize()))
 
     @staticmethod
     def diagonal(ring, entries):
         entries = [ring.coerce(e) for e in entries]
         return QuadraticForm(ring, len(entries), {(i, i): e for i, e in enumerate(entries)})
-
-
-class BilinearForm:
-    def __init__(self, ring, dim, gram):
-        self.ring = ring
-        self.dim = dim
-        self.gram = gram
-        for i in range(dim):
-            for j in range(dim):
-                if not ring.eq(gram[i][j], gram[j][i]):
-                    raise ValueError("gram matrix must be symmetric")
-
-    def eval_payload(self, x, y):
-        R = self.ring
-        return R.sum(
-            R.mul(x[i], R.dot(self.gram[i], y)) for i in range(self.dim)
-        )
 
 
 def _payload_vec(ring, dim, x):
@@ -135,4 +118,4 @@ def is_positive_definite(q_form):
     """Whether the Gram of Dq has an LDL^T with positive pivots."""
     if not q_form.ring.is_ordered:
         raise ValueError("positivity needs an ordered ring (ZZ or QQ)")
-    return linalg.ldl(q_form.bilinearize().gram) is not None
+    return linalg.ldl(q_form.bilinearize()) is not None

@@ -42,7 +42,8 @@ class RingMismatch(ValueError):
 
 
 class _NotAUnit:
-    """Queryable outcome of a failed inversion (not an exception)."""
+    """Queryable outcome of a failed inversion (not an exception), from
+    Scalar.try_invert and every algebra's try_inverse."""
 
     _inst = None
 

@@ -9,9 +9,9 @@ entries, multiplied with the cross product:
 
 The norm is a1 a2 + <u2, u1>: with the product above, x conj(x) works out
 to that scalar (the determinant-style sign is incompatible with this
-product's off-diagonal minus signs).  ZornElement and zorn_algebra share
-one payload-level product; zorn_algebra reads its table and norm on the
-basis E, 1-E, X_i, E X_i through conic.build_conic.
+product's off-diagonal minus signs).  A Zorn vector matrix is an element
+of zorn_algebra, the conic algebra that conic.build_conic reads from this
+product and norm on the basis E, 1-E, X_i, E X_i.
 """
 
 from __future__ import annotations
@@ -22,70 +22,6 @@ from collections import namedtuple
 from .conic import build_conic
 from .identities import CostGuardError, Verdict
 from .scalars import GF
-
-
-class ZornElement:
-    __slots__ = ("ring", "a1", "a2", "u1", "u2")
-
-    def __init__(self, ring, a1, u2, u1, a2):
-        self.ring = ring
-        self.a1 = ring.coerce(a1)
-        self.a2 = ring.coerce(a2)
-        self.u1 = tuple(ring.coerce(c) for c in u1)
-        self.u2 = tuple(ring.coerce(c) for c in u2)
-
-    def __eq__(self, other):
-        R = self.ring
-        return (
-            isinstance(other, ZornElement)
-            and other.ring == R
-            and R.eq(self.a1, other.a1)
-            and R.eq(self.a2, other.a2)
-            and all(R.eq(a, b) for a, b in zip(self.u1, other.u1))
-            and all(R.eq(a, b) for a, b in zip(self.u2, other.u2))
-        )
-
-    def __add__(self, other):
-        R = self.ring
-        return ZornElement(
-            R,
-            R.add(self.a1, other.a1),
-            [R.add(a, b) for a, b in zip(self.u2, other.u2)],
-            [R.add(a, b) for a, b in zip(self.u1, other.u1)],
-            R.add(self.a2, other.a2),
-        )
-
-    def __neg__(self):
-        R = self.ring
-        return ZornElement(
-            R, R.neg(self.a1), [R.neg(c) for c in self.u2], [R.neg(c) for c in self.u1], R.neg(self.a2)
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return zorn_mul(self, other)
-
-    def norm(self):
-        R = self.ring
-        return R.scalar(R.add(R.mul(self.a1, self.a2), R.dot(self.u2, self.u1)))
-
-    def trace(self):
-        R = self.ring
-        return R.scalar(R.add(self.a1, self.a2))
-
-    def conj(self):
-        R = self.ring
-        return ZornElement(
-            R, self.a2, [R.neg(c) for c in self.u2], [R.neg(c) for c in self.u1], self.a1
-        )
-
-    def __repr__(self):
-        R = self.ring
-        u1 = "(" + ", ".join(R.render(c) for c in self.u1) + ")"
-        u2 = "(" + ", ".join(R.render(c) for c in self.u2) + ")"
-        return f"[[{R.render(self.a1)}, {u2}], [{u1}, {R.render(self.a2)}]]"
 
 
 def _cross(R, u, v):
@@ -100,8 +36,8 @@ _Entries = namedtuple("_Entries", "a1 u2 u1 a2")
 
 
 def _product(R, x, y):
-    """The Zorn product over any ring-like R of two ZornElements or _Entries
-    (payload entries a1, u2, u1, a2)."""
+    """The Zorn product over any ring-like R of two _Entries (payload
+    entries a1, u2, u1, a2)."""
     a1 = R.sub(R.mul(x.a1, y.a1), R.dot(x.u2, y.u1))
     a2 = R.sub(R.mul(x.a2, y.a2), R.dot(x.u1, y.u2))
     cx1 = _cross(R, x.u1, y.u1)
@@ -109,32 +45,6 @@ def _product(R, x, y):
     top = [R.add(R.add(R.mul(x.a1, y.u2[i]), R.mul(y.a2, x.u2[i])), cx1[i]) for i in range(3)]
     bot = [R.add(R.add(R.mul(y.a1, x.u1[i]), R.mul(x.a2, y.u1[i])), cx2[i]) for i in range(3)]
     return _Entries(a1, top, bot, a2)
-
-
-def zorn_mul(x, y):
-    R = x.ring
-    if y.ring != R:
-        raise ValueError("ring mismatch")
-    return ZornElement(R, *_product(R, x, y))
-
-
-def zorn_unit(ring):
-    z = [ring.zero] * 3
-    return ZornElement(ring, ring.one, z, z, ring.one)
-
-
-def idem_E(ring):
-    z = [ring.zero] * 3
-    return ZornElement(ring, ring.one, z, z, ring.zero)
-
-
-def gen_X(ring, i):
-    """X_i = [[0, -e_i], [e_i, 0]] for i = 1, 2 and X_3 = X_1 X_2."""
-    if i == 3:
-        return zorn_mul(gen_X(ring, 1), gen_X(ring, 2))
-    e = [ring.zero] * 3
-    e[i - 1] = ring.one
-    return ZornElement(ring, ring.zero, [ring.neg(c) for c in e], e, ring.zero)
 
 
 def _from_coords(R, c):
@@ -151,7 +61,7 @@ def _from_coords(R, c):
 
 
 def _to_coords(R, z):
-    """The inverse of _from_coords, on a ZornElement or _Entries."""
+    """The inverse of _from_coords."""
     x1, x2, x3 = z.u1
     t1, t2, t3 = z.u2
     return [z.a1, z.a2, x1, x2, x3, R.sub(R.neg(t1), x1), R.sub(R.neg(t2), x2), R.sub(t3, x3)]
@@ -169,7 +79,20 @@ def zorn_algebra(ring):
         z = _from_coords(L, x)
         return L.add(L.mul(z.a1, z.a2), L.dot(z.u2, z.u1))
 
-    return build_conic(ring, 8, _to_coords(ring, zorn_unit(ring)), mul_fn, norm_fn, name="zorn")
+    z = [ring.zero] * 3
+    unit = _to_coords(ring, _Entries(ring.one, z, z, ring.one))
+    return build_conic(ring, 8, unit, mul_fn, norm_fn, name="zorn")
+
+
+def idem_E(ring):
+    """The idempotent E = [[1, 0], [0, 0]] of zorn_algebra(ring)."""
+    return zorn_algebra(ring).basis_element(0)
+
+
+def gen_X(ring, i):
+    """X_i = [[0, -e_i], [e_i, 0]] for i = 1, 2 and X_3 = X_1 X_2, as
+    elements of zorn_algebra(ring)."""
+    return zorn_algebra(ring).basis_element(1 + i)
 
 
 def presentation_suite(algebra, e, x1, x2):

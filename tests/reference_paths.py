@@ -30,7 +30,7 @@ from octad.extensions import DualExt, PolyExt
 from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
 from octad.linalg import add_vec, basis, inverse_rational, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
 from octad.quadforms import QuadraticForm
-from octad.zorn import _to_coords, gen_X, idem_E, zorn_mul, zorn_unit
+from octad.zorn import _Entries, _product, _to_coords
 from octad.zorders import _EPS_TO_U
 
 from dense_layout import dense_cubic, table_products
@@ -418,36 +418,54 @@ def cayley_dickson_by_basis_pairs(base, mu):
     return alg
 
 
-# Basis order fixed by the spanning set: E, 1-E, X1, X2, X3, E X1, E X2, E X3.
-def _zorn_basis(ring):
-    E = idem_E(ring)
-    one = zorn_unit(ring)
-    Ebar = one - E
-    xs = [gen_X(ring, i) for i in (1, 2, 3)]
-    return [E, Ebar] + xs + [zorn_mul(E, x) for x in xs]
+# Basis order fixed by the spanning set: E, 1-E, X1, X2, X3, E X1, E X2, E X3,
+# as Zorn entries (a1, u2, u1, a2) with X_i = [[0, -e_i], [e_i, 0]] for
+# i = 1, 2 and X3 = X1 X2.
+def _zorn_basis(R):
+    z = [R.zero] * 3
+    E = _Entries(R.one, z, z, R.zero)
+    Ebar = _Entries(R.zero, z, z, R.one)
+    es = [[R.one if k == i else R.zero for k in range(3)] for i in range(2)]
+    x1, x2 = (_Entries(R.zero, [R.neg(c) for c in e], e, R.zero) for e in es)
+    xs = [x1, x2, _product(R, x1, x2)]
+    return [E, Ebar] + xs + [_product(R, E, x) for x in xs]
+
+
+def _zorn_sum(R, x, y):
+    return _Entries(
+        R.add(x.a1, y.a1),
+        [R.add(a, b) for a, b in zip(x.u2, y.u2)],
+        [R.add(a, b) for a, b in zip(x.u1, y.u1)],
+        R.add(x.a2, y.a2),
+    )
+
+
+def _zorn_norm(R, z):
+    return R.add(R.mul(z.a1, z.a2), R.dot(z.u2, z.u1))
 
 
 def zorn_algebra_by_basis_products(ring):
     """Zorn(k) registered as an 8-dimensional conic algebra."""
-    basis = _zorn_basis(ring)
+    R = ring
+    basis = _zorn_basis(R)
     table = []
     for a in basis:
         row = []
         for b in basis:
-            row.append(_to_coords(ring, zorn_mul(a, b)))
+            row.append(_to_coords(R, _product(R, a, b)))
         table.append(row)
     # n(sum coords * basis) expanded in coordinates
-    R = ring
     coeffs = {}
     for i in range(8):
         for j in range(i, 8):
             if i == j:
-                v = basis[i].norm().payload
+                v = _zorn_norm(R, basis[i])
             else:
-                s = (basis[i] + basis[j]).norm().payload
-                v = R.sub(R.sub(s, basis[i].norm().payload), basis[j].norm().payload)
+                s = _zorn_norm(R, _zorn_sum(R, basis[i], basis[j]))
+                v = R.sub(R.sub(s, _zorn_norm(R, basis[i])), _zorn_norm(R, basis[j]))
             if not R.is_zero(v):
                 coeffs[(i, j)] = v
     norm = QuadraticForm(ring, 8, coeffs)
-    unit = _to_coords(ring, zorn_unit(ring))
+    z = [R.zero] * 3
+    unit = _to_coords(R, _Entries(R.one, z, z, R.one))
     return ConicAlgebra(ring, 8, table_products(table), unit, norm, name="zorn")

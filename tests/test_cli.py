@@ -1,6 +1,6 @@
 import contextlib
-import importlib
 import io
+import types
 import json
 import re
 from pathlib import Path
@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from octad import cli, identities
 from octad.cli import main, parse_algebra
 from octad.identities import DEFAULT_SEED
+from octad.scalars import GF, ZZ, Zmod
+from dense_layout import conic_table
+from reference_paths import zorn_algebra_by_basis_products
 from test_constructor_cache import cache_sizes, structure_state, uncached_constructors
 
 
@@ -68,6 +71,23 @@ def test_count_her3_elid(capsys):
 def test_count_her3_rank1(capsys):
     code, blob = run_json(capsys, "count", "her3-rank1", "--coeff", "f2", "--json")
     assert blob["count"] == 7
+
+
+@pytest.mark.parametrize(
+    "spec, R", [("Z", ZZ), ("F2", GF(2)), ("F3", GF(3)), ("Z/6", Zmod(6))], ids=["Z", "F2", "F3", "Z/6"]
+)
+def test_table_zorn_matches_the_basis_products(capsys, spec, R):
+    code, blob = run_json(capsys, "table", f"zorn({spec})", "--json")
+    ref = zorn_algebra_by_basis_products(R)
+    assert code == 0
+    assert blob["table"]["table"] == [[[R.render(c) for c in vec] for vec in row] for row in conic_table(ref)]
+    assert blob["table"]["unit"] == [R.render(c) for c in ref.unit]
+
+
+def test_table_zorn_names_its_basis(capsys):
+    code, out = run(capsys, "table", "zorn(F2)")
+    assert code == 0
+    assert out.splitlines()[0].split() == ["E", "E'", "X1", "X2", "X3", "EX1", "EX2", "EX3"]
 
 
 def test_table_cs_octonions_shows_product(capsys):
@@ -340,8 +360,19 @@ def test_bare_lattice_does_not_name_its_optional_coords(capsys):
     assert capsys.readouterr().err == "error: octad lattice: the following arguments are required: action, name\n"
 
 
+def test_package_attributes_are_its_submodules():
+    import octad
+    import octad.her3 as her3_module
+    import octad.tits as tits_module
+
+    assert isinstance(octad.her3, types.ModuleType) and isinstance(octad.tits, types.ModuleType)
+    assert her3_module is octad.her3 and tits_module is octad.tits
+    assert callable(her3_module.census_f2) and callable(tits_module.tits)
+
+
 def test_refused_census_builds_no_structure(capsys, monkeypatch):
-    her3_module = importlib.import_module("octad.her3")  # the package's her3 is the function
+    import octad.her3 as her3_module
+
     real, built = her3_module.her3, []
     monkeypatch.setattr(her3_module, "her3", lambda *args: built.append(args) or real(*args))
     size = real.cache_info().currsize

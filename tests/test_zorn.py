@@ -6,7 +6,9 @@ import pytest
 from octad.identities import CostGuardError, run_suite, strict_identity_check
 from octad.scalars import GF, ZZ
 from octad.zorn import (
-    ZornElement,
+    _Entries,
+    _from_coords,
+    _product,
     _to_coords,
     count_field,
     gen_X,
@@ -15,53 +17,52 @@ from octad.zorn import (
     norm_one_closed_form,
     presentation_suite,
     zorn_algebra,
-    zorn_mul,
-    zorn_unit,
 )
+
+
+def _zorn(R, a1, u2, u1, a2):
+    """The element of zorn_algebra(R) with entries [[a1, u2], [u1, a2]]."""
+    return zorn_algebra(R).element(_to_coords(R, _Entries(a1, u2, u1, a2)))
 
 
 def test_generator_products():
     E, X1, X2 = idem_E(ZZ), gen_X(ZZ, 1), gen_X(ZZ, 2)
     X3 = gen_X(ZZ, 3)
-    one = zorn_unit(ZZ)
-    assert zorn_mul(X1, X2) == X3
-    assert zorn_mul(X1, X1) == one
-    assert zorn_mul(X2, X2) == one
-    assert zorn_mul(zorn_mul(X1, X2), X1) == -X2
-    ex1 = zorn_mul(E, X1)
+    one = zorn_algebra(ZZ).one()
+    assert E == _zorn(ZZ, 1, [0, 0, 0], [0, 0, 0], 0)
+    assert X1 == _zorn(ZZ, 0, [-1, 0, 0], [1, 0, 0], 0)
+    assert X2 == _zorn(ZZ, 0, [0, -1, 0], [0, 1, 0], 0)
+    assert one == _zorn(ZZ, 1, [0, 0, 0], [0, 0, 0], 1)
+    assert X1 * X2 == X3
+    assert X1 * X1 == one
+    assert X2 * X2 == one
+    assert (X1 * X2) * X1 == -X2
+    ex1 = _from_coords(ZZ, (E * X1).coords)
     assert ex1.a1 == 0 and ex1.a2 == 0
     assert list(ex1.u2) == [-1, 0, 0] and list(ex1.u1) == [0, 0, 0]
 
 
 def test_norm_trace_degree2():
-    # n(x) must close the degree-2 identity with the product convention
+    # n(x) = a1 a2 + <u2, u1> and t(x) = a1 + a2 must close the degree-2
+    # identity with the product convention
     rng = random.Random(4)
+    one = zorn_algebra(ZZ).one()
     for _ in range(50):
-        x = _random_zorn(rng)
+        e = _random_entries(rng)
+        x = _zorn(ZZ, *e)
         t = x.trace().payload
         n = x.norm().payload
-        sq = zorn_mul(x, x)
-        lhs = sq + _scale(x, -t)
-        assert lhs == _scale(zorn_unit(ZZ), -n)
+        assert t == e.a1 + e.a2
+        assert n == e.a1 * e.a2 + ZZ.dot(e.u2, e.u1)
+        assert x * x - t * x == -n * one
 
 
-def _random_zorn(rng):
-    from octad.zorn import ZornElement
-
-    return ZornElement(
-        ZZ,
+def _random_entries(rng):
+    return _Entries(
         rng.randint(-5, 5),
         [rng.randint(-5, 5) for _ in range(3)],
         [rng.randint(-5, 5) for _ in range(3)],
         rng.randint(-5, 5),
-    )
-
-
-def _scale(z, c):
-    from octad.zorn import ZornElement
-
-    return ZornElement(
-        ZZ, c * z.a1, [c * t for t in z.u2], [c * t for t in z.u1], c * z.a2
     )
 
 
@@ -84,14 +85,9 @@ def test_grassmann_identity_on_basis_triples():
 def test_presentation_suite():
     for ring in (ZZ, GF(5)):
         alg = zorn_algebra(ring)
-        e = alg.element(_to_coords(ring, idem_E(ring)))
-        x1 = alg.element(_to_coords(ring, gen_X(ring, 1)))
-        x2 = alg.element(_to_coords(ring, gen_X(ring, 2)))
-        assert presentation_suite(alg, e, x1, x2).holds
+        assert presentation_suite(alg, idem_E(ring), gen_X(ring, 1), gen_X(ring, 2)).holds
     alg = zorn_algebra(ZZ)
-    x1 = alg.element(_to_coords(ZZ, gen_X(ZZ, 1)))
-    x2 = alg.element(_to_coords(ZZ, gen_X(ZZ, 2)))
-    assert not presentation_suite(alg, alg.one(), x1, x2).holds
+    assert not presentation_suite(alg, alg.one(), gen_X(ZZ, 1), gen_X(ZZ, 2)).holds
 
 
 def test_strict_identities():
@@ -106,16 +102,12 @@ def test_strict_identities():
 
 
 def test_conic_bridge():
-    # products through the structure-constant table match zorn_mul
-    ring = ZZ
-    alg = zorn_algebra(ring)
+    # products through the structure-constant table match the entry product
     rng = random.Random(9)
     for _ in range(30):
-        x = _random_zorn(rng)
-        y = _random_zorn(rng)
-        via_table = alg.mul(alg.element(_to_coords(ring, x)), alg.element(_to_coords(ring, y)))
-        direct = alg.element(_to_coords(ring, zorn_mul(x, y)))
-        assert via_table == direct
+        x = _random_entries(rng)
+        y = _random_entries(rng)
+        assert _zorn(ZZ, *x) * _zorn(ZZ, *y) == _zorn(ZZ, *_product(ZZ, x, y))
 
 
 def test_counts_f2():
@@ -155,14 +147,15 @@ def test_censuses_against_brute_force(p):
     # every one of the p^8 elements; an elementary idempotent is a
     # nontrivial idempotent (over a field)
     R = GF(p)
-    one, zero = zorn_unit(R), ZornElement(R, 0, [0] * 3, [0] * 3, 0)
+    alg = zorn_algebra(R)
+    one, zero = alg.one(), alg.zero()
     counts = {"invertibles": 0, "norm_one": 0, "elementary_idempotents": 0}
     for a1, a2, *u in itertools.product(range(p), repeat=8):
-        x = ZornElement(R, a1, u[:3], u[3:], a2)
+        x = _zorn(R, a1, u[:3], u[3:], a2)
         n = x.norm()
         counts["invertibles"] += not n.is_zero()
         counts["norm_one"] += n == 1
-        counts["elementary_idempotents"] += zorn_mul(x, x) == x and x != zero and x != one
+        counts["elementary_idempotents"] += x * x == x and x != zero and x != one
     assert counts == {what: count_field(p, what) for what in counts}
 
 
