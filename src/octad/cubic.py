@@ -833,19 +833,51 @@ def _float_fundamental(data, pairs):
     return out
 
 
+# Each law that validate_axioms reports as implied, not checked, when all
+# its premises hold strictly, and those premises; the docstring has the proofs.
+_IMPLIED_BY = {
+    "bilinear-adjoint": ("gradient", "adjoint"),
+    "sharp-cross": ("gradient", "adjoint"),
+    "fundamental": ("basepoint", "unit-id", "gradient", "adjoint"),
+}
+
+
 def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     """Run the cubic-norm-structure axiom suite.
 
-    Each of unit-id, gradient, bilinear-adjoint, sharp-cross and adjoint
-    gets identities.check_identity's verdict in the mode: strict mode
-    decides it as a polynomial law and samples it only above the cost
-    guard; sampled mode evaluates a few seeded points first and decides
-    strictly what they do not refute, inside the guard.  The fundamental
-    formula is then implied, not checked, when the base point, unit-id,
-    gradient and adjoint identities all hold strictly.  This is
-    McCrimmon's theorem (K. McCrimmon, Trans. AMS 139, 1969; the cubic
-    norm structures of Garibaldi-Petersson-Racine, Albert algebras over
-    commutative rings):
+    The base point (N(1) = 1 and 1# = 1) is decided directly.  Each of
+    unit-id, gradient and adjoint gets identities.check_identity's
+    verdict in the mode: strict mode decides it as a polynomial law and
+    samples it only above the cost guard; sampled mode evaluates a few
+    seeded points first and decides strictly what they do not refute,
+    inside the guard.  A law of _IMPLIED_BY whose premises all hold with
+    mode strict is then reported as implied, not checked; otherwise
+    bilinear-adjoint and sharp-cross get their own verdict the same way,
+    and the fundamental formula is sampled (fundamental_formula_samples).
+    The details record each law's mode: strict, sampled or implied.
+
+    The polarizations.  Let f(x) = x## - N(x) x and g(x, y) = N(x; y) -
+    T(x#, y), the adjoint and the gradient law.  Expanding f(x + t y) with
+    (x + t y)# = x# + t x x y + t^2 y# and N(x + t y) = N(x) + t N(x; y)
+    + t^2 N(y; x) + t^3 N(y) gives, as polynomial laws,
+
+      [t] f(x + t y)   = x# x (x x y) - N(x; y) x - N(x) y,
+      [t^2] f(x + t y) = (x x y)# + x# x y# - N(y; x) x - N(x; y) y,
+
+    so that the sharp-cross and bilinear-adjoint laws are
+
+      SC(x, y) = x# x (x x y) - T(x#, y) x - N(x) y
+               = [t] f(x + t y) + g(x, y) x,
+      BA(x, y) = (x x y)# + x# x y# - T(x#, y) y - T(x, y#) x
+               = [t^2] f(x + t y) + g(x, y) y + g(y, x) x.
+
+    A polynomial law that vanishes still vanishes after x -> x + t y (N.
+    Roby, Ann. Sci. ENS 80, 1963), and so does each coefficient in t.  So
+    when f and g vanish, so do SC and BA, in every characteristic.
+
+    The fundamental formula.  This is McCrimmon's theorem (K. McCrimmon,
+    Trans. AMS 139, 1969; the cubic norm structures of
+    Garibaldi-Petersson-Racine, Albert algebras over commutative rings):
     let N be a cubic form with a quadratic adjoint # and a base point 1,
     T(y) = N(1; y) and T(x, y) = T(x)T(y) - T(x x y).  If, as polynomial
     laws,
@@ -857,22 +889,21 @@ def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     every scalar extension.  Under the unit and gradient identities this
     T(x, y) is the book's bilinear trace T(x)T(y) - N(1; x, y), with
     N(1; x, y) the coefficient of s t in N(1 + s x + t y): both give
-    T(x x y) = N(1; x, y).  Otherwise the formula is sampled
-    (fundamental_formula_samples).  The details record each identity's
-    mode: strict, sampled or implied.
+    T(x x y) = N(1; x, y).
     """
     R = data.ring
     basepoint = R.eq(data.norm_payload(data.basepoint), R.one) and vec_eq(
         R, data.sharp_vec(data.basepoint), data.basepoint
     )
-    verdicts = {}
-    for name in ("unit-id", "gradient", "bilinear-adjoint", "sharp-cross", "adjoint"):
-        verdicts[name] = _axiom_verdict(data, CUBIC_IDENTITIES[name], mode, seed)
-    defining = [verdicts[name] for name in ("unit-id", "gradient", "adjoint")]
-    if basepoint and all(v.holds and v.mode == "strict" for v in defining):
-        verdicts["fundamental"] = Verdict(True, mode="implied")
-    else:
-        verdicts["fundamental"] = fundamental_formula_samples(data, samples=200, seed=seed)
+    verdicts = {"basepoint": Verdict(basepoint)}
+    for name in ("unit-id", "gradient", "adjoint", "bilinear-adjoint", "sharp-cross", "fundamental"):
+        premises = [verdicts[p] for p in _IMPLIED_BY.get(name, ())]
+        if premises and all(v.holds and v.mode == "strict" for v in premises):
+            verdicts[name] = Verdict(True, mode="implied")
+        elif name == "fundamental":
+            verdicts[name] = fundamental_formula_samples(data, samples=200, seed=seed)
+        else:
+            verdicts[name] = _axiom_verdict(data, CUBIC_IDENTITIES[name], mode, seed)
 
     results = {"basepoint": "Holds" if basepoint else "Fails"}
     first_fail = None
@@ -881,7 +912,7 @@ def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
         results[name] = f"{'Holds' if v.holds else 'Fails'} ({v.mode})"
         if not v.holds and first_fail is None:
             first_fail = (name, v.witness)
-    holds = basepoint and all(v.holds for v in verdicts.values())
+    holds = all(v.holds for v in verdicts.values())
     return Verdict(holds, witness=first_fail, mode=mode, details=results)
 
 

@@ -91,9 +91,11 @@ class IdentitySpec:
 
 
 # The guard counts the monomials of the one generic value a strict check
-# computes.  The largest a catalog axiom needs is bilinear-adjoint at
-# dimension 27 (142,884).  Degree-5 identities on the sedenions inside the
-# guard take up to about 1.4 s (tests/test_axiom_suites.py).
+# computes.  The largest a catalog axiom can need is bilinear-adjoint at
+# dimension 27 (142,884), which cubic.validate_axioms decides only when
+# the gradient and adjoint identities do not imply it.  Degree-5
+# identities on the sedenions inside the guard take up to about 1.4 s
+# (tests/test_axiom_suites.py).
 STRICT_GUARD = 150_000
 
 

@@ -1,12 +1,16 @@
-"""The strict axiom suite and the fundamental formula it implies.
+"""The strict axiom suite and the laws it implies.
 
-validate_axioms reports U_{U_x y} = U_x U_y U_x as implied, not checked,
-when the base point, unit-id, gradient and adjoint identities hold as
-polynomial laws (McCrimmon's theorem).  Here the implication is tested
-on structures the theorem was not read off: corrupted and base-changed
-ones, against the sampled and, at small dimension, the strict check of
-the formula.  The trace form the theorem uses is compared with the book's
-definition, and the one cost guard with the time its checks take.
+validate_axioms reports the bilinear-adjoint and sharp-cross laws as
+implied, not checked, when the gradient and adjoint identities hold as
+polynomial laws: up to the gradient law, they are the t^2 and t
+coefficients of the adjoint law at x + t y.  It reports U_{U_x y} =
+U_x U_y U_x as implied when the base point, unit-id, gradient and adjoint
+identities hold (McCrimmon's theorem).  Here each implication is tested
+on structures it was not read off: corrupted and base-changed ones,
+against the strict and sampled checks of the implied laws; the two
+polarization formulas are compared as polynomials.  The trace form the
+theorem uses is compared with the book's definition, and the one cost
+guard with the time its checks take.
 """
 
 import functools
@@ -31,7 +35,7 @@ from octad.cubic import (
     validate_axioms,
 )
 from octad.cli import parse_algebra
-from octad.extensions import DualExt, lift_vec
+from octad.extensions import DualExt, PolyExt, lift_vec
 from octad.her3 import Gamma, her3
 from octad.identities import (
     STRICT_GUARD,
@@ -43,6 +47,8 @@ from octad.identities import (
 )
 from octad.scalars import GF, QQ, ZZ, Zmod
 from dense_layout import cubic_fields, dense_cubic, unchecked
+from reference_paths import exponents
+from test_generic_element import corrupted_cubics
 
 RINGS = {"ZZ": ZZ, "GF(2)": GF(2), "GF(3)": GF(3), "Z/6": Zmod(6), "QQ": QQ}
 
@@ -200,22 +206,135 @@ def test_sampled_mode_and_failing_axioms_sample_the_formula():
     assert v.details["fundamental"].endswith("(sampled)")
 
 
+POLARIZATIONS = ("bilinear-adjoint", "sharp-cross")
+
+
 @pytest.mark.parametrize(
     "failing", ["basepoint", "unit-id", "gradient", "adjoint", "bilinear-adjoint", "sharp-cross"]
 )
 def test_implied_needs_exactly_the_four_defining_axioms(monkeypatch, failing):
-    """One axiom fails, strictly, and the others hold: the formula is implied
-    unless the failing one is among the base point, unit-id, gradient and
-    adjoint identities."""
+    """One law would fail, strictly, and the others hold: the formula is
+    implied unless the failing one is among the base point, unit-id,
+    gradient and adjoint identities.  A polarization is never decided
+    while gradient and adjoint hold strictly, so its failure cannot show."""
     J = small("her3(ground)", "ZZ")
     if failing == "basepoint":  # N(2) = 8
         J = unchecked(CubicData)(ZZ, J.dim, [2 * c for c in J.basepoint], J.sharp_terms, J.norm_terms)
-    monkeypatch.setattr(cubic, "_axiom_verdict", lambda data, ident, mode, seed: Verdict(
-        ident.name != failing, mode="strict"))
+    decided = []
+
+    def verdict(data, ident, mode, seed):
+        decided.append(ident.name)
+        return Verdict(ident.name != failing, mode="strict")
+
+    monkeypatch.setattr(cubic, "_axiom_verdict", verdict)
     v = validate_axioms(J)
-    assert not v.holds
     defining = failing in ("basepoint", "unit-id", "gradient", "adjoint")
+    assert v.holds is not defining
     assert v.details["fundamental"].endswith("(sampled)" if defining else "(implied)")
+    polarizations_decided = failing in ("gradient", "adjoint")
+    for name in POLARIZATIONS:
+        assert (name in decided) is polarizations_decided
+        assert v.details[name] == ("Holds (strict)" if polarizations_decided else "Holds (implied)")
+
+
+# -- the implied polarizations -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "premise, premise_verdict",
+    [
+        ("gradient", Verdict(False, witness=((0,), (1,)), mode="strict")),
+        ("adjoint", Verdict(False, witness=((0, 0, 1, 2),), mode="strict")),
+        ("gradient", Verdict(True, mode="sampled")),
+        ("adjoint", Verdict(True, mode="sampled")),
+    ],
+    ids=["gradient-fails", "adjoint-fails", "gradient-sampled", "adjoint-sampled"],
+)
+def test_polarizations_are_decided_unless_gradient_and_adjoint_hold_strictly(
+    monkeypatch, premise, premise_verdict
+):
+    """Unless gradient and adjoint both hold with mode strict, each
+    polarization gets _axiom_verdict's verdict, and the report and first
+    failure show it."""
+    J = small("her3(ground)", "ZZ")
+    own = {
+        premise: premise_verdict,
+        "bilinear-adjoint": Verdict(False, witness=((0, 1), (2, 3)), mode="strict"),
+        "sharp-cross": Verdict(True, mode="sampled"),
+    }
+    decided = []
+
+    def verdict(data, ident, mode, seed):
+        decided.append(ident.name)
+        return own.get(ident.name, Verdict(True, mode="strict"))
+
+    monkeypatch.setattr(cubic, "_axiom_verdict", verdict)
+    v = validate_axioms(J)
+    assert sorted(decided) == sorted(["unit-id", "gradient", "adjoint", *POLARIZATIONS])
+    assert not v.holds
+    assert v.details["bilinear-adjoint"] == "Fails (strict)"
+    assert v.details["sharp-cross"] == "Holds (sampled)"
+    assert v.details["fundamental"].endswith("(sampled)")
+    if premise == "gradient" and not premise_verdict.holds:
+        assert v.witness == ("gradient", ((0,), (1,)))
+    else:  # bilinear-adjoint comes before adjoint in the report
+        assert v.witness == ("bilinear-adjoint", ((0, 1), (2, 3)))
+
+
+def _t_part(L, poly, k):
+    """The terms of poly of degree k in t, the last variable of L."""
+    return {key: c for key, c in poly.items() if exponents(L, key)[-1] == k}
+
+
+def _polarization_formulas_hold(J):
+    """BA(x, y) = [t^2] f(x + t y) + g(x, y) y + g(y, x) x and SC(x, y) =
+    [t] f(x + t y) + g(x, y) x as polynomials, with f the adjoint law and g
+    the gradient law, over R[x, y, t] in 2n + 1 variables.  x + t y has
+    degree 2, so f(x + t y) has degree 8: the cap keeps all of it."""
+    R, n = J.ring, J.dim
+    L = PolyExt(R, 2 * n + 1, 8)
+    x = [L.var(i) for i in range(n)]
+    y = [L.var(n + i) for i in range(n)]
+    t = L.var(2 * n)
+
+    def law(name, *vs):
+        return CUBIC_IDENTITIES[name].evaluate(J, L, vs)
+
+    f = law("adjoint", [L.add(a, L.mul(t, b)) for a, b in zip(x, y)])
+    gxy, gyx = law("gradient", x, y), law("gradient", y, x)
+    ba, sc = law("bilinear-adjoint", x, y), law("sharp-cross", x, y)
+    t2 = L.mul(t, t)
+    for k in range(n):
+        ba_rhs = L.add(L.add(_t_part(L, f[k], 2), L.mul(t2, L.mul(gxy, y[k]))), L.mul(t2, L.mul(gyx, x[k])))
+        sc_rhs = L.add(_t_part(L, f[k], 1), L.mul(t, L.mul(gxy, x[k])))
+        if not (L.is_zero(L.sub(L.mul(t2, ba[k]), ba_rhs)) and L.is_zero(L.sub(L.mul(t, sc[k]), sc_rhs))):
+            return False
+    return True
+
+
+def _entry(v):
+    return f"{'Holds' if v.holds else 'Fails'} ({v.mode})"
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.one_of(corrupted_cubics(sorted(RINGS)), structures()))
+def test_gradient_and_adjoint_imply_the_polarizations(J):
+    assert _polarization_formulas_hold(J)
+    v = validate_axioms(J)
+    premises = all(v.details[name] == "Holds (strict)" for name in ("gradient", "adjoint"))
+    for name in POLARIZATIONS:
+        assert (v.details[name] == "Holds (implied)") is premises
+        strict = strict_identity_check(J, CUBIC_IDENTITIES[name])
+        if premises:
+            assert strict.holds, name
+        else:  # the strict check's verdict, and its witness when it fails first
+            assert v.details[name] == _entry(strict)
+            if v.witness is not None and v.witness[0] == name:
+                assert v.witness[1] == strict.witness
+    sampled = validate_axioms(J, mode="sampled")
+    premises = all(sampled.details[name] == "Holds (strict)" for name in ("gradient", "adjoint"))
+    for name in POLARIZATIONS:
+        assert (sampled.details[name] == "Holds (implied)") is premises
 
 
 # -- the cost guard -----------------------------------------------------------------------
@@ -246,8 +365,9 @@ ALBERT_SPECS = ["her3(zorn(Z/6))", "her3(cs-octonions)", "tits(mat3(Q),1/2)", "t
 
 def test_newly_admitted_checks_take_about_a_second_at_most():
     """The slowest, xyxyx, measured 1.35 s of CPU time, and a whole axiom
-    suite at dimension 27 at most 0.65 s; the bound leaves room for a
-    slower host."""
+    suite at dimension 27 at most 0.03 s, with bilinear-adjoint and
+    sharp-cross implied (0.24 s when they were decided); the bound leaves
+    room for a slower host."""
     S = sedenions(QQ)
     for ident in SEDENION_IDENTITIES:
         assert multiset_count(S.dim, ident.multidegree) <= STRICT_GUARD
