@@ -11,10 +11,7 @@ from .scalars import (
     ProductRing,
     Scalar,
     Zmod,
-    is_nilpotent,
     product_ring,
-    ring_op,
-    try_invert,
 )
 from .quadforms import QuadraticForm, block_det
 from .conic import ConicAlgebra, cartan_schouten, quadratic, split_etale

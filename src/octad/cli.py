@@ -72,7 +72,10 @@ def parse_algebra(spec):
         if len(gammas) not in (0, 1, 3):
             raise ValueError("her3() takes a coefficient algebra and 1 or 3 gammas")
         gammas = [_parse_param(coeff.ring, g) for g in gammas] * (3 if len(gammas) == 1 else 1)
-        return her3(coeff, Gamma(coeff.ring, gammas) if gammas else None)
+        # the unit twist is her3's default: one cache entry, shared with her3(C)
+        unit = Gamma(coeff.ring, [1, 1, 1])
+        gamma = Gamma(coeff.ring, gammas) if gammas else unit
+        return her3(coeff) if gamma == unit else her3(coeff, gamma)
     if spec.startswith("tits(") and spec.endswith(")"):
         # mat3(ring), then at most one parameter
         args = _split_args(spec, spec[5:-1])

@@ -9,7 +9,8 @@ them from the generic element x = sum x_i e_i:
 
 so (i, i, k) is coordinate k of e_i# and (i, j, k), i < j, that of
 e_i x e_j.  Construction decides N(1) = 1 and 1# = 1 directly and the
-gradient law N(x; y) = T(x#, y) strictly, as a polynomial law.  The dense
+gradient law N(x; y) = T(x#, y) strictly, as a polynomial law, once: its
+verdict, gradient_law, is what validate_axioms reports.  The dense
 layout (adjoints of basis vectors and pairs, N(e_i), N(e_i; e_j),
 N(e_i, e_j, e_l)) is only written by to_json and read by from_json.
 
@@ -50,9 +51,7 @@ from .identities import (
     IdentitySpec,
     Verdict,
     check_identity,
-    require_law,
     sampled_identity_check,
-    smallest_failure,
     strict_identity_check,
 )
 from .linalg import (
@@ -125,12 +124,27 @@ class CubicData:
 
     def _validate(self):
         """N(1) = 1 and 1# = 1, and the gradient law as a polynomial law."""
+        failure = self._basepoint_failure()
+        if failure is not None:
+            raise ValueError(f"{self.name}: {failure}")
+        if not self.gradient_law.holds:
+            raise ValueError(f"{self.name}: gradient law N(x; y) = T(x#, y) fails at {self.gradient_law.witness}")
+
+    def _basepoint_failure(self):
+        """The first of N(1) = 1 and 1# = 1 that fails, or None."""
         R = self.ring
         if not R.eq(self.norm_payload(self.basepoint), R.one):
-            raise ValueError(f"{self.name}: N(1) != 1")
+            return "N(1) != 1"
         if not vec_eq(R, self.sharp_vec(self.basepoint), self.basepoint):
-            raise ValueError(f"{self.name}: 1# != 1")
-        require_law(self, CUBIC_IDENTITIES["gradient"], "gradient law N(x; y) = T(x#, y)")
+            return "1# != 1"
+        return None
+
+    @functools.cached_property
+    def gradient_law(self):
+        """The strict verdict of the gradient law N(x; y) = T(x#, y), decided
+        once per structure: by construction, or on first use when
+        construction did not check it."""
+        return strict_identity_check(self, CUBIC_IDENTITIES["gradient"])
 
     # -- scalar-valued maps -----------------------------------------------------
     def norm_payload(self, x, L=None):
@@ -637,44 +651,18 @@ _STANDALONE_ADJOINT_MAX_DIM = 14
 
 
 def adjoint_identity_strict(data):
-    """Strict x## = N(x)x for the stand-alone adjoint suite.
-
-    Integral data over ZZ, QQ or GF(p) gets the verdict of _try_fast_adjoint,
-    path "tensor".  Other data is checked by strict_identity_check up to
-    _STANDALONE_ADJOINT_MAX_DIM and refused above it with CostGuardError,
-    the suite's documented answer for tits(mat3(Z/6),1).  validate_axioms
-    checks the identity without this limit.
-    """
-    fast = _try_fast_adjoint(data)
-    if fast is not None:
-        return fast
-    if data.dim > _STANDALONE_ADJOINT_MAX_DIM:
-        raise CostGuardError(
-            "adjoint strict check needs integral structure data at this dimension"
-        )
-    return strict_identity_check(data, CUBIC_IDENTITIES["adjoint"])
-
-
-def _try_fast_adjoint(data):
-    """The adjoint verdict, with the coordinate of a failure, when the ring
-    is ZZ, QQ or GF(p) and every stored constant is an int; else None."""
+    """Strict x## = N(x)x for the stand-alone adjoint suite: the verdict of
+    strict_identity_check.  Above _STANDALONE_ADJOINT_MAX_DIM, data that is
+    not integral over ZZ, QQ or GF(p) (another ring, or a constant that is
+    not an int) is refused with CostGuardError, the suite's documented
+    answer for tits(mat3(Z/6),1); validate_axioms has no such limit."""
     R = data.ring
-    if not (R in (ZZ, QQ) or isinstance(R, PrimeField)):
-        return None
-    constants = [*data.sharp_terms.values(), *data.norm_terms.values()]
+    constants = itertools.chain(data.sharp_terms.values(), data.norm_terms.values())
     # ZZ and GF(p) payloads are ints, and so is every integral QQ payload
-    if not all(isinstance(c, int) for c in constants):
-        return None
-    failure = smallest_failure(data, CUBIC_IDENTITIES["adjoint"])
-    if failure is None:
-        return Verdict(True, mode="strict", details={"identity": "adjoint", "path": "tensor"})
-    witness, coordinate = failure
-    return Verdict(
-        False,
-        witness=witness,
-        mode="strict",
-        details={"identity": "adjoint", "coordinate": coordinate, "path": "tensor"},
-    )
+    integral = (R in (ZZ, QQ) or isinstance(R, PrimeField)) and all(isinstance(c, int) for c in constants)
+    if data.dim > _STANDALONE_ADJOINT_MAX_DIM and not integral:
+        raise CostGuardError("adjoint strict check needs integral structure data at this dimension")
+    return strict_identity_check(data, CUBIC_IDENTITIES["adjoint"])
 
 
 _CHUNK = 16  # samples per float64 batch
@@ -845,15 +833,18 @@ _IMPLIED_BY = {
 def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     """Run the cubic-norm-structure axiom suite.
 
-    The base point (N(1) = 1 and 1# = 1) is decided directly.  Each of
-    unit-id, gradient and adjoint gets identities.check_identity's
-    verdict in the mode: strict mode decides it as a polynomial law and
-    samples it only above the cost guard; sampled mode evaluates a few
-    seeded points first and decides strictly what they do not refute,
-    inside the guard.  A law of _IMPLIED_BY whose premises all hold with
-    mode strict is then reported as implied, not checked; otherwise
-    bilinear-adjoint and sharp-cross get their own verdict the same way,
-    and the fundamental formula is sampled (fundamental_formula_samples).
+    The base point (N(1) = 1 and 1# = 1) is decided directly.  The
+    gradient law reads CubicData.gradient_law in either mode: the strict
+    verdict that construction decided, or that an unchecked structure
+    decides on first use.  Each of unit-id and adjoint gets
+    identities.check_identity's verdict in the mode: strict mode decides it
+    as a polynomial law and samples it only above the cost guard; sampled
+    mode evaluates a few seeded points first and decides strictly what they
+    do not refute, inside the guard.  A law of _IMPLIED_BY whose premises
+    all hold with mode strict is then reported as implied, not checked;
+    otherwise bilinear-adjoint and sharp-cross get their own verdict the
+    same way, and the fundamental formula is sampled
+    (fundamental_formula_samples).
     The details record each law's mode: strict, sampled or implied.
 
     The polarizations.  Let f(x) = x## - N(x) x and g(x, y) = N(x; y) -
@@ -891,12 +882,9 @@ def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):
     N(1; x, y) the coefficient of s t in N(1 + s x + t y): both give
     T(x x y) = N(1; x, y).
     """
-    R = data.ring
-    basepoint = R.eq(data.norm_payload(data.basepoint), R.one) and vec_eq(
-        R, data.sharp_vec(data.basepoint), data.basepoint
-    )
-    verdicts = {"basepoint": Verdict(basepoint)}
-    for name in ("unit-id", "gradient", "adjoint", "bilinear-adjoint", "sharp-cross", "fundamental"):
+    basepoint = data._basepoint_failure() is None
+    verdicts = {"basepoint": Verdict(basepoint), "gradient": data.gradient_law}
+    for name in ("unit-id", "adjoint", "bilinear-adjoint", "sharp-cross", "fundamental"):
         premises = [verdicts[p] for p in _IMPLIED_BY.get(name, ())]
         if premises and all(v.holds and v.mode == "strict" for v in premises):
             verdicts[name] = Verdict(True, mode="implied")

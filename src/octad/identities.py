@@ -112,15 +112,17 @@ def strict_identity_check(algebra, ident):
     """Decide whether the identity vanishes as a polynomial law.
 
     Returns Holds, or Fails with the lexicographically smallest witness:
-    a tuple of basis-index multisets, one per variable.  Raises
-    CostGuardError above STRICT_GUARD.
+    a tuple of basis-index multisets, one per variable, and in
+    details["coordinate"] the smallest row of the value where it fails.
+    Raises CostGuardError above STRICT_GUARD.
     """
     ident = _resolve(ident)
     failure = smallest_failure(algebra, ident)
     details = {"identity": ident.name}
     if failure is None:
         return Verdict(True, mode="strict", details=details)
-    return Verdict(False, witness=failure[0], mode="strict", details=details)
+    witness, details["coordinate"] = failure
+    return Verdict(False, witness=witness, mode="strict", details=details)
 
 
 def require_law(algebra, ident, what):

@@ -670,26 +670,3 @@ class Scalar:
 
     def __repr__(self):
         return self.ring.render(self.payload)
-
-
-def ring_op(op, a, b):
-    """Apply one of {add, mul, neg, sub} to scalars of the same ring."""
-    if not isinstance(a, Scalar):
-        raise TypeError("expected Scalar")
-    if op == "neg":
-        return -a
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def try_invert(a):
-    return a.try_invert()
-
-
-def is_nilpotent(a):
-    return a.is_nilpotent()

@@ -1,6 +1,8 @@
 """The strict axiom suite and the laws it implies.
 
-validate_axioms reports the bilinear-adjoint and sharp-cross laws as
+validate_axioms reports the gradient verdict that construction decided,
+CubicData.gradient_law, in either mode; an unchecked structure decides it
+on first use.  It reports the bilinear-adjoint and sharp-cross laws as
 implied, not checked, when the gradient and adjoint identities hold as
 polynomial laws: up to the gradient law, they are the t^2 and t
 coefficients of the adjoint law at x + t y.  It reports U_{U_x y} =
@@ -18,7 +20,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from octad.cayley import ground_algebra, quaternions, sedenions
 from octad import cubic
@@ -72,7 +74,7 @@ def small(name, ring):
 
 def fields(J):
     """The base point and the dense fields of J, fresh copies to corrupt."""
-    return (J.basepoint, *cubic_fields(J))
+    return (list(J.basepoint), *cubic_fields(J))
 
 
 def base_changed(J, g):
@@ -216,10 +218,13 @@ def test_implied_needs_exactly_the_four_defining_axioms(monkeypatch, failing):
     """One law would fail, strictly, and the others hold: the formula is
     implied unless the failing one is among the base point, unit-id,
     gradient and adjoint identities.  A polarization is never decided
-    while gradient and adjoint hold strictly, so its failure cannot show."""
+    while gradient and adjoint hold strictly, so its failure cannot show.
+    The gradient verdict is set on a fresh structure, the others come from
+    _axiom_verdict."""
     J = small("her3(ground)", "ZZ")
-    if failing == "basepoint":  # N(2) = 8
-        J = unchecked(CubicData)(ZZ, J.dim, [2 * c for c in J.basepoint], J.sharp_terms, J.norm_terms)
+    basepoint = [2 * c for c in J.basepoint] if failing == "basepoint" else J.basepoint  # N(2) = 8
+    J = unchecked(CubicData)(ZZ, J.dim, basepoint, J.sharp_terms, J.norm_terms)
+    J.gradient_law = Verdict(failing != "gradient", mode="strict")
     decided = []
 
     def verdict(data, ident, mode, seed):
@@ -237,6 +242,64 @@ def test_implied_needs_exactly_the_four_defining_axioms(monkeypatch, failing):
         assert v.details[name] == ("Holds (strict)" if polarizations_decided else "Holds (implied)")
 
 
+# -- the gradient law, decided once --------------------------------------------------------
+
+
+def moved_base_points():
+    """Two structures whose adjoint identity holds and whose gradient law
+    fails: x -> x^2, N(x) = x^3 with base point 2, and split_cubic_etale(ZZ)
+    with base point (1, 1, 2).  The adjoint does not read the base point;
+    the trace T(y) = N(1; y) does."""
+    J = split_cubic_etale(ZZ)
+    return [
+        unchecked(CubicData)(ZZ, 1, [2], {(0, 0, 0): 1}, {(0, 0, 0): 1}),
+        unchecked(CubicData)(ZZ, 3, [1, 1, 2], J.sharp_terms, J.norm_terms),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["strict", "sampled"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_a_moved_base_point_fails_the_gradient_law_while_the_adjoint_holds(index, mode):
+    J = moved_base_points()[index]
+    v = validate_axioms(J, mode=mode)
+    assert not v.holds
+    assert v.details["basepoint"] == "Fails"
+    assert v.details["adjoint"] == "Holds (strict)"
+    assert v.details["gradient"] == "Fails (strict)"
+    assert v.witness[0] == "unit-id"
+    for name in POLARIZATIONS:
+        assert v.details[name].startswith("Fails")
+        if mode == "strict":
+            assert v.details[name] == "Fails (strict)"
+
+
+def test_the_gradient_law_is_decided_once_per_structure(monkeypatch):
+    """Construction decides the gradient law, and the suite reports that
+    verdict in either mode; an unchecked structure decides it on first use."""
+    spec = CUBIC_IDENTITIES["gradient"]
+    evaluate = spec.evaluate
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(spec, "evaluate", counted)
+    J = small("her3(ground)", "ZZ")
+    for cls in (CubicData, unchecked(CubicData)):
+        calls.clear()
+        S = cls(ZZ, J.dim, J.basepoint, J.sharp_terms, J.norm_terms)
+        assert len(calls) == (cls is CubicData)
+        for mode in ("strict", "sampled", "strict", "sampled"):
+            assert validate_axioms(S, mode=mode).details["gradient"] == "Holds (strict)"
+        assert calls == [S]
+    for S in moved_base_points():
+        calls.clear()
+        for mode in ("strict", "sampled", "strict", "sampled"):
+            assert validate_axioms(S, mode=mode).details["gradient"] == "Fails (strict)"
+        assert calls == [S]
+
+
 # -- the implied polarizations -------------------------------------------------------------
 
 
@@ -245,18 +308,19 @@ def test_implied_needs_exactly_the_four_defining_axioms(monkeypatch, failing):
     [
         ("gradient", Verdict(False, witness=((0,), (1,)), mode="strict")),
         ("adjoint", Verdict(False, witness=((0, 0, 1, 2),), mode="strict")),
-        ("gradient", Verdict(True, mode="sampled")),
         ("adjoint", Verdict(True, mode="sampled")),
     ],
-    ids=["gradient-fails", "adjoint-fails", "gradient-sampled", "adjoint-sampled"],
+    ids=["gradient-fails", "adjoint-fails", "adjoint-sampled"],
 )
 def test_polarizations_are_decided_unless_gradient_and_adjoint_hold_strictly(
     monkeypatch, premise, premise_verdict
 ):
     """Unless gradient and adjoint both hold with mode strict, each
     polarization gets _axiom_verdict's verdict, and the report and first
-    failure show it."""
-    J = small("her3(ground)", "ZZ")
+    failure show it.  The gradient verdict, always strict, is set on a
+    fresh structure."""
+    H = small("her3(ground)", "ZZ")
+    J = unchecked(CubicData)(ZZ, H.dim, H.basepoint, H.sharp_terms, H.norm_terms)
     own = {
         premise: premise_verdict,
         "bilinear-adjoint": Verdict(False, witness=((0, 1), (2, 3)), mode="strict"),
@@ -268,9 +332,10 @@ def test_polarizations_are_decided_unless_gradient_and_adjoint_hold_strictly(
         decided.append(ident.name)
         return own.get(ident.name, Verdict(True, mode="strict"))
 
+    J.gradient_law = own.get("gradient", Verdict(True, mode="strict"))
     monkeypatch.setattr(cubic, "_axiom_verdict", verdict)
     v = validate_axioms(J)
-    assert sorted(decided) == sorted(["unit-id", "gradient", "adjoint", *POLARIZATIONS])
+    assert sorted(decided) == sorted(["unit-id", "adjoint", *POLARIZATIONS])
     assert not v.holds
     assert v.details["bilinear-adjoint"] == "Fails (strict)"
     assert v.details["sharp-cross"] == "Holds (sampled)"
@@ -318,6 +383,8 @@ def _entry(v):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.one_of(corrupted_cubics(sorted(RINGS)), structures()))
+@example(moved_base_points()[0])
+@example(moved_base_points()[1])
 def test_gradient_and_adjoint_imply_the_polarizations(J):
     assert _polarization_formulas_hold(J)
     v = validate_axioms(J)

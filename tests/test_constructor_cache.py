@@ -211,6 +211,23 @@ def test_diag_rescale_shares_her3_cache_entries():
     assert her3.cache_info().currsize == before + 1
 
 
+def test_the_unit_twist_of_a_spec_shares_her3s_default_entry():
+    """The specs her3(C), her3(C,1) and her3(C,1,1,1) give the structure of
+    the library call her3(C), and so does a twist that reduces to 1 (7 in
+    Z/6).  A library call that passes the unit Gamma itself keeps an entry
+    of its own."""
+    from octad.cli import parse_algebra
+
+    for plain, twisted in (("her3(Z)", "her3(Z,1)"), ("her3(Z)", "her3(Z,1,1,1)"), ("her3(Z/6)", "her3(Z/6,7)")):
+        J = parse_algebra(plain)
+        before = her3.cache_info().currsize
+        assert parse_algebra(twisted) is J
+        assert her3.cache_info().currsize == before
+    C = ground_algebra(ZZ)
+    assert parse_algebra("her3(Z)") is her3(C)
+    assert her3(C, Gamma(ZZ, [1, 1, 1])) is not her3(C)
+
+
 def _u_tensor_state(J):
     import numpy as np
 

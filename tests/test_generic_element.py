@@ -22,7 +22,7 @@ from octad.cubic import (
     CUBIC_IDENTITIES,
     CubicData,
     _adjoint_id,
-    _try_fast_adjoint,
+    adjoint_identity_strict,
     build_cubic,
     hat_of_conic,
     k_cubic,
@@ -31,7 +31,7 @@ from octad.cubic import (
 )
 from octad.extensions import PolyExt
 from octad.her3 import Gamma, her3
-from octad.identities import CONIC_IDENTITIES, smallest_failure, strict_identity_check
+from octad.identities import CONIC_IDENTITIES, CostGuardError, smallest_failure, strict_identity_check
 from octad.scalars import GF, QQ, ZZ, Zmod
 from octad.tits import TRACE_LAW, CubicAssocInput, mat3, split_albert, tits
 from octad.zorn import zorn_algebra
@@ -196,8 +196,10 @@ def small_cubic(name, ring):
 
 @st.composite
 def corrupted_cubics(draw, rings):
-    """A small cubic structure with up to two stored constants changed, past
-    the construction-time consistency check."""
+    """A small cubic structure with up to two stored constants changed and
+    perhaps its base point moved, past the construction-time consistency
+    check.  A moved base point keeps the adjoint identity, which does not
+    read it, and can break the gradient law through T(y) = N(1; y)."""
     J = small_cubic(draw(st.sampled_from(sorted(SMALL_CUBICS))), draw(st.sampled_from(rings)))
     R, n = J.ring, J.dim
     sharp, cross, n_single, n_dir, n_triple = cubic_fields(J)
@@ -221,7 +223,11 @@ def corrupted_cubics(draw, rings):
         else:
             key = draw(st.sampled_from(list(itertools.combinations(range(n), 3))))
             n_triple[key] = R.add(n_triple.get(key, R.zero), delta)
-    return dense_cubic(unchecked(CubicData), R, n, J.basepoint, sharp, cross, n_single, n_dir, n_triple)
+    basepoint = list(J.basepoint)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        basepoint[i] = R.add(basepoint[i], R.one)
+    return dense_cubic(unchecked(CubicData), R, n, basepoint, sharp, cross, n_single, n_dir, n_triple)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -254,22 +260,24 @@ ADJOINT_RINGS = ["ZZ", "QQ", "GF(2)", "GF(3)"]
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(corrupted_cubics(ADJOINT_RINGS))
-def test_tensor_adjoint_matches_per_subset_reference(J):
-    fast = _try_fast_adjoint(J)
-    slow = strict_identity_check_by_subsets(J, CUBIC_IDENTITIES["adjoint"])
-    assert fast.details["path"] == "tensor"
-    assert same_verdict(fast, slow)
-    if not fast.holds:
-        assert fast.details["coordinate"] == reference_coordinate(J, fast.witness[0])
+def test_adjoint_verdict_matches_per_subset_reference(J):
+    v = adjoint_identity_strict(J)
+    assert same_verdict(v, strict_identity_check_by_subsets(J, CUBIC_IDENTITIES["adjoint"]))
+    if not v.holds:
+        assert v.details["coordinate"] == reference_coordinate(J, v.witness[0])
 
 
-def test_tensor_adjoint_gate():
-    """Only ZZ, QQ and GF(p) structures whose constants are all ints take the
-    tensor path; the rest go to the guarded generic check."""
-    assert _try_fast_adjoint(small_cubic("her3(ground)", "Z/6")) is None
-    half = her3(ground_algebra(QQ), Gamma(QQ, [Fraction(1, 2), 1, 1]))
-    assert _try_fast_adjoint(half) is None
-    assert _try_fast_adjoint(small_cubic("her3(ground)", "GF(3)")).holds
+def test_standalone_adjoint_refuses_only_large_data_that_is_not_integral():
+    """Above dimension 14 the stand-alone adjoint suite refuses data that is
+    not integral over ZZ, QQ or GF(p); at dimension 6 it decides any data."""
+    assert adjoint_identity_strict(small_cubic("her3(ground)", "Z/6")).holds
+    assert adjoint_identity_strict(her3(ground_algebra(QQ), Gamma(QQ, [Fraction(1, 2), 1, 1]))).holds
+    for J in (tits(mat3(Zmod(6)), 1), tits(mat3(QQ), Fraction(1, 2)), her3(zorn_algebra(Zmod(6)))):
+        with pytest.raises(CostGuardError, match="needs integral structure data"):
+            adjoint_identity_strict(J)
+    for J in (tits(mat3(QQ), 1), tits(mat3(GF(5)), 2), her3(cartan_schouten(QQ))):
+        v = adjoint_identity_strict(J)
+        assert v.holds and "path" not in v.details
 
 
 # -- structure extraction ------------------------------------------------------------------

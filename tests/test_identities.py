@@ -110,7 +110,8 @@ def test_sampled_mode_decides_the_set_map_zero_law_strictly():
     the strict check finds the failure that no point of GF(2)^2 shows."""
     v = check_identity(split_etale(GF(2)), SETMAP_ZERO, mode="sampled")
     assert (v.holds, v.mode, v.witness) == (False, "strict", ((0, 0, 1),))
-    assert v.details == {"identity": "setmap-zero", "seed": DEFAULT_SEED, "presamples": PRESAMPLES}
+    # row 0 is the only nonzero row of the value
+    assert v.details == {"identity": "setmap-zero", "coordinate": 0, "seed": DEFAULT_SEED, "presamples": PRESAMPLES}
 
 
 def test_sampled_mode_catches_gross_failures():
