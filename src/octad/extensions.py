@@ -6,13 +6,20 @@ sub, eq, sum, dot and the fused addmul from those, and every ring of the
 scalar tower (scalars.Ring) and both extensions below inherit them; a
 class keeps its own version only where it has a faster one.
 
+RingLike.modulus is the one capability the exact kernels read.  It is
+None unless the payloads are plain Python numbers: 0 for ZZ and QQ, n
+for Z/n and GF(p).  linalg.TermMap over such a ring, and PolyExt.addmul
+over such a base, compute with the numbers themselves and put each
+stored value in canonical form once.  Over every other ring-like
+(ProductRing, DualNumbers, both extensions) TermMap runs one addmul per
+term.
+
 addmul(acc, a, b, c, sign) is acc + c*a*b for a constant c of the base
-ring, the one operation linalg.TermMap runs per stored term.  Its
-ownership rule: a faster addmul may build its result in acc's storage,
-so acc must be the zero (which PolyExt.addmul replaces with a fresh
-dict, never filling the shared PolyExt.zero) or a value addmul returned
-to the same caller.  A running value from anywhere else is added once,
-with add, which never mutates its arguments.
+ring.  Its ownership rule: a faster addmul may build its result in acc's
+storage, so acc must be the zero (which PolyExt.addmul replaces with a
+fresh dict, never filling the shared PolyExt.zero) or a value addmul
+returned to the same caller.  A running value from anywhere else is
+added once, with add, which never mutates its arguments.
 
 DualExt and PolyExt are not first-class rings of the tower.  PolyExt
 lets the strict identity checker evaluate structure-constant formulas
@@ -26,6 +33,10 @@ from __future__ import annotations
 
 class RingLike:
     """The derived operations of a ring-like."""
+
+    # None, or the n of a ring whose payloads are plain numbers reduced
+    # modulo n (0: not reduced, and an integral value is an int)
+    modulus = None
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -188,23 +199,43 @@ class PolyExt(RingLike):
         """acc + c*a*b with every monomial added straight into acc: no
         product dict, no copy, the same truncation and no zero stored.  acc
         follows RingLike's ownership rule; an empty one is replaced by a
-        fresh dict."""
+        fresh dict.  Over a base of native numbers each coefficient
+        product is added inline and the sum is put in canonical form once,
+        as it is stored."""
         if not a or not b:
             return acc
         if not acc:
             acc = {}
         B = self.base
-        bmul, badd, bzero = B.mul, B.add, B.is_zero
-        bound = self._bound
+        n, bound = B.modulus, self._bound
         if len(a) > len(b):
             a, b = b, a
+        b = b.items()
         # c goes into the shorter factor's coefficients once, unless it is one
+        if n is not None:
+            if sign != 1:
+                a = {e: c1 * c for e, c1 in a.items()}
+            for e1, c1 in a.items():
+                for e2, c2 in b:
+                    e = e1 + e2
+                    if e >= bound:
+                        continue
+                    s = acc[e] + c1 * c2 if e in acc else c1 * c2
+                    if n:
+                        s %= n
+                    elif s.__class__ is not int and s.denominator == 1:
+                        s = s.numerator
+                    if s:
+                        acc[e] = s
+                    elif e in acc:
+                        del acc[e]
+            return acc
+        bmul, badd, bzero = B.mul, B.add, B.is_zero
         if sign == 1:
             a = a.items()
         else:
             k = B.from_base(c)
             a = [(e, m) for e, c1 in a.items() if not bzero(m := bmul(c1, k))]
-        b = b.items()
         for e1, c1 in a:
             for e2, c2 in b:
                 e = e1 + e2

@@ -13,10 +13,13 @@ Every polynomial map the library stores by its coefficients (conic
 products, traces and conjugations, quadratic forms, linear maps, cubic
 adjoints, norms and traces) is a TermMap: its nonzero terms, evaluated
 over the base ring or any ring-like extension by the loops of that one
-class, each of which costs one fused ring-like addmul (acc + c*a*b) per
-term.  Polarization has no loop of its own: for a degree-2 map with
-bilinear part B, f(x + y) - f(x) - f(y) = B(x, y) + B(y, x), two
-bilinear passes.
+class.  Over a ring of native numbers (one with a modulus: ZZ, QQ, Z/n,
+GF(p)) the loops add c*p into plain numbers, p the product of a key's
+factors formed once for all of its terms, and put each coordinate in
+canonical form once at the end; over any other ring-like each term
+costs one fused addmul (acc + c*a*b).  Polarization has no loop of its
+own: for a degree-2 map with bilinear part B, f(x + y) - f(x) - f(y) =
+B(x, y) + B(y, x), two bilinear passes.
 """
 
 from __future__ import annotations
@@ -75,11 +78,14 @@ class TermMap:
     of a scalar form (out_dim None) have no k.  Each constant is coerced
     into ring once and kept with its unit_sign, and self.terms is the one
     stored copy, in key order.  Every evaluation runs over the ring or
-    any ring-like L and skips a term with a zero factor.  Each term costs
-    one L.addmul into a coordinate that starts at L.zero, so by the
-    protocol's ownership rule (see extensions) the coordinates are the
-    kernel's own to add into in place; an acc given by the caller is added
-    once per coordinate at the end and never mutated.  A degree-2 map
+    any ring-like L and skips a term with a zero factor.  When L has a
+    modulus n (see extensions.RingLike), a term adds c*p, or +-p for a
+    unit sign, into a plain number, and _canonical(n, ...) reduces each
+    coordinate once.  Otherwise each term costs one L.addmul into a
+    coordinate that starts at L.zero, so by the protocol's ownership rule
+    (see extensions) the coordinates are the kernel's own to add into in
+    place.  Either way an acc given by the caller is added once per
+    coordinate at the end and never mutated.  A degree-2 map
     with unsorted keys (a, b, k) is the bilinear map (x, y) -> sum c x_a
     y_b e_k: as conic.build_conic reads a product, (a, b, k) is the
     degree-2 term (a, dim + b, k) of the pair (x, y).  With sorted keys,
@@ -121,6 +127,31 @@ class TermMap:
         if self.degree == 2:
             return self.bilinear(x, x, L, acc)
         R = L if L is not None else self.ring
+        n = R.modulus
+        if n is not None:
+            out = [0] * self._size
+            if self.degree == 1:
+                for i, leaves in self._index:
+                    p = x[i]
+                    if p:
+                        for k, c, sign in leaves:
+                            out[k] += p if sign == 1 else -p if sign else c * p
+                return self._result(R, _canonical(n, out), acc)
+            z = [not c for c in x]
+            for i, rows in self._index:
+                if z[i]:
+                    continue
+                xi = x[i]
+                for j, row in rows:
+                    if z[j]:
+                        continue
+                    xij = xi * x[j]
+                    for l, leaves in row:
+                        if not z[l]:
+                            p = xij * x[l]
+                            for k, c, sign in leaves:
+                                out[k] += p if sign == 1 else -p if sign else c * p
+            return self._result(R, _canonical(n, out), acc)
         addmul, out = R.addmul, [R.zero] * self._size
         if self.degree == 1:
             one = R.one
@@ -148,6 +179,19 @@ class TermMap:
     def bilinear(self, x, y, L=None, acc=None):
         """sum c x_a y_b (e_k) over the degree-2 terms (a, b[, k])."""
         R = L if L is not None else self.ring
+        n = R.modulus
+        if n is not None:
+            out = [0] * self._size
+            zy = [not c for c in y]
+            for i, row in self._index:
+                xi = x[i]
+                if xi:
+                    for j, leaves in row:
+                        if not zy[j]:
+                            p = xi * y[j]
+                            for k, c, sign in leaves:
+                                out[k] += p if sign == 1 else -p if sign else c * p
+            return self._result(R, _canonical(n, out), acc)
         addmul, out = R.addmul, [R.zero] * self._size
         zy = [R.is_zero(c) for c in y]
         zx = zy if x is y else [R.is_zero(c) for c in x]
@@ -172,14 +216,23 @@ class TermMap:
         """[polar(x, e_j) for each coordinate j of x] in one pass, added
         onto the columns acc when they are given."""
         R = L if L is not None else self.ring
-        addmul, one = R.addmul, R.one
-        two = R.add(one, one)
+        n = R.modulus
         cols = [[R.zero] * self._size for _ in x]
-        z = [R.is_zero(c) for c in x]
+        if n is None:
+            addmul, one = R.addmul, R.one
+            two = R.add(one, one)
+            z = [R.is_zero(c) for c in x]
 
-        def add(col, a, b, leaves):
-            for k, c, sign in leaves:
-                col[k] = addmul(col[k], a, b, c, sign)
+            def add(col, a, b, leaves):
+                for k, c, sign in leaves:
+                    col[k] = addmul(col[k], a, b, c, sign)
+        else:
+            one, two, z = 1, 2, [not c for c in x]
+
+            def add(col, a, b, leaves):
+                p = a * b
+                for k, c, sign in leaves:
+                    col[k] += p if sign == 1 else -p if sign else c * p
 
         for i, row in self._index:
             for j, leaves in row:
@@ -193,8 +246,19 @@ class TermMap:
                     add(cols[j], x[i], one, leaves)
                 if not z[j]:
                     add(cols[i], x[j], one, leaves)
+        if n is not None:
+            cols = [_canonical(n, col) for col in cols]
         accs = [None] * len(cols) if acc is None else acc
         return [self._result(R, col, a) for col, a in zip(cols, accs)]
+
+
+def _canonical(n, out):
+    """The canonical payloads of the plain numbers out over a ring of
+    modulus n: residues in [0, n) when n > 0, else an int for every
+    integral value (a Fraction with denominator one is never stored)."""
+    if n:
+        return [v % n for v in out]
+    return [v if v.__class__ is int or v.denominator != 1 else v.numerator for v in out]
 
 
 class ModuleElement:

@@ -16,8 +16,11 @@ GF(p) is Z/p with a modulus proven prime (PrimeField subclasses
 ModularRing and shares all its arithmetic); it is still a ring of its
 own, unequal to Z/p, that answers is_field.  The derived operations
 sub, eq, sum, dot and addmul come from extensions.RingLike, except where
-a ring has a faster form of one: ZZ, QQ and Z/n (so GF(p)) each compute
-addmul in native arithmetic with one canonicalization.
+a ring has a faster form of one: QQ and Z/n (so GF(p)) compute addmul,
+which linalg.eliminate runs, in native arithmetic with one
+canonicalization.  ZZ, QQ, Z/n and GF(p) carry a modulus (0, 0, n, n),
+the capability by which linalg.TermMap and extensions.PolyExt.addmul
+skip the ring's methods and compute on the payload numbers directly.
 
 Random draws go through one kernel, draw_below(rng, n, count): the
 values rng.randrange(n) would return count times, taken from the stream
@@ -207,6 +210,7 @@ class Ring(RingLike):
 
 class IntegerRing(Ring):
     is_ordered = True
+    modulus = 0
     zero = 0
     one = 1
 
@@ -226,9 +230,6 @@ class IntegerRing(Ring):
 
     def mul(self, a, b):
         return a * b
-
-    def addmul(self, acc, a, b, c, sign):
-        return acc + c * a * b
 
     def is_zero(self, a):
         return a == 0
@@ -274,6 +275,7 @@ class RationalField(Ring):
 
     is_field = True
     is_ordered = True
+    modulus = 0
     zero = 0
     one = 1
 
@@ -363,7 +365,7 @@ class ModularRing(Ring):
     def __init__(self, n):
         if n < 2:
             raise ValueError("modulus must be >= 2")
-        self.n = n
+        self.n = self.modulus = n
         self.zero = 0
         self.one = 1
 

@@ -14,7 +14,9 @@ one R.rand per coordinate before the samplers drew in bulk
 (Ring.rand_vec).  They are kept verbatim so that the tests
 can compare the two; only their dense constants now pass through
 dense_layout into the terms the library stores.  The grid check of the associative cubic
-input laws is new: a complete reference over ZZ for dimensions <= 3.
+input laws is new: a complete reference over ZZ for dimensions <= 3.  So
+is canonical, the payload form every scalar ring's validate returns, which
+the kernels on native numbers must return too.
 """
 
 from __future__ import annotations
@@ -129,6 +131,14 @@ def _nonzero_monomials(L, rows, total_vars):
     for poly in rows:
         bad.update(poly)
     return sorted(exponents(L, key) for key in bad)
+
+
+def canonical(R, v):
+    """Whether the payload v of the scalar ring R is in canonical form:
+    R.validate keeps it, value and type, so an integral QQ value is an
+    int and a Z/n or GF(p) value a residue in [0, n)."""
+    c = R.validate(v)
+    return c == v and type(c) is type(v)
 
 
 def exponents(L, key):

@@ -12,7 +12,7 @@ import pytest
 from octad.extensions import DualExt, PolyExt, RingLike
 from octad.linalg import unit_sign
 from octad.scalars import GF, QQ, ZZ, Zmod
-from reference_paths import exponents
+from reference_paths import canonical, exponents
 
 
 def naive_mul(R, cap, a, b):
@@ -196,7 +196,10 @@ def test_ringlike_dot_sum_eq_match_explicit_loops(L):
                 assert L.eq(x, b) == (naive(L, x) == naive(L, b))
 
 
-FAST_ADDMUL = [ZZ, QQ, GF(2), GF(7), Zmod(6), PolyExt(ZZ, 3, 3), PolyExt(GF(3), 3, 3), PolyExt(Zmod(6), 3, 3)]
+FAST_ADDMUL = [
+    QQ, GF(2), GF(7), Zmod(6),
+    PolyExt(ZZ, 3, 3), PolyExt(QQ, 3, 3), PolyExt(GF(2), 3, 3), PolyExt(GF(3), 3, 3), PolyExt(Zmod(6), 3, 3),
+]
 
 
 @pytest.mark.parametrize("L", FAST_ADDMUL, ids=lambda L: f"PolyExt({L.base!r},3,3)" if isinstance(L, PolyExt) else repr(L))
@@ -204,8 +207,8 @@ def test_fast_addmul_matches_default(L):
     """Each override of addmul equals RingLike.addmul for constants of the
     signs 1, -1 and 0: onto a random acc, onto the shared zero and onto
     minus the product, where the sum cancels.  It returns canonical
-    payloads, mutates neither factor, and never stores a zero coefficient
-    or fills the shared zero."""
+    payloads, over PolyExt canonical coefficients, mutates neither
+    factor, and never stores a zero coefficient or fills the shared zero."""
     assert type(L).addmul is not RingLike.addmul
     poly = isinstance(L, PolyExt)
     R = L.base if poly else L
@@ -238,5 +241,6 @@ def test_fast_addmul_matches_default(L):
                     scaled = {e: R.mul(v, c) for e, v in naive_mul(R, L.cap, raw[0], raw[1]).items()}
                     assert unpack(L, got) == naive_add(R, unpack(L, start), scaled)
                     assert L.zero == {} and not any(R.is_zero(v) for v in got.values())
+                    assert all(canonical(R, v) for v in got.values())
     # products above the cap were dropped, not only products below it
     assert truncated or not poly
