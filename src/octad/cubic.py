@@ -15,26 +15,26 @@ layout (adjoints of basis vectors and pairs, N(e_i), N(e_i; e_j),
 N(e_i, e_j, e_l)) is only written by to_json and read by from_json.
 
 Traces are always derived, never stored: T(y) = N(1; y), S(x) = T(x#),
-T(x, y) = T(x)T(y) - T(x x y), U_x y = T(x, y) x - x# x y.  N(x; y) and
-T(e_m) = N(1; e_m) are read from the norm's gradient x -> (N(x; e_m))_m,
-built from the norm terms once, at construction.
+T(x, y) = T(x)T(y) - T(x x y), U_x y = T(x, y) x - x# x y.
 
 One kernel, linalg.TermMap, evaluates every stored form: the adjoint
-(x# its value, x x y its polar), the norm and its gradient, the trace
-T(x) = sum T(e_i) x_i and the trace form, as the map x -> (T(x, e_j))_j
-given by the Gram matrix T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j),
-whose terms are read from the adjoint terms once, at construction.  The
-kernel coerces each constant once, applies 1 and -1 by add and sub and
-sums a term only when all its factors are nonzero.
+(x# its value, x x y its polar), the norm, the trace T(x) = sum T(e_i)
+x_i and the trace form x -> (T(x, e_j))_j, whose Gram matrix T(e_i, e_j)
+= T(e_i)T(e_j) - T(e_i x e_j) is read from the adjoint terms once, at
+construction.  A derivative is the value of a TermMap.gradient, read
+from stored terms once: N(x; y) and T(e_m) = N(1; e_m) from the norm's
+(_grad, at construction), x# x e_j from the adjoint's (_sharp_grad, on
+first use).  The kernel coerces each constant once, applies 1 and -1 by
+add and sub and sums a term only when all its factors are nonzero.
 
 u_matrix(x) gives the columns U_x e_j = T(x, e_j) x - x# x e_j, with x#,
 the row T(x, e_.) and the columns x# x e_j each computed in one pass.
 The sampled fundamental formula compares U_{U_x y} with U_x U_y U_x
 column by column through it.  It draws all its samples in one
-Ring.rand_vec call.  Over ZZ it checks up to 16 samples at once as
-stacked matrices in float64 (numpy BLAS) wherever a bound from the
-constants and the sample's range proves every value an integer below
-2^53; the exact path takes every other sample.
+Ring.rand_vec call.  Over ZZ, and over QQ with int constants, it checks
+up to 16 samples at once as stacked matrices in float64 (numpy BLAS)
+wherever a bound from the constants and the sample's range proves every
+value an integer below 2^53; the exact path takes every other sample.
 """
 
 from __future__ import annotations
@@ -84,39 +84,29 @@ class CubicData:
         self.norm_terms = self._norm.terms
         if any(i > j for i, j, _ in self.sharp_terms) or any(not i <= j <= l for i, j, l in self.norm_terms):
             raise ValueError(f"{name}: term keys must be sorted index tuples")
-        self._grad = self._norm_gradient()
+        self._grad = self._norm.gradient(dim)
         self.tvec = self._grad.value(self.basepoint)
         self._trace = TermMap(ring, {(i,): t for i, t in enumerate(self.tvec)}, 1)
         self._trace_form = self._trace_gram()
         self._validate()
 
-    def _norm_gradient(self):
-        """x -> (N(x; e_m))_m as a degree-2 map: c x_a x_b x_l (a <= b <= l)
-        adds c x_b x_l, c x_a x_l and c x_a x_b to coordinates a, b and l."""
-        R = self.ring
-        grad = {}
-        for (a, b, l), c in self.norm_terms.items():
-            for key in ((b, l, a), (a, l, b), (a, b, l)):
-                grad[key] = R.add(grad.get(key, R.zero), c)
-        return TermMap(R, grad, 2, self.dim)
-
     def _trace_gram(self):
-        """The trace form as the map x -> (T(x, e_j))_j, from the Gram matrix
-        T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j) read from the adjoint
-        terms (e_i x e_i = 2 e_i#)."""
+        """The trace form as the map x -> (T(x, e_j))_j: the Gram matrix
+        T(e_i, e_j) = T(e_i)T(e_j) - T(e_i x e_j) is t (x) t less the
+        gradient of S(x) = T(x#), whose terms are read from the adjoint's."""
         R, t = self.ring, self.tvec
-        support = [(i, a) for i, a in enumerate(t) if not R.is_zero(a)]
-        gram = {(i, j): R.mul(a, b) for i, a in support for j, b in support}
+        strace = {}
         for (i, j, k), c in self.sharp_terms.items():
-            if R.is_zero(t[k]):
-                continue
-            d = R.mul(c, t[k])
-            if i == j:
-                gram[(i, i)] = R.sub(gram.get((i, i), R.zero), R.add(d, d))
-            else:
-                gram[(i, j)] = R.sub(gram.get((i, j), R.zero), d)
-                gram[(j, i)] = R.sub(gram.get((j, i), R.zero), d)
+            strace[(i, j)] = R.add(strace.get((i, j), R.zero), R.mul(c, t[k]))
+        gram = {(i, j): R.mul(a, b) for i, a in enumerate(t) for j, b in enumerate(t)}
+        for key, c in TermMap(R, strace, 2).gradient(self.dim).terms.items():
+            gram[key] = R.sub(gram[key], c)
         return TermMap(R, gram, 1, self.dim)
+
+    @functools.cached_property
+    def _sharp_grad(self):
+        """x -> (x x e_m)_m, coordinate k of x x e_m at m * dim + k."""
+        return self._sharp.gradient(self.dim)
 
     @functools.cached_property
     def _u_tensors(self):
@@ -196,8 +186,9 @@ class CubicData:
         trace row and the columns x# x e_j each computed in one pass."""
         R = L if L is not None else self.ring
         n = self.dim
-        cols = [[R.zero] * n if R.is_zero(t) else scale_vec(R, t, x) for t in self.trace_row(x, L)]
-        return self._sharp.polar_columns([R.neg(c) for c in self.sharp_vec(x, L)], L, cols)
+        cols = [c for t in self.trace_row(x, L) for c in ([R.zero] * n if R.is_zero(t) else scale_vec(R, t, x))]
+        cols = self._sharp_grad.value([R.neg(c) for c in self.sharp_vec(x, L)], L, cols)
+        return [cols[j : j + n] for j in range(0, n * n, n)]
 
     def triple_vec(self, x, y, z, L=None):
         """{x y z} = U_{x,z} y = T(x,y) z + T(z,y) x - (x x z) x y."""
@@ -716,9 +707,11 @@ def _slow_fundamental(data, x, y):
 
 
 def _float_u_tensors(data):
-    """The float64 tensors of _u_batch over ZZ and the bound k, or None.
+    """The float64 tensors of _u_batch and the bound k, or None.
 
-    On samples with |x_i|, |y_i| <= B (B >= 1), every value that
+    They need int payloads that no modulus reduces (ZZ, and QQ, whose
+    samples are ints too) and an int for every adjoint constant and every
+    T(e_i).  On int samples with |x_i|, |y_i| <= B (B >= 1), every value that
     _float_fundamental forms is an integer of absolute value at most
     B^6 k.  k sums the absolute values of the constants along the same
     contractions: U_x is quadratic in x, U_x y is cubic, and U_{U_x y} and
@@ -726,22 +719,22 @@ def _float_u_tensors(data):
     the pairs a <= b that carry terms.  A partial sum of a matrix product is
     bounded by the sum of the absolute values of its terms, so the bound
     holds whatever order BLAS adds in.  reach is the largest B with
-    B^6 k < 2^53.  None off ZZ or when k itself reaches 2^53.  CubicData
-    caches the result as _u_tensors.
+    B^6 k < 2^53.  None without those ints or when k itself reaches 2^53.
+    CubicData caches the result as _u_tensors.
     """
-    if data.ring != ZZ:
+    constants = itertools.chain(data.sharp_terms.values(), data.tvec)
+    if data.ring.modulus != 0 or not all(isinstance(c, int) for c in constants):
         return None
     import numpy as np
 
     n = data.dim
     XU = np.zeros((n, n, n), dtype=object)
-    X = np.zeros((n, n, n), dtype=object)
     for (a, b, k), c in data.sharp_terms.items():
-        if a == b:
-            XU[a, a, k] = c
-            X[a, a, k] = 2 * c
-        else:
-            XU[a, b, k] = X[a, b, k] = X[b, a, k] = c
+        XU[a, b, k] = c
+    X = np.zeros((n, n * n), dtype=object)  # [a, j n + k]: the coefficient of x_a in (x x e_j)_k
+    for (a, jk), c in data._sharp_grad.terms.items():
+        X[a, jk] = c
+    X = X.reshape(n, n, n)
     tvec = np.array(data.tvec, dtype=object)
     TX = np.tensordot(X, tvec, axes=([2], [0]))
     bound = _fundamental_bound(np, XU, X, tvec)

@@ -19,7 +19,8 @@ factors formed once for all of its terms, and put each coordinate in
 canonical form once at the end; over any other ring-like each term
 costs one fused addmul (acc + c*a*b).  Polarization has no loop of its
 own: for a degree-2 map with bilinear part B, f(x + y) - f(x) - f(y) =
-B(x, y) + B(y, x), two bilinear passes.
+B(x, y) + B(y, x), two bilinear passes, and all of D f(x; e_m) is the
+value of f's gradient, a TermMap read from f's terms once.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ class TermMap:
     with unsorted keys (a, b, k) is the bilinear map (x, y) -> sum c x_a
     y_b e_k: as conic.build_conic reads a product, (a, b, k) is the
     degree-2 term (a, dim + b, k) of the pair (x, y).  With sorted keys,
-    bilinear is the map's bilinear part B, and polar(x, y) is the two
-    passes B(x, y) + B(y, x).
+    bilinear is the map's bilinear part B, polar(x, y) is the two passes
+    B(x, y) + B(y, x), and gradient(dim) is x -> [D f(x; e_m)]_m.
     """
 
     def __init__(self, ring, terms, degree, out_dim=None):
@@ -212,44 +213,20 @@ class TermMap:
         (i, i) gives 2 c x_i y_i, in every characteristic."""
         return self.bilinear(y, x, L, self.bilinear(x, y, L, acc))
 
-    def polar_columns(self, x, L=None, acc=None):
-        """[polar(x, e_j) for each coordinate j of x] in one pass, added
-        onto the columns acc when they are given."""
-        R = L if L is not None else self.ring
-        n = R.modulus
-        cols = [[R.zero] * self._size for _ in x]
-        if n is None:
-            addmul, one = R.addmul, R.one
-            two = R.add(one, one)
-            z = [R.is_zero(c) for c in x]
-
-            def add(col, a, b, leaves):
-                for k, c, sign in leaves:
-                    col[k] = addmul(col[k], a, b, c, sign)
-        else:
-            one, two, z = 1, 2, [not c for c in x]
-
-            def add(col, a, b, leaves):
-                p = a * b
-                for k, c, sign in leaves:
-                    col[k] += p if sign == 1 else -p if sign else c * p
-
-        for i, row in self._index:
-            for j, leaves in row:
-                # polar(x, e_j) gains c x_i and polar(x, e_i) gains c x_j,
-                # or 2 c x_i when i = j
-                if i == j:
-                    if not z[i]:
-                        add(cols[i], x[i], two, leaves)
-                    continue
-                if not z[i]:
-                    add(cols[j], x[i], one, leaves)
-                if not z[j]:
-                    add(cols[i], x[j], one, leaves)
-        if n is not None:
-            cols = [_canonical(n, col) for col in cols]
-        accs = [None] * len(cols) if acc is None else acc
-        return [self._result(R, col, a) for col, a in zip(cols, accs)]
+    def gradient(self, dim):
+        """x -> [D f(x; e_m)]_m, coordinate k of D f(x; e_m) at m * size + k,
+        for this map f of degree d >= 2 on dim coordinates: a map of degree
+        d - 1 where each term c x_{i_1} ... x_{i_d} (e_k) adds c once per
+        position of m in its key, so (i, i) gives 2 c x_i at m = i and
+        (i, j) gives c x_j at m = i and c x_i at m = j."""
+        R, d, size = self.ring, self.degree, self._size
+        terms = {}
+        for key, c in self.terms.items():
+            k = 0 if self._scalar else key[d]
+            for p in range(d):
+                rest = key[:p] + key[p + 1 : d] + (key[p] * size + k,)
+                terms[rest] = R.add(terms.get(rest, R.zero), c)
+        return TermMap(R, terms, d - 1, dim * size)
 
 
 def _canonical(n, out):

@@ -24,6 +24,7 @@ class QuadraticForm:
             raise ValueError("coefficients must be upper triangular")
         self._form = linalg.TermMap(ring, coeffs, 2)
         self.coeffs = self._form.terms
+        self._gradient = self._form.gradient(dim)
 
     def eval_payload(self, x, L=None):
         """Evaluate on a payload vector, optionally over a ring-like L."""
@@ -38,8 +39,8 @@ class QuadraticForm:
         return self._form.polar(x, y, L)
 
     def bilin_row(self, x, L=None):
-        """[Dq(x, e_0), ..., Dq(x, e_{dim-1})] in one pass."""
-        return self._form.polar_columns(x, L)
+        """[Dq(x, e_0), ..., Dq(x, e_{dim-1})], the value of q's gradient."""
+        return self._gradient.value(x, L)
 
     def bilinearize(self):
         """The Gram rows of Dq: row i is bilin_row(e_i)."""

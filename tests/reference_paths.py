@@ -11,9 +11,11 @@ before they called the strict checker, and the basis-pair loops that
 built Cayley-Dickson doubles and Zorn(k) before conic.build_conic read
 them from the generic element, and the sampled identity check as it drew
 one R.rand per coordinate before the samplers drew in bulk
-(Ring.rand_vec).  They are kept verbatim so that the tests
-can compare the two; only their dense constants now pass through
-dense_layout into the terms the library stores.  The grid check of the associative cubic
+(Ring.rand_vec), and the norm gradient that CubicData built by hand
+before it read every derivative from TermMap.gradient.  They are kept
+verbatim so that the tests can compare the two; only their dense
+constants now pass through dense_layout into the terms the library
+stores.  The grid check of the associative cubic
 input laws is new: a complete reference over ZZ for dimensions <= 3.  So
 is canonical, the payload form every scalar ring's validate returns, which
 the kernels on native numbers must return too.
@@ -30,7 +32,7 @@ from octad.conic import ConicAlgebra
 from octad.cubic import CubicData
 from octad.extensions import DualExt, PolyExt
 from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
-from octad.linalg import add_vec, basis, inverse_rational, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
+from octad.linalg import TermMap, add_vec, basis, inverse_rational, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
 from octad.quadforms import QuadraticForm
 from octad.zorn import _Entries, _product, _to_coords
 from octad.zorders import _EPS_TO_U
@@ -479,3 +481,14 @@ def zorn_algebra_by_basis_products(ring):
     z = [R.zero] * 3
     unit = _to_coords(R, _Entries(R.one, z, z, R.one))
     return ConicAlgebra(ring, 8, table_products(table), unit, norm, name="zorn")
+
+
+def norm_gradient(self):
+    """x -> (N(x; e_m))_m as a degree-2 map: c x_a x_b x_l (a <= b <= l)
+    adds c x_b x_l, c x_a x_l and c x_a x_b to coordinates a, b and l."""
+    R = self.ring
+    grad = {}
+    for (a, b, l), c in self.norm_terms.items():
+        for key in ((b, l, a), (a, l, b), (a, b, l)):
+            grad[key] = R.add(grad.get(key, R.zero), c)
+    return TermMap(R, grad, 2, self.dim)

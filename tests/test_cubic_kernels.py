@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octad.cayley import ground_algebra
+from octad.cli import parse_algebra
 from octad.conic import quadratic
 from octad.cubic import (
     CUBIC_IDENTITIES,
@@ -33,10 +34,11 @@ from octad.her3 import her3
 from octad.identities import DEFAULT_SEED, strict_identity_check
 from octad.linalg import basis, vec_eq
 from octad.quadforms import QuadraticForm
-from octad.scalars import GF, QQ, ZZ, Zmod
+from octad.scalars import GF, QQ, ZZ, DualNumbers, Zmod, product_ring
 from octad.tits import split_albert
 from octad.zorn import zorn_algebra
 from dense_layout import cubic_fields, dense_cubic, unchecked
+from reference_paths import norm_gradient
 
 BUILDERS = {
     "her3(zorn(Z))": lambda: her3(zorn_algebra(ZZ)),
@@ -215,6 +217,33 @@ def test_norm_gradient_matches_the_dual_number_derivative(name):
         assert L.eq(J.norm_dir_payload(x, y, L), ref_norm(J, DualExt(L), list(zip(x, y)))[1])
 
 
+# structures of the CLI grammar, and small ones over the rings it cannot name
+CATALOG = {
+    **{spec: functools.partial(parse_algebra, spec) for spec in (
+        "her3(Z)", "her3(Q,1/2)", "her3(F2)", "her3(F5)", "her3(Z/6)", "her3(f2xf2)", "her3(zorn(Z))",
+        "her3(zorn(Z/6))", "her3(cs-octonions)", "tits(mat3(Z),1)", "tits(mat3(Q),1)", "tits(mat3(Q),1/2)",
+        "tits(mat3(F2),1)", "tits(mat3(F5),2)", "tits(mat3(Z/6),1)",
+    )},
+    "split_albert(Q)": lambda: split_albert(QQ),
+    "split_albert(F3)": lambda: split_albert(GF(3)),
+    **{f"{name}({R!r})": functools.partial(build, R)
+       for R in (product_ring(Zmod(4), GF(3)), DualNumbers(GF(5)))
+       for name, build in (("k", k_cubic), ("kk", kk_cubic), ("etale", split_cubic_etale),
+                           ("hat", lambda R: hat_of_conic(quadratic(R, 1, -1))))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_norm_gradient_is_the_hand_written_one(name):
+    """CubicData._grad, the norm's TermMap.gradient, has the terms of the
+    norm gradient CubicData once built by hand, and the same values."""
+    J = CATALOG[name]()
+    want = norm_gradient(J)
+    assert J._grad.terms == want.terms
+    for L, x in poly_vectors(J, random.Random(29), 1):
+        assert vec_eq(L, J._grad.value(x, L), want.value(x, L))
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_sharp_and_cross_match_all_pairs(name):
     J = structure(name)
@@ -285,6 +314,15 @@ ZZ_STRUCTURES = {
 }
 
 
+# integral QQ data, and her3(Q,1/2) with non-integral adjoint constants
+QQ_STRUCTURES = {
+    "her3(zorn(Q))": lambda: structure("her3(zorn(Q))"),
+    "hat(quadratic(Q))": lambda: structure("hat(quadratic(Q))"),
+    "tits(mat3(Q),1)": lambda: parse_algebra("tits(mat3(Q),1)"),
+    "her3(Q,1/2)": lambda: parse_algebra("her3(Q,1/2)"),
+}
+
+
 def exact_intermediates(J, x, y):
     """The matrices and vectors _float_fundamental forms, in exact ints."""
 
@@ -334,7 +372,12 @@ def test_large_bound_falls_back_to_the_exact_path_at_b9():
 
 def test_arith_counts_the_samples_each_arithmetic_decided():
     assert fundamental_formula_samples(split_albert(ZZ), samples=40).details["arith"] == {"float64": 40, "exact": 0}
+    # integral QQ data runs in float64; a QQ structure with a constant 1/2 stays exact
     assert fundamental_formula_samples(structure("hat(quadratic(Q))"), samples=20).details["arith"] == {
+        "float64": 20,
+        "exact": 0,
+    }
+    assert fundamental_formula_samples(QQ_STRUCTURES["her3(Q,1/2)"](), samples=20).details["arith"] == {
         "float64": 0,
         "exact": 20,
     }
@@ -387,17 +430,17 @@ def one_by_one(J, samples, seed):
     return None
 
 
-def zero_outside(trials, dim):
-    """ZZ.rand and ZZ.rand_vec that draw from the stream as usual but return
+def zero_outside(trials, dim, R=ZZ):
+    """R.rand and R.rand_vec that draw from the stream as usual but return
     0 outside the given trials (2 dim draws each, counted across calls);
     x = 0 passes the formula."""
     draws = itertools.count()
-    rand, rand_vec = type(ZZ).rand, type(ZZ).rand_vec
+    rand, rand_vec = type(R).rand, type(R).rand_vec
 
     def keep(value):
         return value if next(draws) // (2 * dim) in trials else 0
 
-    return (lambda rng: keep(rand(ZZ, rng))), (lambda rng, count: [keep(v) for v in rand_vec(ZZ, rng, count)])
+    return (lambda rng: keep(rand(R, rng))), (lambda rng, count: [keep(v) for v in rand_vec(R, rng, count)])
 
 
 @pytest.mark.parametrize(
@@ -437,6 +480,26 @@ def test_batches_match_a_one_by_one_loop_on_the_raw_stream(name):
             v = fundamental_formula_samples(S, samples=40, seed=seed)
             want = one_by_one(S, 40, seed)
             assert (None if v.holds else (v.details["trial"], v.witness)) == want
+
+
+@pytest.mark.parametrize("name", sorted(QQ_STRUCTURES))
+def test_qq_batches_match_a_one_by_one_loop(monkeypatch, name):
+    """Over QQ the float64 batches, where the data is integral, and the exact
+    path give one verdict and first failing trial, corrupted structures
+    included: on the raw stream, and with a failure planted late in the
+    second chunk."""
+    J = QQ_STRUCTURES[name]()
+    assert (J._u_tensors is None) == (name == "her3(Q,1/2)")
+    bad = corrupted(J, first_cross_pair(J), 0, 1)
+    for S in (J, bad):
+        v = fundamental_formula_samples(S, samples=20, seed=3)
+        want = one_by_one(S, 20, 3)
+        assert (None if v.holds else (v.details["trial"], v.witness)) == want
+    monkeypatch.setattr(QQ, "rand_vec", zero_outside({21}, J.dim, QQ)[1])
+    v = fundamental_formula_samples(bad, samples=24, seed=5)
+    monkeypatch.setattr(QQ, "rand", zero_outside({21}, J.dim, QQ)[0])
+    assert not v.holds and (v.details["trial"], v.witness) == one_by_one(bad, 24, seed=5)
+    assert v.details["trial"] == 21 and sum(v.details["arith"].values()) == 22
 
 
 # -- the construction check on corrupted structures ----------------------------------

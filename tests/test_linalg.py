@@ -1,14 +1,15 @@
 import copy
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
 
 from octad import linalg
 from octad.extensions import PolyExt
-from octad.scalars import GF, QQ, ZZ, Ring, Zmod, product_ring
-from reference_paths import canonical
+from octad.scalars import GF, QQ, ZZ, DualNumbers, Ring, Zmod, product_ring
+from reference_paths import canonical, norm_gradient
 
 
 def _sympy_det(A):
@@ -148,7 +149,11 @@ def check_owned(L, call, held):
     assert second == want and call() == want and held == before and L.zero == {}
 
 
-@pytest.mark.parametrize("R", [ZZ, QQ, GF(2), GF(3), Zmod(6), GF(10000000000000000051)], ids=repr)
+@pytest.mark.parametrize(
+    "R",
+    [ZZ, QQ, GF(2), GF(3), Zmod(6), GF(10000000000000000051), product_ring(Zmod(4), GF(3)), DualNumbers(GF(5))],
+    ids=repr,
+)
 def test_term_map_matches_naive_dense_evaluation(R):
     rng = random.Random(41)
     signs = set()
@@ -170,6 +175,10 @@ def test_term_map_matches_naive_dense_evaluation(R):
             if owned:
                 check_owned(L, lambda: f.value(x, L), (x,))
                 check_owned(L, lambda: f.value(x, L, acc), (x, acc))
+            if degree == 3 and out_dim is None:
+                # the norm gradient CubicData once built by hand
+                g, want = f.gradient(n), norm_gradient(SimpleNamespace(ring=R, norm_terms=f.terms, dim=n))
+                assert g.terms == want.terms and same(L, n, g.value(x, L), want.value(x, L))
             if degree != 2:
                 continue
             polar = naive_polar(R, L, terms, out_dim, x, y)
@@ -177,14 +186,13 @@ def test_term_map_matches_naive_dense_evaluation(R):
             # the acc path, which cubic._bilinear_adjoint_id takes
             want = L.add(polar, acc) if out_dim is None else [L.add(a, b) for a, b in zip(polar, acc)]
             assert same(L, out_dim, f.polar(x, y, L, acc), want)
-            cols = f.polar_columns(x, L)
+            # the gradient's value holds polar(x, e_j) at j * size
+            size = out_dim or 1
+            cols = f.gradient(n).value(x, L)
             for j in range(n):
                 ej = [L.one if i == j else L.zero for i in range(n)]
-                assert same(L, out_dim, cols[j], naive_polar(R, L, terms, out_dim, x, ej))
-            # the acc path of polar_columns, which cubic.CubicData.u_matrix takes
-            cols_acc = [acc] * n
-            assert all(same(L, out_dim, got, L.add(acc, col) if out_dim is None else linalg.add_vec(L, acc, col))
-                       for got, col in zip(f.polar_columns(x, L, cols_acc), cols))
+                col = cols[j] if out_dim is None else cols[j * size : (j + 1) * size]
+                assert same(L, out_dim, col, naive_polar(R, L, terms, out_dim, x, ej))
             # unsorted keys (a, b[, k]) are read bilinearly
             bterms = random_terms(R, rng, n, 2, out_dim, sort=False)
             b = linalg.TermMap(R, bterms, 2, out_dim)
@@ -193,9 +201,20 @@ def test_term_map_matches_naive_dense_evaluation(R):
                 check_owned(L, lambda: b.bilinear(x, y, L), (x, y))
                 check_owned(L, lambda: b.bilinear(x, y, L, acc), (x, y, acc))
                 check_owned(L, lambda: f.polar(x, y, L, acc), (x, y, acc))
-                check_owned(L, lambda: f.polar_columns(x, L, cols_acc), (x, cols_acc))
     # addmul ran with every sign of a constant the ring has: 1, -1 and a non-unit
     assert signs == {linalg.unit_sign(R, R.from_int(c)) for c in (1, -1, 2) if not R.is_zero(R.from_int(c))}
+
+
+def test_gradient_drops_the_multiples_the_characteristic_kills():
+    # x0^2 + x0 x1: 2 x0 vanishes over GF(2), x1 and x0 remain
+    assert linalg.TermMap(GF(2), {(0, 0): 1, (0, 1): 1}, 2).gradient(2).terms == {(0, 1): 1, (1, 0): 1}
+    # x0^3 + x0^2 x1: 3 x0^2 vanishes over GF(3), 2 x0 x1 and x0^2 remain
+    cubic = linalg.TermMap(GF(3), {(0, 0, 0): 1, (0, 0, 1): 1}, 3)
+    assert cubic.gradient(2).terms == {(0, 0, 1): 1, (0, 1, 0): 2}
+    # twice 1/2 is the canonical int 1 over QQ
+    half = linalg.TermMap(QQ, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}, 2).gradient(2)
+    assert half.terms == {(0, 0): 1, (0, 1): Fraction(1, 3), (1, 0): Fraction(1, 3)}
+    assert type(half.terms[(0, 0)]) is int
 
 
 def test_term_map_coerces_each_constant_once():
