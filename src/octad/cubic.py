@@ -31,10 +31,11 @@ u_matrix(x) gives the columns U_x e_j = T(x, e_j) x - x# x e_j, with x#,
 the row T(x, e_.) and the columns x# x e_j each computed in one pass.
 The sampled fundamental formula compares U_{U_x y} with U_x U_y U_x
 column by column through it.  It draws all its samples in one
-Ring.rand_vec call.  Over ZZ, and over QQ with int constants, it checks
-up to 16 samples at once as stacked matrices in float64 (numpy BLAS)
-wherever a bound from the constants and the sample's range proves every
-value an integer below 2^53; the exact path takes every other sample.
+Ring.rand_vec call.  Over every ring with a modulus (ZZ, QQ, Z/n, GF(p))
+it checks 16 samples at once as stacked float64 matrices of ints (numpy
+BLAS) wherever a bound from the constants and the chunk's range proves
+every value an integer below 2^53; the exact path takes every other
+chunk, and every ring-like without a modulus.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 
 from .extensions import PolyExt, lift_vec
@@ -665,8 +667,8 @@ def fundamental_formula_samples(data, samples=1000, seed=DEFAULT_SEED):
 
     The samples come from one random.Random(seed) stream, x then y per
     trial, all drawn in one R.rand_vec call: the same stream as one R.rand
-    call per coordinate.  _float_fundamental decides the samples of each
-    chunk of _CHUNK it admits, the exact path the others, in order; the
+    call per coordinate.  _float_fundamental decides each chunk of _CHUNK
+    it admits, the exact path the samples of the others, in order; the
     verdict, the first failing trial and its witness are those of checking
     one sample after another.  details["arith"] counts the samples the
     verdict rests on (all of them, or those up to the failing trial) by
@@ -678,12 +680,11 @@ def fundamental_formula_samples(data, samples=1000, seed=DEFAULT_SEED):
     for start in range(0, samples, _CHUNK):
         block = draws[2 * n * start : 2 * n * min(start + _CHUNK, samples)]
         pairs = [(block[i : i + n], block[i + n : i + 2 * n]) for i in range(0, len(block), 2 * n)]
-        for i, ((x, y), ok) in enumerate(zip(pairs, _float_fundamental(data, pairs))):
-            if ok is None:
-                ok = _slow_fundamental(data, x, y)
-                arith["exact"] += 1
-            else:
-                arith["float64"] += 1
+        verdicts, kind = _float_fundamental(data, pairs), "float64"
+        if verdicts is None:
+            verdicts, kind = (_slow_fundamental(data, x, y) for x, y in pairs), "exact"
+        for i, ((x, y), ok) in enumerate(zip(pairs, verdicts)):
+            arith[kind] += 1
             if not ok:
                 return Verdict(
                     False,
@@ -707,111 +708,100 @@ def _slow_fundamental(data, x, y):
 
 
 def _float_u_tensors(data):
-    """The float64 tensors of _u_batch and the bound k, or None.
+    """The float64 matrices of _u_batch with the bound k and the modulus m,
+    or None: without a modulus, for m >= 2^52 (see _float_fundamental), or
+    when k reaches 2^53.  CubicData caches the result as _u_tensors.
 
-    They need int payloads that no modulus reduces (ZZ, and QQ, whose
-    samples are ints too) and an int for every adjoint constant and every
-    T(e_i).  On int samples with |x_i|, |y_i| <= B (B >= 1), every value that
+    The matrices are the stored adjoint terms, one row per pair a <= b that
+    carries terms (sharp), the Gram matrix of the trace form (gram) and the
+    adjoint's gradient, the coefficient of x_a in (x x e_j)_k at
+    [a, k n + j] (cross), as ints: over Z/m lifted into (-m/2, m/2], which
+    commutes with every sum and product mod m; over QQ scaled by d, d^2
+    and d, d the least common denominator of the adjoint constants and the
+    T(e_i), which scales U_x by d^2 and both sides of the formula by d^6.
+
+    On samples with |x_i|, |y_i| <= B (B >= 1), every value that
     _float_fundamental forms is an integer of absolute value at most
-    B^6 k.  k sums the absolute values of the constants along the same
-    contractions: U_x is quadratic in x, U_x y is cubic, and U_{U_x y} and
-    U_x U_y U_x have degree 6; x# is summed from the products x_a x_b of
-    the pairs a <= b that carry terms.  A partial sum of a matrix product is
-    bounded by the sum of the absolute values of its terms, so the bound
-    holds whatever order BLAS adds in.  reach is the largest B with
-    B^6 k < 2^53.  None without those ints or when k itself reaches 2^53.
-    CubicData caches the result as _u_tensors.
+    B^6 k: k sums the absolute values of the entries along the same
+    contractions (U_x has degree 2, U_x y 3, both sides 6), and a partial
+    sum of a matrix product is bounded by the sum of the absolute values
+    of its terms, whatever order BLAS adds in.  Each entry is at most k,
+    m/2 or (cross) twice an entry of sharp, so it is a float64 exactly.
     """
-    constants = itertools.chain(data.sharp_terms.values(), data.tvec)
-    if data.ring.modulus != 0 or not all(isinstance(c, int) for c in constants):
+    m = data.ring.modulus
+    if m is None or m >= _FLOAT_EXACT // 2:
         return None
     import numpy as np
 
     n = data.dim
-    XU = np.zeros((n, n, n), dtype=object)
-    for (a, b, k), c in data.sharp_terms.items():
-        XU[a, b, k] = c
-    X = np.zeros((n, n * n), dtype=object)  # [a, j n + k]: the coefficient of x_a in (x x e_j)_k
-    for (a, jk), c in data._sharp_grad.terms.items():
-        X[a, jk] = c
-    X = X.reshape(n, n, n)
-    tvec = np.array(data.tvec, dtype=object)
-    TX = np.tensordot(X, tvec, axes=([2], [0]))
-    bound = _fundamental_bound(np, XU, X, tvec)
+    d = math.lcm(*(c.denominator for c in itertools.chain(data.sharp_terms.values(), data.tvec)))
+
+    def lifted(shape, entries, scale):
+        M = np.zeros(shape, dtype=object)
+        for at, c in entries:
+            c = int(c * scale)  # d clears every denominator; m = 0 lifts nothing
+            M[at] = c - m if 2 * c > m else c
+        return M
+
+    row = {ab: r for r, ab in enumerate(sorted({(a, b) for a, b, _ in data.sharp_terms}))}
+    sharp = lifted((len(row), n), (((row[a, b], k), c) for (a, b, k), c in data.sharp_terms.items()), d)
+    gram = lifted((n, n), data._trace_form.terms.items(), d * d)
+    cross = lifted((n, n * n), (((a, jk % n * n + jk // n), c) for (a, jk), c in data._sharp_grad.terms.items()), d)
+    bound = _fundamental_bound(sharp, gram, cross)
     if bound >= _FLOAT_EXACT:
         return None
-    reach = 1
-    while (reach + 1) ** 6 * bound < _FLOAT_EXACT:
-        reach += 1
-    # x# = sum over the pairs a <= b that have terms of x_a x_b times a row
-    pairs = sorted({(a, b) for a, b, _ in data.sharp_terms})
-    row = {ab: r for r, ab in enumerate(pairs)}
-    sharp = np.zeros((len(pairs), n))
-    for (a, b, k), c in data.sharp_terms.items():
-        sharp[row[a, b], k] = c
-    # entries are at most 2k, each 2c for an exact c: all are float64 exactly
     return {
+        "modulus": m,
         "bound": bound,
-        "reach": reach,
-        "sharp_a": np.array([a for a, _ in pairs], dtype=np.intp),
-        "sharp_b": np.array([b for _, b in pairs], dtype=np.intp),
-        "sharp": sharp,
-        "cross": X.transpose(0, 2, 1).reshape(n, n * n).astype(np.float64),  # [a, (k, j)] = X[a, j, k]
-        "tvec": tvec.astype(np.float64),
-        "TX": TX.astype(np.float64),
+        "sharp_a": np.array([a for a, _ in row], dtype=np.intp),
+        "sharp_b": np.array([b for _, b in row], dtype=np.intp),
+        "sharp": sharp.astype(np.float64),
+        "gram": gram.astype(np.float64),
+        "cross": cross.astype(np.float64),
     }
 
 
-def _fundamental_bound(np, XU, X, tvec):
+def _fundamental_bound(sharp, gram, cross):
     """k of _float_u_tensors, from object arrays of exact ints."""
-    AXU, AX, at = abs(XU), abs(X), abs(tvec)
-    sharp = AXU.sum(axis=(0, 1))  # |x#_k| / B^2
-    atx = np.tensordot(AX, at, axes=([2], [0]))  # |TX[a, j]|
-    w = at.sum() * at + atx.sum(axis=0)  # |T(x) T(e_j) - (x TX)_j| / B
-    cross = np.tensordot(sharp, AX, axes=([0], [0]))  # |(x# x e_j)_k| / B^2, as [j, k]
-    M = w[None, :] + cross.T  # |U_x[i, j]| / B^2
-    # |intermediates of one U_x| / B^2 (B >= 1 covers the degree-1 ones)
-    level = max(sharp.max(), M.max(), atx.max(), at.sum())
+    s = abs(sharp).sum(axis=0)  # |x#_k| / B^2
+    M = abs(gram).sum(axis=0) + s.dot(abs(cross)).reshape(gram.shape)  # |U_x[i, j]| / B^2
+    # |intermediates of one U_x| / B^2 (B >= 1 covers T(x, e_j))
+    level = max(s.max(), M.max())
     rho = M.sum(axis=1).max()  # |(U_x y)_i| / B^3
     M2 = M.dot(M)
     return int(max(level * rho * rho, rho, M2.max(), M2.dot(M).max(), level))
 
 
 def _u_batch(ctx, xs):
-    """U_x for each row x of the (m, n) array xs, stacked as (m, n, n):
+    """U_x for each row x of the (s, n) array xs, stacked as (s, n, n):
     U[s, i, j] = x_i T(x, e_j) - (x# x e_j)_i."""
-    m, n = xs.shape
+    s, n = xs.shape
     sharp = (xs[:, ctx["sharp_a"]] * xs[:, ctx["sharp_b"]]) @ ctx["sharp"]
-    w = (xs @ ctx["tvec"])[:, None] * ctx["tvec"] - xs @ ctx["TX"]
-    cross = (sharp @ ctx["cross"]).reshape(m, n, n)  # [s, k, j] = (x# x e_j)_k
-    return xs[:, :, None] * w[:, None, :] - cross
+    cross = (sharp @ ctx["cross"]).reshape(s, n, n)  # [s, k, j] = (x# x e_j)_k
+    return xs[:, :, None] * (xs @ ctx["gram"])[:, None, :] - cross
 
 
 def _float_fundamental(data, pairs):
     """Per (x, y) in pairs, whether U_{U_x y} = U_x U_y U_x, decided in
-    float64 for every pair with B^6 k < 2^53 (B = max(1, |x_i|, |y_i|),
-    k from _float_u_tensors), where every value is an exact integer, and
-    None for the other pairs.  B^6 k < 2^53 holds exactly when every
-    coordinate lies in [-reach, reach], which one int64 array decides."""
-    out = [None] * len(pairs)
+    float64 on the samples lifted as the constants; None without float64
+    matrices or when B^6 k >= 2^53, B >= 1 the largest lifted |x_i|, |y_i|.
+    Over Z/m the sides are compared by residue: np.fmod is exact, and two
+    residues differ by less than 2m < 2^53, so their difference is too."""
     ctx = data._u_tensors
     if ctx is None:
-        return out
+        return None
     import numpy as np
 
-    pairs = np.asarray(pairs, dtype=np.int64)
-    reach = ctx["reach"]
-    keep = np.flatnonzero((pairs.max(axis=(1, 2)) <= reach) & (pairs.min(axis=(1, 2)) >= -reach))
-    if not keep.size:
-        return out
-    xs = pairs[keep, 0].astype(np.float64)
-    ys = pairs[keep, 1].astype(np.float64)
-    Ux, Uy = _u_batch(ctx, xs), _u_batch(ctx, ys)
-    lhs = _u_batch(ctx, (Ux @ ys[:, :, None])[:, :, 0])
-    same = (lhs == Ux @ Uy @ Ux).all(axis=(1, 2))
-    for s, ok in zip(keep.tolist(), same.tolist()):
-        out[s] = ok
-    return out
+    m = ctx["modulus"]
+    pairs = np.array(pairs, dtype=np.float64)
+    pairs = np.where(2 * pairs > m, pairs - m, pairs)
+    if max(1, int(abs(pairs).max())) ** 6 * ctx["bound"] >= _FLOAT_EXACT:
+        return None
+    Ux, Uy = _u_batch(ctx, pairs[:, 0]), _u_batch(ctx, pairs[:, 1])
+    lhs = _u_batch(ctx, (Ux @ pairs[:, 1, :, None])[:, :, 0])
+    rhs = Ux @ Uy @ Ux
+    same = np.fmod(np.fmod(lhs, m) - np.fmod(rhs, m), m) == 0 if m else lhs == rhs
+    return same.all(axis=(1, 2)).tolist()
 
 
 # Each law that validate_axioms reports as implied, not checked, when all

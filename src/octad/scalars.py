@@ -1,12 +1,12 @@
 """Exact commutative ring tower: ZZ, QQ, GF(p), Z/n, products, dual numbers.
 
 All arithmetic is exact.  The library's one use of floating point, the
-float64 batches of cubic.fundamental_formula_samples, runs only where a
-proven bound keeps every value an integer below 2^53, so it is exact
-too; no payload is ever a float.  Rings operate on plain "payload"
-values (ints, Fractions, tuples) so that hot loops stay unboxed; the
-Scalar class wraps a payload together with its ring for user-facing
-work.
+float64 batches of cubic.fundamental_formula_samples, runs on ints lifted
+from the payloads, and only where a proven bound keeps every value an
+integer below 2^53, so it is exact too; no payload is ever a float.
+Rings operate on plain "payload" values (ints, Fractions, tuples) so that
+hot loops stay unboxed; the Scalar class wraps a payload together with
+its ring for user-facing work.
 
 Payloads are canonical, so equal values have equal payloads: ZZ uses
 ints, GF(p) and Z/n reduced ints, and QQ an int for every integral

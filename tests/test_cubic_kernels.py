@@ -7,6 +7,7 @@ every index combination visited, every constant of the dense layout
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -323,70 +324,121 @@ QQ_STRUCTURES = {
 }
 
 
+# rings with a modulus n > 0, whose batches compare residues mod n, and
+# tits(mat3(Q),1/2), scaled QQ data on which the exact path takes 0.1 s a sample
+LIFTED_STRUCTURES = {
+    "her3(Z/6)": lambda: parse_algebra("her3(Z/6)"),
+    "her3(F2)": lambda: parse_algebra("her3(F2)"),
+    "her3(F5)": lambda: parse_algebra("her3(F5)"),
+    "her3(zorn(Z/6))": lambda: structure("her3(zorn(Z/6))"),
+    "tits(mat3(F5),2)": lambda: parse_algebra("tits(mat3(F5),2)"),
+    "tits(mat3(Q),1/2)": lambda: parse_algebra("tits(mat3(Q),1/2)"),
+}
+
+BATCHED = {**ZZ_STRUCTURES, **QQ_STRUCTURES, **LIFTED_STRUCTURES}
+
+
+def lift(J, v):
+    """The ints _float_fundamental reads a sample as: over Z/n each residue's
+    representative in (-n/2, n/2]."""
+    m = J.ring.modulus
+    return [c - m if 2 * c > m else c for c in v]
+
+
 def exact_intermediates(J, x, y):
-    """The matrices and vectors _float_fundamental forms, in exact ints."""
-
-    def u(v):
-        return np.array(J.u_matrix(list(v)), dtype=object).T
-
-    Ux, Uy = u(x), u(y)
-    w = Ux.dot(np.array(y, dtype=object))
+    """The matrices and vectors _float_fundamental forms on (x, y), in exact
+    ints: _u_batch over object arrays of the same lifted ints."""
+    ctx = {
+        key: v.astype(np.int64).astype(object) if getattr(v, "dtype", None) == np.float64 else v
+        for key, v in J._u_tensors.items()
+    }
+    xs = np.array([lift(J, x), lift(J, y)], dtype=object)
+    Ux, Uy = _u_batch(ctx, xs)
+    w = Ux.dot(xs[1])
     UxUy = Ux.dot(Uy)
-    return [Ux, Uy, w, u(w), UxUy, UxUy.dot(Ux)]
+    return [Ux, Uy, w, _u_batch(ctx, w[None])[0], UxUy, UxUy.dot(Ux)]
 
 
-@pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES))
+@pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES) + ["her3(Q,1/2)", "her3(zorn(Z/6))"])
 def test_float64_fundamental_bound_and_exactness(name):
-    J = ZZ_STRUCTURES[name]()
-    k = J._u_tensors["bound"]
+    """Over ZZ, over Z/6 and on QQ data scaled by d = 4: every exact value the
+    batch forms is at most B^6 k, its int U_x is d^2 U_x (mod n over Z/n),
+    the float64 batch forms those values exactly, and a chunk is decided
+    in float64 exactly when B^6 k < 2^53."""
+    J = BATCHED[name]()
+    R, m, k = J.ring, J.ring.modulus, J._u_tensors["bound"]
+    d = math.lcm(*(c.denominator for c in itertools.chain(J.sharp_terms.values(), J.tvec)))
     rng = random.Random(27)
     pairs = []
     for t in range(4):
-        x = [ZZ.rand(rng) for _ in range(J.dim)]
-        y = [ZZ.rand(rng) if t else 9 for _ in range(J.dim)]
+        x = [R.rand(rng) for _ in range(J.dim)]
+        y = [R.rand(rng) if t else R.from_int(9) for _ in range(J.dim)]
         pairs.append((x, y))
-    for (x, y), ok in zip(pairs, _float_fundamental(J, pairs)):
-        B = max(1, *map(abs, x), *map(abs, y))
-        largest = max(int(abs(A).max()) for A in exact_intermediates(J, x, y))
-        assert largest <= B**6 * k
-        # the batch decides a sample exactly when the bound is below 2^53
-        assert ok is (True if B**6 * k < 2**53 else None)
+    for x, y in pairs:
+        B = max(1, *map(abs, lift(J, x + y)))
+        exact = exact_intermediates(J, x, y)
+        assert max(int(abs(A).max()) for A in exact) <= B**6 * k
+        diff = exact[0] - d * d * np.array(J.u_matrix(x), dtype=object).T
+        assert all((c % m if m else c) == 0 for c in diff.flat)
+        # a chunk of one sample is decided in float64 exactly when the bound is below 2^53
+        assert _float_fundamental(J, [(x, y)]) == ([True] if B**6 * k < 2**53 else None)
         assert _slow_fundamental(J, x, y) is True
-    # the stacked float64 U_x are the exact operators
-    xs = np.array([x for x, _ in pairs], dtype=np.float64)
+    # the stacked float64 U_x are the exact ones
+    xs = np.array([lift(J, x) for x, _ in pairs], dtype=np.float64)
     assert (_u_batch(J._u_tensors, xs) == np.array([exact_intermediates(J, x, y)[0] for x, y in pairs])).all()
-    # a sample beyond the proven range is left to the exact path
-    big = [10**6] * J.dim
-    assert _float_fundamental(J, [(big, big)]) == [None]
-    assert _slow_fundamental(J, big, big) is True
+    if not m:
+        # a sample beyond the proven range leaves its chunk to the exact path
+        big = [R.from_int(10**6)] * J.dim
+        assert _float_fundamental(J, [pairs[1], (big, big)]) is None
+        assert _slow_fundamental(J, big, big) is True
 
 
 def test_large_bound_falls_back_to_the_exact_path_at_b9():
-    """hat(diag(1, 1000, -7)) has k = 6.5e10: 7^6 k < 2^53 <= 8^6 k."""
+    """hat(diag(1, 1000, -7)) has k = 6.5e10: 7^6 k < 2^53 <= 8^6 k, so a
+    chunk with an 8 or a 9 anywhere goes to the exact path as a whole."""
     J = ZZ_STRUCTURES["hat(diag(1, 1000, -7))"]()
     k = J._u_tensors["bound"]
     assert 6.5e10 <= k < 6.6e10
     small, nine = [7, -7, 1, 0], [9, 0, -9, 1]
-    assert _float_fundamental(J, [(small, small), (nine, small), (small, nine)]) == [True, None, None]
+    assert _float_fundamental(J, [(small, small), (small, small)]) == [True, True]
+    assert _float_fundamental(J, [(small, small), (nine, small)]) is None
+    assert _float_fundamental(J, [(small, nine)]) is None
+
+
+def test_a_modulus_at_the_float64_limit():
+    """her3 over a prime field has k = 1,734, and 131^6 k < 2^53 <= 132^6 k:
+    over F263, whose residues lift to [-131, 131], a chunk at B = 131 runs
+    in float64, and over F269 ([-134, 134]) one at B = 134 takes the exact
+    path.  No modulus of 2^52 or more has float64 matrices."""
+    for p, B, want in ((263, 131, [True]), (269, 134, None)):
+        J = parse_algebra(f"her3(F{p})")
+        assert J._u_tensors["bound"] == 1734
+        x = [B, p - B] + [1] * (J.dim - 2)
+        y = [p - B, B] + [p - 1] * (J.dim - 2)
+        assert max(map(abs, lift(J, x + y))) == B
+        assert _float_fundamental(J, [(x, y)]) == want
+        assert _slow_fundamental(J, x, y) is True
+    assert parse_algebra(f"her3(Z/{2**52 - 1})")._u_tensors is not None
+    assert parse_algebra(f"her3(Z/{2**52})")._u_tensors is None
+    assert parse_algebra("her3(F10000000000000000051)")._u_tensors is None
 
 
 def test_arith_counts_the_samples_each_arithmetic_decided():
     assert fundamental_formula_samples(split_albert(ZZ), samples=40).details["arith"] == {"float64": 40, "exact": 0}
-    # integral QQ data runs in float64; a QQ structure with a constant 1/2 stays exact
-    assert fundamental_formula_samples(structure("hat(quadratic(Q))"), samples=20).details["arith"] == {
-        "float64": 20,
-        "exact": 0,
-    }
-    assert fundamental_formula_samples(QQ_STRUCTURES["her3(Q,1/2)"](), samples=20).details["arith"] == {
-        "float64": 0,
-        "exact": 20,
-    }
-    # hat(diag(1, 1000, -7)) admits |x_i|, |y_i| <= 7: a sample with an 8 or 9 is exact
+    # every ring with a modulus runs in float64: integral and scaled QQ data, Z/n and GF(p)
+    for name in ("hat(quadratic(Q))", "her3(Q,1/2)", "her3(Z/6)", "her3(F5)"):
+        assert fundamental_formula_samples(BATCHED[name](), samples=20).details["arith"] == {"float64": 20, "exact": 0}
+    # a ring-like without a modulus stays exact
+    J = split_cubic_etale(product_ring(Zmod(6), Zmod(6)))
+    assert fundamental_formula_samples(J, samples=20).details["arith"] == {"float64": 0, "exact": 20}
+    # hat(diag(1, 1000, -7)) admits a chunk of 16 samples only when each |x_i|, |y_i| <= 7
     J = ZZ_STRUCTURES["hat(diag(1, 1000, -7))"]()
-    assert J._u_tensors["reach"] == 7
     rng = random.Random(DEFAULT_SEED)
-    exact = sum(max(abs(ZZ.rand(rng)) for _ in range(2 * J.dim)) > 7 for _ in range(200))
-    assert 0 < exact < 200
+    size = 2 * J.dim
+    draws = [ZZ.rand(rng) for _ in range(size * 200)]
+    chunks = [draws[i : i + size * 16] for i in range(0, len(draws), size * 16)]
+    exact = sum(len(c) // size for c in chunks if max(map(abs, c)) > 7)
+    assert exact == 200  # each chunk holds an 8 or a 9
     assert fundamental_formula_samples(J, samples=200).details["arith"] == {"float64": 200 - exact, "exact": exact}
     # on Fails, the samples up to the failing trial
     v = fundamental_formula_samples(corrupted(J, first_cross_pair(J), 0, 1), samples=200)
@@ -452,29 +504,42 @@ def zero_outside(trials, dim, R=ZZ):
         ("her3(zorn(Z))", {39}),
         ("hat(diag(1, 1000, -7))", {16}),
         ("hat(diag(1, 1000, -7))", {3, 20, 21, 22}),
+        ("her3(Z/6)", {15}),
+        ("her3(Z/6)", {16, 30}),
+        ("her3(F2)", {0}),
+        ("her3(F2)", {31}),
+        ("her3(F5)", {16}),
+        ("her3(F5)", {15, 21}),
+        ("her3(zorn(Z/6))", {21}),
+        ("tits(mat3(F5),2)", {15}),
+        ("her3(Q,1/2)", {16}),
+        ("her3(Q,1/2)", {15, 21}),
+        ("tits(mat3(Q),1/2)", {15}),
+        ("tits(mat3(Q),1/2)", {16}),
     ],
 )
 def test_batches_report_the_first_failure_of_a_one_by_one_loop(monkeypatch, name, trials):
     """Failures at the first and last trial of a chunk, the first of the next
-    and the last sample; on hat(diag(1, 1000, -7)) a chunk mixes float64
-    samples (|x_i| <= 7) with exact ones."""
-    J = ZZ_STRUCTURES[name]()
+    and the last sample, over ZZ, Z/n, GF(p) and scaled QQ data; on
+    hat(diag(1, 1000, -7)) a chunk with an 8 or a 9 is exact as a whole."""
+    J = BATCHED[name]()
+    R = J.ring
     bad = corrupted(J, first_cross_pair(J), 0, 1)
     # the batches draw through the bulk kernel, the loop one coordinate at a time
-    monkeypatch.setattr(ZZ, "rand_vec", zero_outside(trials, J.dim)[1])
+    monkeypatch.setattr(R, "rand_vec", zero_outside(trials, J.dim, R)[1])
     v = fundamental_formula_samples(bad, samples=40, seed=5)
-    monkeypatch.setattr(ZZ, "rand", zero_outside(trials, J.dim)[0])
+    monkeypatch.setattr(R, "rand", zero_outside(trials, J.dim, R)[0])
     want = one_by_one(bad, 40, seed=5)
     assert want is not None and want[0] == min(trials)
     assert not v.holds
     assert (v.details["trial"], v.witness) == want
-    monkeypatch.setattr(ZZ, "rand_vec", zero_outside(set(), J.dim)[1])
+    monkeypatch.setattr(R, "rand_vec", zero_outside(set(), J.dim, R)[1])
     assert fundamental_formula_samples(bad, samples=40, seed=5).holds
 
 
-@pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES))
+@pytest.mark.parametrize("name", sorted(ZZ_STRUCTURES) + ["her3(Z/6)", "her3(F2)", "her3(F5)"])
 def test_batches_match_a_one_by_one_loop_on_the_raw_stream(name):
-    J = ZZ_STRUCTURES[name]()
+    J = BATCHED[name]()
     for S in (J, corrupted(J, first_cross_pair(J), 0, 1)):
         for seed in (1, 2):
             v = fundamental_formula_samples(S, samples=40, seed=seed)
@@ -484,12 +549,12 @@ def test_batches_match_a_one_by_one_loop_on_the_raw_stream(name):
 
 @pytest.mark.parametrize("name", sorted(QQ_STRUCTURES))
 def test_qq_batches_match_a_one_by_one_loop(monkeypatch, name):
-    """Over QQ the float64 batches, where the data is integral, and the exact
-    path give one verdict and first failing trial, corrupted structures
+    """Over QQ the float64 batches, integral or scaled, and the exact path
+    give one verdict and first failing trial, corrupted structures
     included: on the raw stream, and with a failure planted late in the
     second chunk."""
     J = QQ_STRUCTURES[name]()
-    assert (J._u_tensors is None) == (name == "her3(Q,1/2)")
+    assert J._u_tensors is not None
     bad = corrupted(J, first_cross_pair(J), 0, 1)
     for S in (J, bad):
         v = fundamental_formula_samples(S, samples=20, seed=3)
