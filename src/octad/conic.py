@@ -14,7 +14,7 @@ import functools
 import json
 
 from .extensions import PolyExt, lift_vec
-from .identities import IdentitySpec, require_law, strict_identity_check
+from .identities import IdentitySpec, strict_identity_check
 from .linalg import ModuleElement, TermMap, basis, scale_vec, sub_vec, vec_eq, vec_is_zero
 from .quadforms import QuadraticForm
 from .scalars import NOT_A_UNIT, Scalar, RingMismatch
@@ -47,16 +47,29 @@ class ConicAlgebra:
     # -- construction checks -------------------------------------------------
     def _validate(self):
         """n(1) = 1 directly, and the unit law and the degree-2 identity
-        x^2 - t(x)x + n(x)1 = 0 strictly, as polynomial laws."""
+        x^2 - t(x)x + n(x)1 = 0 strictly, as polynomial laws: the verdicts
+        of construction_laws, which identities.run_suite reads again as the
+        premises "unit" and "degree2" of the laws that the Kirmse laws
+        imply (the identities module docstring has the proofs)."""
         R = self.ring
         if not R.eq(self.norm.eval_payload(self.unit), R.one):
             raise ValueError(f"{self.name}: norm(unit) != 1")
-        require_law(self, UNIT_LAW, "unit law")
-        require_law(self, "degree2", "degree-2 identity")
+        for key, what in (("unit", "unit law"), ("degree2", "degree-2 identity")):
+            v = self.construction_laws[key]
+            if not v.holds:
+                raise ValueError(f"{self.name}: {what} fails at {v.witness}")
+
+    @functools.cached_property
+    def construction_laws(self):
+        """The strict verdicts of the unit law and the degree-2 identity,
+        keyed "unit" and "degree2", decided once per algebra: by
+        construction, or on first use when construction did not check
+        them."""
+        return {"unit": strict_identity_check(self, UNIT_LAW), "degree2": strict_identity_check(self, "degree2")}
 
     def check_degree2(self):
         """Strict degree-2 check: x^2 - t(x)x + n(x)1 vanishes as a law."""
-        return strict_identity_check(self, "degree2")
+        return self.construction_laws["degree2"]
 
     # -- payload-level operations ---------------------------------------------
     def mul_vec(self, x, y, L=None):

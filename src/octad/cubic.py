@@ -48,6 +48,7 @@ import random
 
 from .extensions import PolyExt, lift_vec
 from .identities import (
+    IMPLIED_BY as _IMPLIED_BY,
     CostGuardError,
     DEFAULT_SEED,
     IdentitySpec,
@@ -802,15 +803,6 @@ def _float_fundamental(data, pairs):
     rhs = Ux @ Uy @ Ux
     same = np.fmod(np.fmod(lhs, m) - np.fmod(rhs, m), m) == 0 if m else lhs == rhs
     return same.all(axis=(1, 2)).tolist()
-
-
-# Each law that validate_axioms reports as implied, not checked, when all
-# its premises hold strictly, and those premises; the docstring has the proofs.
-_IMPLIED_BY = {
-    "bilinear-adjoint": ("gradient", "adjoint"),
-    "sharp-cross": ("gradient", "adjoint"),
-    "fundamental": ("basepoint", "unit-id", "gradient", "adjoint"),
-}
 
 
 def validate_axioms(data, mode="strict", seed=DEFAULT_SEED):

@@ -23,6 +23,42 @@ with its trial and witness.  If none fails, an identity inside the guard
 is decided strictly: the verdict's mode is "strict", and its details add
 the seed and PRESAMPLES.  Above the guard the full seeded sampled check
 answers, and its pass is only probabilistic.
+
+IMPLIED_BY is the one premise table: each law that a suite reports as
+implied, not decided, when all its premises hold strictly.  The cubic
+entries are read by cubic.validate_axioms, whose docstring has their
+proofs; the conic entries by run_suite.  A conic algebra's premises
+"unit" and "degree2" are the strict verdicts it decided at construction
+(ConicAlgebra.construction_laws); run_suite decides the others, the two
+Kirmse laws, strictly, once per call and only when a law needs them.
+It does so only when their generic monomials (multiset_count) number
+fewer than those of the suite's laws they would settle, and no law above
+the guard consults them.  If every premise of a law holds, the law reads
+Holds with mode "implied" and its premises in details["premises"] (in
+sampled mode after its own PRESAMPLES, which can still refute it, and
+with the seed and PRESAMPLES in its details); otherwise it is decided as
+by check_identity, with the same verdict and witness.
+
+The conic implications, in every characteristic.  Suppose the unit law
+and the degree-2 law x^2 = t(x)x - n(x)1 hold strictly.  ConicAlgebra
+builds conjugation as c(x) = t(x)1 - x, so as polynomial laws
+
+  x(c(x)y) - n(x)y = t(x)xy - x(xy) - n(x)y = x^2 y - x(xy),
+  (y c(x))x - n(x)y = t(x)yx - (yx)x - n(x)y = -((yx)x - y x^2):
+
+kirmse-left holds iff left-alternative does, and kirmse iff
+right-alternative does.  (Either Kirmse law at y = 1 is, up to sign,
+the degree-2 law once the unit law holds, so that premise is also a
+consequence of the others; it is free to read.)  Linearizing
+(x, x, z) = 0 at x -> x + y gives (x, y, z) = -(y, x, z), so with
+right alternativity (x, y, x) = -(y, x, x) = 0: flexible.  Every
+alternative ring satisfies the three Moufang laws (K. A. Zhevlakov,
+A. M. Slin'ko, I. P. Shestakov and A. I. Shirshov, Rings that are nearly
+associative, 1982, ch. 2; R. D. Schafer, An Introduction to
+Nonassociative Algebras, 1966, ch. III).  A strict law holds in every
+scalar extension, the generic one included, so the Moufang polynomial
+laws follow from the strict alternative laws.  norm-comp and norm-assoc
+are always decided.
 """
 
 from __future__ import annotations
@@ -208,18 +244,20 @@ def sampled_identity_check(algebra, ident, seed=DEFAULT_SEED, samples=200):
     return Verdict(True, mode="sampled", details={"identity": ident.name, "samples": samples, "seed": seed})
 
 
-def check_identity(algebra, ident, mode="strict", seed=DEFAULT_SEED):
+def check_identity(algebra, ident, mode="strict", seed=DEFAULT_SEED, decide=None):
     """The identity's verdict in mode "strict" or "sampled", by the routing
-    rule of the module docstring."""
+    rule of the module docstring.  decide(algebra, ident), if given, stands
+    in for strict_identity_check: run_suite passes its premise rule."""
     ident = _resolve(ident)
+    decide = decide or strict_identity_check
     if mode == "strict":
-        return strict_identity_check(algebra, ident)
+        return decide(algebra, ident)
     if multiset_count(algebra.dim, ident.multidegree) > STRICT_GUARD:
         return sampled_identity_check(algebra, ident, seed=seed)
     pre = sampled_identity_check(algebra, ident, seed=seed, samples=PRESAMPLES)
     if not pre.holds:
         return pre
-    verdict = strict_identity_check(algebra, ident)
+    verdict = decide(algebra, ident)
     verdict.details.update(seed=seed, presamples=PRESAMPLES)
     return verdict
 
@@ -344,6 +382,62 @@ def _resolve(ident):
     raise KeyError(f"unknown identity {ident!r}")
 
 
+_ALTERNATIVE = ("unit", "degree2", "kirmse", "kirmse-left")
+
+# Each law that a suite reports as implied, not checked, when all its
+# premises hold strictly, and those premises; the proofs are in the module
+# docstring (conic laws) and in cubic.validate_axioms' (cubic laws).
+IMPLIED_BY = {
+    "bilinear-adjoint": ("gradient", "adjoint"),
+    "sharp-cross": ("gradient", "adjoint"),
+    "fundamental": ("basepoint", "unit-id", "gradient", "adjoint"),
+    "left-alternative": ("unit", "degree2", "kirmse-left"),
+    "right-alternative": ("unit", "degree2", "kirmse"),
+    "flexible": _ALTERNATIVE,
+    "moufang-left": _ALTERNATIVE,
+    "moufang-middle": _ALTERNATIVE,
+    "moufang-right": _ALTERNATIVE,
+}
+
+
 def run_suite(algebra, suite, mode="strict", seed=DEFAULT_SEED):
-    """Run a named identity or a suite of them; returns (name, Verdict) pairs."""
-    return [(name, check_identity(algebra, name, mode, seed)) for name in SUITES.get(suite, (suite,))]
+    """Run a named identity or a suite of them; returns (name, Verdict)
+    pairs, each routed by check_identity with the premise rule of the
+    module docstring."""
+    names = SUITES.get(suite, (suite,))
+    decide = _premise_rule(algebra, [_resolve(name) for name in names])
+    return [(name, check_identity(algebra, name, mode, seed, decide)) for name in names]
+
+
+def _premise_rule(algebra, laws):
+    """check_identity's decide for a suite of laws on the algebra, or None
+    (decide every law strictly) when the algebra keeps no construction_laws
+    or the premises to decide would cost at least as many generic monomials
+    as the laws inside the guard that they settle.  A premise outside
+    construction_laws is decided strictly on first use, once per suite."""
+    settled = [law for law in laws if law.name in IMPLIED_BY and _size(algebra, (law,)) <= STRICT_GUARD]
+    known = settled and getattr(algebra, "construction_laws", None)
+    if not known:
+        return None
+    verdicts = dict(known)
+    decided = {p for law in settled for p in IMPLIED_BY[law.name]} - verdicts.keys()
+    if _size(algebra, map(_resolve, decided)) >= _size(algebra, settled):
+        return None
+
+    def premise(p):
+        if p not in verdicts:
+            verdicts[p] = strict_identity_check(algebra, p)
+        return verdicts[p]
+
+    def decide(algebra, law):
+        premises = IMPLIED_BY[law.name] if law in settled else ()
+        if premises and all(premise(p).holds for p in premises):
+            return Verdict(True, mode="implied", details={"identity": law.name, "premises": list(premises)})
+        return strict_identity_check(algebra, law)
+
+    return decide
+
+
+def _size(algebra, laws):
+    """The generic monomials that strict checks of the laws compute."""
+    return sum(multiset_count(algebra.dim, law.multidegree) for law in laws)
