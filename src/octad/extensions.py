@@ -3,7 +3,7 @@
 A ring-like is anything with payload arithmetic zero, one, add, neg,
 mul, is_zero and from_base.  RingLike is the protocol's base: it derives
 sub, eq, sum, dot and the fused addmul from those, and every ring of the
-scalar tower (scalars.Ring) and both extensions below inherit them; a
+scalar tower (scalars.Ring) and the ring-likes below inherit them; a
 class keeps its own version only where it has a faster one.
 
 RingLike.modulus is the one capability the exact kernels read.  It is
@@ -11,8 +11,8 @@ None unless the payloads are plain Python numbers: 0 for ZZ and QQ, n
 for Z/n and GF(p).  linalg.TermMap over such a ring, and PolyExt.addmul
 over such a base, compute with the numbers themselves and put each
 stored value in canonical form once.  Over every other ring-like
-(ProductRing, DualNumbers, both extensions) TermMap runs one addmul per
-term.
+(ProductRing, DualNumbers, the ring-likes below) TermMap runs one addmul
+per term.
 
 addmul(acc, a, b, c, sign) is acc + c*a*b for a constant c of the base
 ring.  Its ownership rule: a faster addmul may build its result in acc's
@@ -21,11 +21,12 @@ fresh dict, never filling the shared PolyExt.zero) or a value addmul
 returned to the same caller.  A running value from anywhere else is
 added once, with add, which never mutates its arguments.
 
-DualExt and PolyExt are not first-class rings of the tower.  PolyExt
-lets the strict identity checker evaluate structure-constant formulas
-over a truncated polynomial extension R[t1..tm].  DualExt, R[eps], gives
-the first-class ring scalars.DualNumbers its arithmetic, and the tests
-use it as an independent reference for derivatives.
+DualExt, PolyExt and F2Lanes are not first-class rings of the tower.
+PolyExt lets the strict identity checker evaluate structure-constant
+formulas over a truncated polynomial extension R[t1..tm].  DualExt,
+R[eps], gives the first-class ring scalars.DualNumbers its arithmetic,
+and the tests use it as an independent reference for derivatives.
+F2Lanes, GF(2)^N, lets her3's censuses evaluate forms at N points at once.
 """
 
 from __future__ import annotations
@@ -251,6 +252,30 @@ class PolyExt(RingLike):
                 elif not bzero(m):
                     acc[e] = m
         return acc
+
+    def is_zero(self, a):
+        return not a
+
+
+class F2Lanes(RingLike):
+    """GF(2)^N with N = points: a payload is an int whose bit l is the value
+    at point l, so add is XOR and mul is AND, and one is the all-ones mask."""
+
+    def __init__(self, points):
+        self.zero = 0
+        self.one = (1 << points) - 1
+
+    def from_base(self, c):
+        return self.one if c else 0
+
+    def add(self, a, b):
+        return a ^ b
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        return a & b
 
     def is_zero(self, a):
         return not a

@@ -9,18 +9,25 @@ hermitian matrix with diagonal xi_i and, for each cyclic triple (i j l),
             slot i    -xi_i u_i + gamma_i conj(u_j u_l)
   norm:     xi_1 xi_2 xi_3 - sum gamma_j gamma_l xi_i n(u_i)
             + gamma_1 gamma_2 gamma_3 t(u_1 u_2 u_3)
+
+Over GF(2), census_f2 counts rank-one elements and elementary idempotents
+of every her3(C) by running the stored forms on bit lanes (lane_census).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from operator import or_, xor
 
 from .cubic import build_cubic, verify_cubic_iso
-from .identities import CostGuardError, associator
+from .extensions import F2Lanes, lift_vec
+from .identities import associator
 from .scalars import GF
 
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# lane_census runs 2^_LANE_BITS points at once, one 128 KiB int per lane
+_LANE_BITS = 20
 
 
 class Gamma:
@@ -35,9 +42,6 @@ class Gamma:
         for e in self.entries:
             if ring.inv(e) is None:
                 raise ValueError("Gamma entries must be units")
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
     def __eq__(self, other):
         return isinstance(other, Gamma) and (other.ring, other.entries) == (self.ring, self.entries)
@@ -105,7 +109,6 @@ def her3(C, gamma=None):
 
 
 def element_from_parts(data, xi, us):
-    C = data.coeff_algebra
     coords = list(xi)
     for u in us:
         coords.extend(u.coords if hasattr(u, "coords") else u)
@@ -176,28 +179,38 @@ def associator_defect(x):
 
 
 def census_f2(C, what):
-    """Exhaustive rank-1 / elementary-idempotent counts over GF(2).
-
-    Cost guard: total dimension 3 + 3 dim(C) at most 12, decided before
-    her3(C) is built.
-    """
+    """The rank-1 or elementary-idempotent count of her3(C) over GF(2)."""
     if C.ring != GF(2):
         raise ValueError("census requires coefficients over GF(2)")
-    n = 3 + 3 * C.dim
-    if n > 12:
-        raise CostGuardError("dimension must be <= 12")
-    data = her3(C)
+    return lane_census(her3(C), what)
+
+
+def lane_census(data, what):
+    """The points x of GF(2)^n, for a cubic structure over GF(2), where x != 0
+    and x# = 0 ("rank1"), or U_x 1 = x, T(x) = 1 and S(x) = 0
+    ("elementary_idempotents"; N(x) = 0 follows: r2 = S - 3N = N and r3 = N
+    of idempotent_split are orthogonal).  The stored forms run on F2Lanes,
+    2^_LANE_BITS points per chunk, coordinate i the lane of bit i of the
+    point, and int.bit_count counts the points where every form vanishes."""
+    if what not in ("rank1", "elementary_idempotents"):
+        raise ValueError(f"unknown census {what!r}")
+    n = data.dim
+    w = min(n, _LANE_BITS)
+    L = F2Lanes(1 << w)
+    # doubling the points repeats each lane and adds the lane of the top bit
+    lanes, p = [], 1
+    for _ in range(w):
+        lanes, p = [lane | lane << p for lane in lanes] + [((1 << p) - 1) << p], 2 * p
+    one = lift_vec(L, data.basepoint)
     count = 0
-    for bits in itertools.product((0, 1), repeat=n):
-        x = data.element(list(bits))
+    for start in range(0, 1 << n, 1 << w):
+        x = lanes + [L.one if start >> i & 1 else 0 for i in range(w, n)]
         if what == "rank1":
-            if data.rank(x) == 1:
-                count += 1
-        elif what == "elementary_idempotents":
-            if not x.is_zero() and data.is_idempotent(x) and data.idem_class(x) == "Elementary":
-                count += 1
+            bad = functools.reduce(or_, data.sharp_vec(x, L), ~functools.reduce(or_, x))
         else:
-            raise ValueError(f"unknown census {what!r}")
+            first = data.squad(x, L) | (data.trace_lin(x, L) ^ L.one)
+            bad = functools.reduce(or_, map(xor, data.u_op_vec(x, one, L), x), first)
+        count += (L.one & ~bad).bit_count()
     return count
 
 

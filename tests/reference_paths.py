@@ -12,7 +12,9 @@ built Cayley-Dickson doubles and Zorn(k) before conic.build_conic read
 them from the generic element, and the sampled identity check as it drew
 one R.rand per coordinate before the samplers drew in bulk
 (Ring.rand_vec), and the norm gradient that CubicData built by hand
-before it read every derivative from TermMap.gradient.  They are kept
+before it read every derivative from TermMap.gradient, and the GF(2)
+census loop that built and classified one element per point before
+her3.census_f2 evaluated the stored forms on bit lanes.  They are kept
 verbatim so that the tests can compare the two; only their dense
 constants now pass through dense_layout into the terms the library
 stores.  The grid check of the associative cubic
@@ -31,9 +33,11 @@ from math import isqrt
 from octad.conic import ConicAlgebra
 from octad.cubic import CubicData
 from octad.extensions import DualExt, PolyExt
+from octad.her3 import her3
 from octad.identities import CostGuardError, Verdict, _resolve, multiset_count
 from octad.linalg import TermMap, add_vec, basis, inverse_rational, scale_vec, solve_rational, sub_vec, vec_eq, vec_is_zero
 from octad.quadforms import QuadraticForm
+from octad.scalars import GF
 from octad.zorn import _Entries, _product, _to_coords
 from octad.zorders import _EPS_TO_U
 
@@ -492,3 +496,24 @@ def norm_gradient(self):
         for key in ((b, l, a), (a, l, b), (a, b, l)):
             grad[key] = R.add(grad.get(key, R.zero), c)
     return TermMap(R, grad, 2, self.dim)
+
+
+def census_f2_by_points(C, what):
+    """Exhaustive rank-1 / elementary-idempotent counts over GF(2), one
+    element per point (without the old n <= 12 cost guard)."""
+    if C.ring != GF(2):
+        raise ValueError("census requires coefficients over GF(2)")
+    n = 3 + 3 * C.dim
+    data = her3(C)
+    count = 0
+    for bits in itertools.product((0, 1), repeat=n):
+        x = data.element(list(bits))
+        if what == "rank1":
+            if data.rank(x) == 1:
+                count += 1
+        elif what == "elementary_idempotents":
+            if not x.is_zero() and data.is_idempotent(x) and data.idem_class(x) == "Elementary":
+                count += 1
+        else:
+            raise ValueError(f"unknown census {what!r}")
+    return count

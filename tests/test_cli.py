@@ -73,6 +73,13 @@ def test_count_her3_rank1(capsys):
     assert blob["count"] == 7
 
 
+def test_count_her3_elid_over_the_split_albert_algebra(capsys):
+    # dimension 27, 2^27 points: 128 chunks of bit lanes, no cost guard
+    code, blob = run_json(capsys, "count", "her3-elid", "--coeff", "zorn(F2)", "--json")
+    assert code == 0
+    assert blob["count"] == 69888
+
+
 @pytest.mark.parametrize(
     "spec, R", [("Z", ZZ), ("F2", GF(2)), ("F3", GF(3)), ("Z/6", Zmod(6))], ids=["Z", "F2", "F3", "Z/6"]
 )
@@ -326,9 +333,8 @@ NAMED_ERRORS = {
     ("identities", "cay(Q;-1)", "flexible", "--seed", "abc"): (
         "error: octad identities: argument --seed: invalid int value: 'abc'"
     ),
-    # the censuses' cost guards read like the identity checker's
+    # the census cost guard reads like the identity checker's
     ("count", "zorn-units", "--p", "11"): "cost guard: p must be <= 7",
-    ("count", "her3-elid", "--coeff", "zorn(F2)"): "cost guard: dimension must be <= 12",
     # only the arguments that are really required are named: coords may be empty
     ("lattice",): "error: octad lattice: the following arguments are required: action, name",
 }
@@ -377,8 +383,6 @@ def test_refused_census_builds_no_structure(capsys, monkeypatch):
     monkeypatch.setattr(her3_module, "her3", lambda *args: built.append(args) or real(*args))
     size = real.cache_info().currsize
     for _ in range(2):
-        assert main(["count", "her3-elid", "--coeff", "zorn(F2)"]) == 1
-        assert capsys.readouterr().err == "cost guard: dimension must be <= 12\n"
         assert main(["count", "her3-rank1", "--coeff", "F3"]) == 1
         assert capsys.readouterr().err == "error: census requires coefficients over GF(2)\n"
     assert built == [] and real.cache_info().currsize == size

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from octad.extensions import DualExt, PolyExt, RingLike
+from octad.extensions import DualExt, F2Lanes, PolyExt, RingLike
 from octad.linalg import unit_sign
 from octad.scalars import GF, QQ, ZZ, Zmod
 from reference_paths import canonical, exponents
@@ -244,3 +244,20 @@ def test_fast_addmul_matches_default(L):
                     assert all(canonical(R, v) for v in got.values())
     # products above the cap were dropped, not only products below it
     assert truncated or not poly
+
+
+def test_f2_lanes_are_gf2_at_every_point():
+    """Bit l of every F2Lanes operation, derived ones included, is the
+    GF(2) operation on bit l of its arguments."""
+    F, N = GF(2), 9
+    L = F2Lanes(N)
+    assert L.one == L.from_base(F.one) == (1 << N) - 1 and L.from_base(F.zero) == L.zero == 0
+    rng = random.Random(20261022)
+    for _ in range(100):
+        a, b, acc = (rng.getrandbits(N) for _ in range(3))
+        got = (L.add(a, b), L.sub(a, b), L.mul(a, b), L.neg(a), L.addmul(acc, a, b, F.one, 1))
+        for l in range(N):
+            x, y, z = (v >> l & 1 for v in (a, b, acc))
+            want = (F.add(x, y), F.sub(x, y), F.mul(x, y), F.neg(x), F.add(z, F.mul(x, y)))
+            assert tuple(v >> l & 1 for v in got) == want
+        assert L.eq(a, b) == (a == b) and L.is_zero(a) == (a == 0)

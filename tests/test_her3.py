@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from octad.cayley import ground_algebra, quaternions
-from octad.conic import cartan_schouten, split_etale
+from octad.cayley import cayley_dickson, ground_algebra, quaternions
+from octad.conic import cartan_schouten, quadratic, split_etale
 from octad.cubic import adjoint_identity_strict, validate_axioms
 from octad.her3 import (
     Gamma,
@@ -14,11 +14,15 @@ from octad.her3 import (
     element_from_parts,
     her3,
     is_positive_definite,
+    lane_census,
     norm_histogram,
     parts_of,
     pretty,
 )
 from octad.scalars import GF, QQ, ZZ
+from octad.tits import split_albert
+from octad.zorn import zorn_algebra
+from reference_paths import census_f2_by_points
 
 
 def test_her3_rational_identity_element():
@@ -75,6 +79,42 @@ def test_census_f2xf2_matches_mat3():
         if not x.is_zero() and A.is_idempotent(x) and A.idem_class(x) == "Elementary":
             count += 1
     assert count == 28
+
+
+# coefficient algebras over GF(2), with the closed form of her3's rank-one
+# count over F_q: the points of the cone over P^2, P^2 x P^2, its twisted
+# form (C the quadratic field F_q^2) and the Grassmannian G(2, 6)
+F2_COEFFS = {
+    "F2": (lambda: ground_algebra(GF(2)), lambda q: q**3 - 1),
+    "F2xF2": (lambda: split_etale(GF(2)), lambda q: (q**3 - 1) ** 2 // (q - 1)),
+    "F4": (lambda: quadratic(GF(2), 1, 1), lambda q: (q - 1) * (q**4 + q**2 + 1)),
+    "split-quaternions": (
+        lambda: cayley_dickson(quadratic(GF(2), 1, 1), 1),
+        lambda q: (q**6 - 1) * (q**5 - 1) // (q**2 - 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", F2_COEFFS)
+def test_lane_census_equals_the_point_loop_and_the_closed_form(name):
+    C = F2_COEFFS[name][0]()
+    assert census_f2(C, "rank1") == census_f2_by_points(C, "rank1") == F2_COEFFS[name][1](2)
+    assert census_f2(C, "elementary_idempotents") == census_f2_by_points(C, "elementary_idempotents")
+
+
+def test_split_albert_censuses_agree_across_constructions():
+    """The only census above one chunk of lanes: coordinates 20..26 are
+    constant lanes read from each chunk's first point.  Rank one is the
+    cone over the Cayley plane E6/P1."""
+    her3_zorn, albert, q = her3(zorn_algebra(GF(2))), split_albert(GF(2)), 2
+    rank1 = (q**12 - 1) * (q**9 - 1) // (q**4 - 1)
+    assert census_f2(zorn_algebra(GF(2)), "rank1") == lane_census(albert, "rank1") == rank1 == 139503
+    assert lane_census(her3_zorn, "elementary_idempotents") == lane_census(albert, "elementary_idempotents") == 69888
+
+
+def test_lane_census_refuses_unknown_censuses():
+    with pytest.raises(ValueError, match="unknown census"):
+        census_f2(ground_algebra(GF(2)), "rank2")
 
 
 def test_adjoint_strict_octonion_coefficients():
