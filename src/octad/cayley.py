@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import functools
 
-from .conic import ConicAlgebra, ConicElement, build_conic, cartan_schouten
+from .conic import ConicAlgebra, build_conic, cartan_schouten
 from .extensions import lift_vec
 from .identities import IdentitySpec, associator, strict_identity_check
-from .linalg import LinearMap, add_vec, basis, scale_vec, sub_vec, vec_eq
+from .linalg import LinearMap, ModuleElement, add_vec, basis, scale_vec, sub_vec, vec_eq
 from .quadforms import QuadraticForm
 from .scalars import NOT_A_UNIT, QQ, ZZ
 
@@ -92,8 +92,9 @@ def composition_defect_formula(x, y):
     alg = x.algebra
     base = alg.cd_base
     R = alg.ring
+    y = alg._coords(y)
     u1, v1 = x.coords[: base.dim], x.coords[base.dim :]
-    u2, v2 = y.coords[: base.dim], y.coords[base.dim :]
+    u2, v2 = y[: base.dim], y[base.dim :]
     assoc = associator(base, R, v2, u1, u2)
     val = R.neg(R.mul(alg.cd_mu, base.norm_bilin_payload(assoc, v1)))
     return R.scalar(val)
@@ -116,7 +117,7 @@ class AlgebraMap(LinearMap):
     """A linear map between conic algebras (columns = basis images)."""
 
     def apply(self, x):
-        return ConicElement(self.codomain, self.apply_vec(x.coords))
+        return ModuleElement(self.codomain, self.apply_vec(x.coords))
 
     def verify_homomorphism(self):
         """f(1) = 1, and f(xy) = f(x)f(y) and n'(f(x)) = n(x) as laws."""
@@ -184,8 +185,7 @@ def quat_rotate(v, s):
     and the same norm as s.
     """
     alg = v.algebra
-    R = alg.ring
-    if not R.is_zero(alg.trace_payload(s.coords)):
+    if not alg.trace(s).is_zero():
         raise ValueError("s must have trace zero")
     vinv = alg.try_inverse(v)
     if vinv is NOT_A_UNIT:

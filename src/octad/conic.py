@@ -15,12 +15,11 @@ import json
 
 from .extensions import PolyExt, lift_vec
 from .identities import IdentitySpec, strict_identity_check
-from .linalg import ModuleElement, TermMap, basis, scale_vec, sub_vec, vec_eq, vec_is_zero
+from .linalg import ModuleElement, NormedModule, TermMap, sub_vec, vec_eq, vec_is_zero
 from .quadforms import QuadraticForm
-from .scalars import NOT_A_UNIT, Scalar, RingMismatch
 
 
-class ConicAlgebra:
+class ConicAlgebra(NormedModule):
     def __init__(self, ring, dim, products, unit, norm, name="conic"):
         """The structure constants are stored once, as the nonzero terms
         products {(a, b, k): c}: coordinate k of e_a e_b is c (absent keys
@@ -76,9 +75,6 @@ class ConicAlgebra:
         """Bilinear product on payload vectors, optionally over ring-like L."""
         return self._product.bilinear(x, y, L)
 
-    def trace_payload(self, x, L=None):
-        return self._trace.value(x, L)
-
     def conj_vec(self, x, L=None):
         return self._conj.value(x, L)
 
@@ -88,44 +84,18 @@ class ConicAlgebra:
     def norm_bilin_payload(self, x, y, L=None):
         return self.norm.bilin_payload(x, y, L)
 
-    # -- element API ------------------------------------------------------------
-    def element(self, coords):
-        coords = list(coords)
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return ConicElement(self, [self.ring.coerce(c) for c in coords])
-
-    def basis_element(self, i):
-        return ConicElement(self, basis(self.ring, self.dim, i))
+    # -- element API (the rest is linalg.NormedModule's) ----------------------
+    def _adjoint_vec(self, x):
+        return self.conj_vec(x)
 
     def one(self):
-        return ConicElement(self, list(self.unit))
-
-    def zero(self):
-        return ConicElement(self, [self.ring.zero] * self.dim)
+        return ModuleElement(self, list(self.unit))
 
     def mul(self, x, y):
-        self._check(x)
-        self._check(y)
-        return ConicElement(self, self.mul_vec(x.coords, y.coords))
-
-    def trace(self, x):
-        return self.ring.scalar(self.trace_payload(x.coords))
+        return ModuleElement(self, self.mul_vec(self._coords(x), self._coords(y)))
 
     def conj(self, x):
-        return ConicElement(self, self.conj_vec(x.coords))
-
-    def norm_of(self, x):
-        return self.ring.scalar(self.norm.eval_payload(x.coords))
-
-    def try_inverse(self, x):
-        """n(x)^{-1} conj(x) when n(x) is a unit, else NOT_A_UNIT."""
-        R = self.ring
-        n = self.norm.eval_payload(x.coords)
-        ninv = R.inv(n)
-        if ninv is None:
-            return NOT_A_UNIT
-        return ConicElement(self, scale_vec(R, ninv, self.conj_vec(x.coords)))
+        return ModuleElement(self, self.conj_vec(self._coords(x)))
 
     def classify_idempotent(self, c):
         """Zero / Elementary / Invertible (= unit) / NotIdempotent.
@@ -136,15 +106,16 @@ class ConicAlgebra:
         R = self.ring
         if not R.is_connected:
             raise ValueError("classification requires a connected base ring")
-        sq = self.mul_vec(c.coords, c.coords)
-        if not vec_eq(R, sq, c.coords):
+        c = self._coords(c)
+        sq = self.mul_vec(c, c)
+        if not vec_eq(R, sq, c):
             return "NotIdempotent"
-        if vec_is_zero(R, c.coords):
+        if vec_is_zero(R, c):
             return "Zero"
-        if vec_eq(R, c.coords, self.unit):
+        if vec_eq(R, c, self.unit):
             return "Invertible"
-        n = self.norm.eval_payload(c.coords)
-        t = self.trace_payload(c.coords)
+        n = self.norm.eval_payload(c)
+        t = self.trace_lin(c)
         if R.is_zero(n) and R.eq(t, R.one):
             return "Elementary"
         raise AssertionError("impossible idempotent over a connected ring")
@@ -152,9 +123,6 @@ class ConicAlgebra:
     def is_multiplicative(self):
         """Strict norm-composition check n(xy) = n(x)n(y)."""
         return strict_identity_check(self, "norm-comp").holds
-
-    def random_element(self, rng):
-        return ConicElement(self, self.ring.rand_vec(rng, self.dim))
 
     # -- serialization ------------------------------------------------------------
     def to_json(self):
@@ -192,34 +160,6 @@ class ConicAlgebra:
             coeffs[(int(i), int(j))] = parse(c)
         norm = QuadraticForm(ring, dim, coeffs)
         return ConicAlgebra(ring, dim, products, [parse(c) for c in blob["unit"]], norm, name=name)
-
-    def _check(self, x):
-        if x.algebra is not self:
-            raise RingMismatch("element belongs to a different algebra")
-
-    def __repr__(self):
-        return f"{self.name}(dim={self.dim}, ring={self.ring})"
-
-
-class ConicElement(ModuleElement):
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if isinstance(other, ConicElement):
-            return self.algebra.mul(self, other)
-        return ModuleElement.__mul__(self, other)
-
-    def norm(self):
-        return self.algebra.norm_of(self)
-
-    def trace(self):
-        return self.algebra.trace(self)
-
-    def conj(self):
-        return self.algebra.conj(self)
-
-    def scalars(self):
-        return [Scalar(self.algebra.ring, c) for c in self.coords]
 
 
 def _unit_law(alg, L, vs):

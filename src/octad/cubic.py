@@ -60,8 +60,8 @@ from .identities import (
 from .linalg import (
     LinearMap,
     ModuleElement,
+    NormedModule,
     TermMap,
-    basis,
     cols_vec,
     mat_mul,
     scale_vec,
@@ -72,7 +72,7 @@ from .linalg import (
 from .scalars import NOT_A_UNIT, QQ, ZZ, PrimeField
 
 
-class CubicData:
+class CubicData(NormedModule):
     def __init__(self, ring, dim, basepoint, sharp_terms, norm_terms, name="cubic"):
         """sharp_terms {(i, j, k): c} (i <= j) and norm_terms {(i, j, l): c}
         (i <= j <= l) as in the module docstring; each constant is coerced
@@ -148,9 +148,6 @@ class CubicData:
         R = L if L is not None else self.ring
         return R.dot(self._grad.value(x, L), y)
 
-    def trace_lin(self, x, L=None):
-        return self._trace.value(x, L)
-
     def trace_row(self, x, L=None):
         """[T(x, e_0), ..., T(x, e_{dim-1})] from the Gram matrix."""
         return self._trace_form.value(x, L)
@@ -202,45 +199,32 @@ class CubicData:
         cr = self.cross_vec(self.cross_vec(x, z, L), y, L)
         return sub_vec(R, out, cr)
 
-    # -- element API -------------------------------------------------------------
-    def element(self, coords):
-        coords = list(coords)
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return CubicElement(self, [self.ring.coerce(c) for c in coords])
-
-    def basis_element(self, i):
-        return CubicElement(self, basis(self.ring, self.dim, i))
+    # -- element API (the rest is linalg.NormedModule's) ----------------------
+    def _adjoint_vec(self, x):
+        return self.sharp_vec(x)
 
     def one(self):
-        return CubicElement(self, list(self.basepoint))
+        return ModuleElement(self, list(self.basepoint))
 
-    def zero(self):
-        return CubicElement(self, [self.ring.zero] * self.dim)
-
-    def norm(self, x):
-        return self.ring.scalar(self.norm_payload(x.coords))
+    norm = NormedModule.norm_of  # N(x) keeps its cubic name; a conic's norm is its form
 
     def sharp(self, x):
-        return CubicElement(self, self.sharp_vec(x.coords))
+        return ModuleElement(self, self.sharp_vec(self._coords(x)))
 
     def cross(self, x, y):
-        return CubicElement(self, self.cross_vec(x.coords, y.coords))
-
-    def trace(self, x):
-        return self.ring.scalar(self.trace_lin(x.coords))
+        return ModuleElement(self, self.cross_vec(self._coords(x), self._coords(y)))
 
     def trace_pair(self, x, y):
-        return self.ring.scalar(self.trace_bilin(x.coords, y.coords))
+        return self.ring.scalar(self.trace_bilin(self._coords(x), self._coords(y)))
 
     def strace(self, x):
-        return self.ring.scalar(self.squad(x.coords))
+        return self.ring.scalar(self.squad(self._coords(x)))
 
     def u_op(self, x, y):
-        return CubicElement(self, self.u_op_vec(x.coords, y.coords))
+        return ModuleElement(self, self.u_op_vec(self._coords(x), self._coords(y)))
 
     def triple(self, x, y, z):
-        return CubicElement(self, self.triple_vec(x.coords, y.coords, z.coords))
+        return ModuleElement(self, self.triple_vec(self._coords(x), self._coords(y), self._coords(z)))
 
     def power(self, x, n):
         """x^0 = 1, x^1 = x, x^n = U_x x^{n-2} (quadratic Jordan powers)."""
@@ -250,30 +234,23 @@ class CubicData:
             return x
         return self.u_op(x, self.power(x, n - 2))
 
-    def try_inverse(self, x):
-        R = self.ring
-        n = self.norm_payload(x.coords)
-        ninv = R.inv(n)
-        if ninv is None:
-            return NOT_A_UNIT
-        return CubicElement(self, [R.mul(ninv, c) for c in self.sharp_vec(x.coords)])
-
     def rank(self, x):
         if not self.ring.is_field:
             raise ValueError("rank needs a field base ring")
         R = self.ring
-        if vec_is_zero(R, x.coords):
+        x = self._coords(x)
+        if vec_is_zero(R, x):
             return 0
-        if vec_is_zero(R, self.sharp_vec(x.coords)):
+        if vec_is_zero(R, self.sharp_vec(x)):
             return 1
-        if R.is_zero(self.norm_payload(x.coords)):
+        if R.is_zero(self.norm_payload(x)):
             return 2
         return 3
 
     # -- idempotents --------------------------------------------------------------
     def is_idempotent(self, e):
-        sq = self.u_op_vec(e.coords, self.basepoint)
-        return vec_eq(self.ring, sq, e.coords)
+        e = self._coords(e)
+        return vec_eq(self.ring, self.u_op_vec(e, self.basepoint), e)
 
     def idem_class(self, e):
         R = self.ring
@@ -350,9 +327,6 @@ class CubicData:
                         raise AssertionError("Peirce projections are inconsistent")
         return E2, E1, E0
 
-    def random_element(self, rng):
-        return CubicElement(self, self.ring.rand_vec(rng, self.dim))
-
     # -- serialization ---------------------------------------------------------------
     def to_json(self):
         """The terms in the dense layout: e_i# and e_i x e_j for every pair
@@ -403,22 +377,6 @@ class CubicData:
         norm_terms.update((key(k), parse(c)) for k, c in blob["norm_triple"].items())
         basepoint = [parse(c) for c in blob["basepoint"]]
         return CubicData(ring, blob["dim"], basepoint, sharp_terms, norm_terms, name=name)
-
-    def __repr__(self):
-        return f"{self.name}(dim={self.dim}, ring={self.ring})"
-
-
-class CubicElement(ModuleElement):
-    __slots__ = ()
-
-    def sharp(self):
-        return self.algebra.sharp(self)
-
-    def norm(self):
-        return self.algebra.norm(self)
-
-    def trace(self):
-        return self.algebra.trace(self)
 
 
 # -- generic construction from sharp/norm callables ----------------------------------

@@ -96,10 +96,6 @@ class DualExt(RingLike):
     def is_zero(self, a):
         return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
 
-    def var(self):
-        """The element eps."""
-        return (self.base.zero, self.base.one)
-
 
 class PolyExt(RingLike):
     """Truncated polynomial extension R[t_0..t_{m-1}] of a ring-like R.

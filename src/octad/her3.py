@@ -97,7 +97,7 @@ def her3(C, gamma=None):
         for (i, j, l) in _CYCLES:
             nu = C.norm_payload(us[i], L)
             acc = L.sub(acc, L.mul(L.mul(L.mul(lg[j], lg[l]), xi[i]), nu))
-        trip = C.trace_payload(C.mul_vec(C.mul_vec(us[0], us[1], L), us[2], L), L)
+        trip = C.trace_lin(C.mul_vec(C.mul_vec(us[0], us[1], L), us[2], L), L)
         ggg = L.mul(L.mul(lg[0], lg[1]), lg[2])
         return L.add(acc, L.mul(ggg, trip))
 
@@ -111,7 +111,7 @@ def her3(C, gamma=None):
 def element_from_parts(data, xi, us):
     coords = list(xi)
     for u in us:
-        coords.extend(u.coords if hasattr(u, "coords") else u)
+        coords.extend(data.coeff_algebra._coords(u) if hasattr(u, "coords") else u)
     return data.element(coords)
 
 
@@ -162,7 +162,7 @@ def associator_defect(x):
     R = data.ring
     g = data.gamma.entries
     xi, us = parts_of(x)
-    sharp = data.element(data.sharp_vec(x.coords))
+    sharp = data.sharp(x)
     M = matrix_mul(C, as_matrix(sharp), as_matrix(x))
     nx = data.norm_payload(x.coords)
     a = associator(C, R, *(u.coords for u in us))
@@ -208,8 +208,12 @@ def lane_census(data, what):
         if what == "rank1":
             bad = functools.reduce(or_, data.sharp_vec(x, L), ~functools.reduce(or_, x))
         else:
-            first = data.squad(x, L) | (data.trace_lin(x, L) ^ L.one)
-            bad = functools.reduce(or_, map(xor, data.u_op_vec(x, one, L), x), first)
+            # x# once: S(x) = T(x#), and U_x 1 - x = T(x, 1) x - x# x 1 - x
+            sx = data.sharp_vec(x, L)
+            t = data.trace_bilin(x, one, L)
+            first = data.trace_lin(sx, L) | (data.trace_lin(x, L) ^ L.one)
+            ux = map(xor, data.cross_vec(sx, one, L), ((t & a) ^ a for a in x))
+            bad = functools.reduce(or_, ux, first)
         count += (L.one & ~bad).bit_count()
     return count
 

@@ -284,7 +284,7 @@ def _associator_law(a, b, c):
 def _degree2(alg, L, vs):
     (x,) = vs
     sq = _mul(alg, L, x, x)
-    t = alg.trace_payload(x, L)
+    t = alg.trace_lin(x, L)
     nx = alg.norm_payload(x, L)
     out = sub_vec(L, sq, scale_vec(L, t, x))
     return add_vec(L, out, scale_vec(L, nx, lift_vec(L, alg.unit)))
@@ -333,8 +333,8 @@ def _norm_comp(alg, L, vs):
 
 def _norm_assoc(alg, L, vs):
     x, y, z = vs
-    lhs = alg.trace_payload(_mul(alg, L, _mul(alg, L, x, y), z), L)
-    rhs = alg.trace_payload(_mul(alg, L, x, _mul(alg, L, y, z)), L)
+    lhs = alg.trace_lin(_mul(alg, L, _mul(alg, L, x, y), z), L)
+    rhs = alg.trace_lin(_mul(alg, L, x, _mul(alg, L, y, z)), L)
     return L.sub(lhs, rhs)
 
 

@@ -21,13 +21,16 @@ costs one fused addmul (acc + c*a*b).  Polarization has no loop of its
 own: for a degree-2 map with bilinear part B, f(x + y) - f(x) - f(y) =
 B(x, y) + B(y, x), two bilinear passes, and all of D f(x; e_m) is the
 value of f's gradient, a TermMap read from f's terms once.
+
+Conic algebras and cubic norm structures share their element API in
+NormedModule, and ModuleElement is the one element class of both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QQ, ZZ, RingMismatch
+from .scalars import NOT_A_UNIT, QQ, ZZ, RingMismatch
 
 
 # -- vectors -----------------------------------------------------------------------
@@ -239,12 +242,10 @@ def _canonical(n, out):
 
 
 class ModuleElement:
-    """An element of an algebra that is free over its ring, stored as the
-    payload coordinates in the algebra's basis.
-
-    Addition, negation, scalar multiplication, equality and hashing are
-    coordinatewise; subclasses add the algebra's own operations.
-    """
+    """An element of a NormedModule, stored as its payload coordinates.
+    +, -, scalar *, == and hash are coordinatewise; x * y is the algebra's
+    mul when y is an element too (TypeError on a cubic structure, which has
+    none), and norm() and trace() are the algebra's norm_of and trace."""
 
     __slots__ = ("algebra", "coords")
 
@@ -253,15 +254,13 @@ class ModuleElement:
         self.coords = list(coords)
 
     def _new(self, coords):
-        return type(self)(self.algebra, coords)
+        return ModuleElement(self.algebra, coords)
 
     def __add__(self, other):
-        self._same(other)
-        return self._new(add_vec(self.algebra.ring, self.coords, other.coords))
+        return self._new(add_vec(self.algebra.ring, self.coords, self.algebra._coords(other)))
 
     def __sub__(self, other):
-        self._same(other)
-        return self._new(sub_vec(self.algebra.ring, self.coords, other.coords))
+        return self._new(sub_vec(self.algebra.ring, self.coords, self.algebra._coords(other)))
 
     def __neg__(self):
         R = self.algebra.ring
@@ -271,7 +270,13 @@ class ModuleElement:
         R = self.algebra.ring
         return self._new(scale_vec(R, R.coerce(other), self.coords))
 
-    __mul__ = __rmul__
+    def __mul__(self, other):
+        if not isinstance(other, ModuleElement):
+            return self.__rmul__(other)
+        mul = getattr(self.algebra, "mul", None)
+        if mul is None:
+            raise TypeError(f"{self.algebra.name} has no product")
+        return mul(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, ModuleElement) or other.algebra is not self.algebra:
@@ -284,13 +289,70 @@ class ModuleElement:
     def is_zero(self):
         return vec_is_zero(self.algebra.ring, self.coords)
 
-    def _same(self, other):
-        if other.algebra is not self.algebra:
-            raise RingMismatch("element belongs to a different algebra")
+    def norm(self):
+        return self.algebra.norm_of(self)
+
+    def trace(self):
+        return self.algebra.trace(self)
 
     def __repr__(self):
         R = self.algebra.ring
         return "(" + ", ".join(R.render(c) for c in self.coords) + ")"
+
+
+class NormedModule:
+    """The element layer shared by conic algebras and cubic norm structures.
+
+    Both are free of rank dim over ring, with a norm N (norm_payload), a
+    linear trace (the scalar TermMap _trace) and an adjoint (_adjoint_vec:
+    the conjugation of a conic, x# of a cubic) with x adj(x) = N(x) 1, so
+    x is a unit iff N(x) is, with inverse N(x)^{-1} adj(x).  A method that
+    takes an element reads its coordinates through _coords, the one
+    membership check: an element of another algebra raises RingMismatch.
+    """
+
+    def element(self, coords):
+        coords = list(coords)
+        if len(coords) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
+        return ModuleElement(self, [self.ring.coerce(c) for c in coords])
+
+    def basis_element(self, i):
+        return ModuleElement(self, basis(self.ring, self.dim, i))
+
+    def zero(self):
+        return ModuleElement(self, [self.ring.zero] * self.dim)
+
+    def random_element(self, rng):
+        return ModuleElement(self, self.ring.rand_vec(rng, self.dim))
+
+    def _coords(self, x):
+        """The coordinates of x, which must be an element of this algebra."""
+        if getattr(x, "algebra", None) is not self:
+            raise RingMismatch("element belongs to a different algebra")
+        return x.coords
+
+    def trace_lin(self, x, L=None):
+        """T(x) of a payload vector, optionally over ring-like L."""
+        return self._trace.value(x, L)
+
+    def trace(self, x):
+        return self.ring.scalar(self.trace_lin(self._coords(x)))
+
+    def norm_of(self, x):
+        return self.ring.scalar(self.norm_payload(self._coords(x)))
+
+    def try_inverse(self, x):
+        """N(x)^{-1} adj(x) when N(x) is a unit, else NOT_A_UNIT."""
+        R = self.ring
+        x = self._coords(x)
+        ninv = R.inv(self.norm_payload(x))
+        if ninv is None:
+            return NOT_A_UNIT
+        return ModuleElement(self, scale_vec(R, ninv, self._adjoint_vec(x)))
+
+    def __repr__(self):
+        return f"{self.name}(dim={self.dim}, ring={self.ring})"
 
 
 class LinearMap:

@@ -193,7 +193,7 @@ def mu_rescale_map(A, mu, p):
     invertible in A (N_A(p) a unit).
     """
     R = A.ring
-    p_vec = p.coords if hasattr(p, "coords") else [R.coerce(c) for c in p]
+    p_vec = A.data._coords(p) if hasattr(p, "coords") else [R.coerce(c) for c in p]
     np_ = A.data.norm_payload(p_vec)
     if R.inv(np_) is None:
         raise ValueError("p must be invertible in A")

@@ -60,7 +60,7 @@ class ZLattice:
 
     # -- membership -----------------------------------------------------------
     def _coords_over_den(self, x):
-        vec = x.coords if hasattr(x, "coords") else list(x)
+        vec = self.ambient._coords(x) if hasattr(x, "coords") else list(x)
         if len(vec) != self.ambient.dim:
             raise ValueError(f"expected {self.ambient.dim} coordinates, got {len(vec)}")
         return _mul_over_den(self._basis_T_inv, vec)

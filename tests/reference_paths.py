@@ -327,7 +327,7 @@ def check_degree2_by_polarization(alg):
 
     def deg2(x):
         sq = alg.mul_vec(x, x)
-        tx = alg.trace_payload(x)
+        tx = alg.trace_lin(x)
         nx = alg.norm.eval_payload(x)
         out = sub_vec(R, sq, scale_vec(R, tx, x))
         return add_vec(R, out, scale_vec(R, nx, alg.unit))

@@ -209,7 +209,7 @@ def test_products_with_unit_constants_match_naive_formulas(R):
             x = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(alg.dim)]
             y = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(alg.dim)]
             assert vec_eq(R, alg.mul_vec(x, y), naive_mul_vec(alg, R, x, y))
-            t = alg.trace_payload(x)
+            t = alg.trace_lin(x)
             assert vec_eq(R, alg.conj_vec(x), [R.sub(R.mul(t, u), a) for u, a in zip(alg.unit, x)])
             # the same over a polynomial ring-like, with variables in x
             px = [L.add(L.from_base(c), L.var(i % 2)) for i, c in enumerate(x)]
@@ -219,7 +219,7 @@ def test_products_with_unit_constants_match_naive_formulas(R):
 
 @pytest.mark.parametrize("R", [ZZ, GF(2), Zmod(6), QQ], ids=repr)
 def test_sparse_trace_matches_naive_trace(R):
-    """trace_payload reads only the nonzero t(e_i); the reference lifts
+    """trace_lin reads only the nonzero t(e_i); the reference lifts
     and multiplies every t(e_i) = Dn(1, e_i), zeros included."""
     rng = random.Random(12)
     L = PolyExt(R, 2, 3)
@@ -227,7 +227,7 @@ def test_sparse_trace_matches_naive_trace(R):
         tvals = [alg.norm.bilin_payload(alg.unit, alg.basis_element(i).coords) for i in range(alg.dim)]
         for _ in range(20):
             x = [R.rand(rng) if rng.random() < 0.6 else R.zero for _ in range(alg.dim)]
-            assert R.eq(alg.trace_payload(x), R.sum(R.mul(a, t) for a, t in zip(x, tvals)))
+            assert R.eq(alg.trace_lin(x), R.sum(R.mul(a, t) for a, t in zip(x, tvals)))
             px = [L.add(L.from_base(c), L.var(i % 2)) for i, c in enumerate(x)]
             naive = L.sum(L.mul(a, L.from_base(t)) for a, t in zip(px, tvals))
-            assert L.eq(alg.trace_payload(px, L), naive)
+            assert L.eq(alg.trace_lin(px, L), naive)
